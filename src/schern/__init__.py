@@ -12,6 +12,7 @@ from .chern import (
     c2,
     c2_closed_form,
     c2_enumeration,
+    c2_subshape,
     casimir,
     dual_partition,
 )
@@ -23,7 +24,6 @@ from .partitions import (
     schur_dimension,
     ssyt_count,
     ssyt_stream,
-    ssyt_substreams,
 )
 from .tables import (
     CASES,
@@ -69,6 +69,7 @@ __all__ = [
     "c2",
     "c2_closed_form",
     "c2_enumeration",
+    "c2_subshape",
     "casimir",
     "conjugate",
     "dual_partition",
@@ -84,7 +85,6 @@ __all__ = [
     "schur_dimension",
     "ssyt_count",
     "ssyt_stream",
-    "ssyt_substreams",
     "table_against_reference",
     "verify_case",
     "weight_of",

@@ -2,21 +2,26 @@
 
 For an irreducible of highest weight lam, c2 of the associated bundle is an
 integer multiple n_lam of the second Chern class of the defining
-representation (first Chern classes vanish on SL(n)).  Two independent routes
-compute n_lam:
+representation (first Chern classes vanish on SL(n)).  Three routes compute
+n_lam:
 
-* enumeration: expand the splitting-principle product over all semistandard
-  tableau contents and read off the quadratic part modulo (x1+...+xn);
-* closed form: dimension times Casimir eigenvalue divided by n^2 - 1.
+* closed form: dimension times Casimir eigenvalue divided by n^2 - 1;
+* sub-shape sum: group the tableaux by the two-row sub-shape nu that their
+  entries 1 and 2 fill, and count the fillings of lam/nu by entries 3..n
+  with Jacobi-Trudi determinants; it never touches the Casimir;
+* enumeration: stream every semistandard tableau content and read off the
+  quadratic part of the splitting-principle product modulo (x1+...+xn).
 
 The front door :func:`c2` runs the closed form and, while the dimension stays
-under a configurable ceiling, replays the enumeration as a cross-check.
+under a configurable ceiling, recomputes the index by the sub-shape sum as a
+cross-check.  Enumeration costs time linear in the dimension; it is reached
+only by an explicit ``method="enumeration"`` and serves tests as an oracle.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .partitions import Partition, partition, schur_dimension, ssyt_stream
 
@@ -28,18 +33,19 @@ METHOD_BOTH = "both"
 
 
 class EnumerationCeilingError(ValueError):
-    """Dimension too large to enumerate; use the closed form instead."""
+    """Dimension above the ceiling for enumeration or a demanded cross-check;
+    use the closed form instead."""
 
 
 class CrossCheckError(Exception):
-    def __init__(self, n: int, lam: Partition, closed: int, enumerated: int):
+    def __init__(self, n: int, lam: Partition, closed: int, subshape: int):
         self.n = n
         self.lam = lam
         self.closed = closed
-        self.enumerated = enumerated
+        self.subshape = subshape
         super().__init__(
             f"methods disagree for n={n} lam={lam}: "
-            f"closed form {closed}, enumeration {enumerated}"
+            f"closed form {closed}, sub-shape sum {subshape}"
         )
 
 
@@ -49,39 +55,6 @@ class ChernResult:
     method: str
     cross_checked: bool
     dim: int
-
-
-class TruncatedQuadratic:
-    """Polynomial in n commuting variables truncated to total degree <= 2."""
-
-    __slots__ = ("n", "const", "lin", "quad")
-
-    def __init__(self, n: int, const: int = 1):
-        self.n = n
-        self.const = const
-        self.lin = [0] * n
-        self.quad = [0] * (n * (n + 1) // 2)
-
-    def _qi(self, i: int, j: int) -> int:
-        if i > j:
-            i, j = j, i
-        return i * self.n - i * (i - 1) // 2 + (j - i)
-
-    def times_one_plus_linear(self, m: Sequence[int]) -> "TruncatedQuadratic":
-        """Multiply by (1 + m1*x1 + ... + mn*xn), discarding degree > 2."""
-        out = TruncatedQuadratic(self.n, self.const)
-        out.quad = list(self.quad)
-        lin = self.lin
-        for i, mi in enumerate(m):
-            out.lin[i] = lin[i] + self.const * mi
-            if mi:
-                for j in range(self.n):
-                    out.quad[self._qi(i, j)] += lin[j] * mi
-        return out
-
-    def coefficient(self, i: int, j: int) -> int:
-        """Coefficient of xi*xj (or of xi^2 when i == j)."""
-        return self.quad[self._qi(i, j)]
 
 
 def reduce_full_columns(n: int, lam: Partition) -> Partition:
@@ -130,20 +103,75 @@ def c2_closed_form(n: int, lam: Partition) -> ChernResult:
     return ChernResult(int(value), METHOD_CLOSED_FORM, False, dim)
 
 
+def _bareiss_determinant(a: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination; every division is exact, so no rationals appear.  The rows
+    of ``a`` are overwritten."""
+    size = len(a)
+    sign, prev = 1, 1
+    for k in range(size - 1):
+        if a[k][k] == 0:
+            swap = next((r for r in range(k + 1, size) if a[r][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot, row_k = a[k][k], a[k]
+        for row in a[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, size):
+                row[j] = (row[j] * pivot - lead * row_k[j]) // prev
+        prev = pivot
+    return sign * a[-1][-1] if size else 1
+
+
+def c2_subshape(n: int, lam: Partition) -> int:
+    """n_lam summed over the sub-shape nu that the entries 1 and 2 fill.
+
+    The streaming sum over tableau contents, sum of m1 * (m1 - m2), depends
+    only on the tableau's {1, 2} part: an SSYT of a shape nu within lam with
+    at most two rows and m1 ones in nu2..nu1.  The entries 3..n fill lam/nu
+    in s_{lam/nu}(1^(n-2)) ways, the Jacobi-Trudi determinant
+    det[h(lam_i - nu_j - i + j)] with h(k) = C(n - 3 + k, k) (Macdonald,
+    Symmetric Functions and Hall Polynomials, I.5).  Exact integer
+    arithmetic throughout; neither the Casimir nor the tableaux are used.
+    """
+    lam = reduce_full_columns(n, lam)
+    if not lam:
+        return 0
+    rows = len(lam)
+    m = n - 2
+    # h[k] = h_k(1^m) = C(m + k - 1, k); h_0 = 1 also when m = 0
+    h = [1] + [math.comb(m + k - 1, k) for k in range(1, lam[0] + rows)]
+    lam2 = lam[1] if rows > 1 else 0
+    total = 0
+    for nu1 in range(lam[0] + 1):
+        for nu2 in range(min(nu1, lam2) + 1):
+            size = nu1 + nu2
+            weight = sum(m1 * (2 * m1 - size) for m1 in range(nu2, nu1 + 1))
+            if not weight:
+                continue
+            nu = (nu1, nu2) + (0,) * rows
+            skew = [
+                [h[k] if (k := lam[i] - nu[j] - i + j) >= 0 else 0
+                 for j in range(rows)]
+                for i in range(rows)
+            ]
+            total += weight * _bareiss_determinant(skew)
+    return total
+
+
 def c2_enumeration(
     n: int,
     lam: Partition,
     ceiling: int = DEFAULT_ENUMERATION_CEILING,
-    route: str = "streaming",
 ) -> ChernResult:
     """Splitting principle over tableau contents.
 
     Each tableau contributes a Chern root with multiplicities m = content;
     the product of (1 + m.x) truncated at degree 2, reduced modulo the
     vanishing first Chern class, has e2-coefficient
-    sum over tableaux of m1^2 - m1*m2 (the streaming route).  The polynomial
-    route keeps the full truncated product and reads the same number off as
-    [x1*x2] - 2*[x1^2]; the two routes agree identically.
+    sum over tableaux of m1^2 - m1*m2.
     """
     lam = reduce_full_columns(n, lam)
     dim = schur_dimension(n, lam)
@@ -154,19 +182,11 @@ def c2_enumeration(
         )
     if n == 1:
         return ChernResult(0, METHOD_ENUMERATION, False, dim)
-    if route == "streaming":
-        total = 0
-        for c in ssyt_stream(n, lam):
-            m1 = c[0]
-            if m1:
-                total += m1 * (m1 - c[1])
-    elif route == "polynomial":
-        q = TruncatedQuadratic(n)
-        for c in ssyt_stream(n, lam):
-            q = q.times_one_plus_linear(c)
-        total = q.coefficient(0, 1) - 2 * q.coefficient(0, 0)
-    else:
-        raise ValueError(f"unknown route {route!r}")
+    total = 0
+    for c in ssyt_stream(n, lam):
+        m1 = c[0]
+        if m1:
+            total += m1 * (m1 - c[1])
     return ChernResult(total, METHOD_ENUMERATION, False, dim)
 
 
@@ -178,9 +198,9 @@ def c2(
 ) -> ChernResult:
     """Front door.  method is one of auto, closed-form, enumeration, both.
 
-    auto runs the closed form and adds the enumeration cross-check whenever
-    the dimension is at most ``ceiling``; both demands the cross-check and
-    fails loudly on disagreement.
+    auto runs the closed form and adds the sub-shape cross-check whenever
+    the dimension is at most ``ceiling``; both demands the cross-check,
+    refuses above the ceiling, and fails loudly on disagreement.
     """
     if method == METHOD_CLOSED_FORM:
         return c2_closed_form(n, lam)
@@ -189,9 +209,14 @@ def c2(
     if method not in ("auto", METHOD_BOTH):
         raise ValueError(f"unknown method {method!r}")
     closed = c2_closed_form(n, lam)
-    if method == "auto" and closed.dim > ceiling:
-        return closed
-    enumerated = c2_enumeration(n, lam, ceiling=ceiling)
-    if enumerated.n_lambda != closed.n_lambda:
-        raise CrossCheckError(n, partition(lam), closed.n_lambda, enumerated.n_lambda)
+    if closed.dim > ceiling:
+        if method == "auto":
+            return closed
+        raise EnumerationCeilingError(
+            f"dimension {closed.dim} exceeds the cross-check ceiling {ceiling} "
+            f"for n={n} lam={partition(lam)}; use the closed form"
+        )
+    checked = c2_subshape(n, lam)
+    if checked != closed.n_lambda:
+        raise CrossCheckError(n, partition(lam), closed.n_lambda, checked)
     return ChernResult(closed.n_lambda, METHOD_BOTH, True, closed.dim)

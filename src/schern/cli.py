@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 bad arguments or violated preconditions (unknown
-case, enumeration ceiling exceeded, malformed partition), 3 a consistency
-check failed (method cross-check or --verify-cache disagreement).
+case, ceiling exceeded, malformed partition), 3 a consistency check failed
+(method cross-check, a table row whose cross-check failed, or --verify-cache
+disagreement).
 """
 from __future__ import annotations
 
@@ -119,7 +120,7 @@ def _row_payload(spec: GroupSpec, row) -> dict:
     if row.reference_value is not None:
         out["reference"] = row.reference_value
     if row.error is not None:
-        out["error"] = row.error
+        out["error"] = str(row.error)
     return out
 
 
@@ -155,7 +156,7 @@ def render_table(table: GeneratorTable, fmt: str, case_id: str | None = None) ->
     body = []
     for r in table.rows:
         if r.error is not None:
-            note = "ERROR " + r.error
+            note = f"ERROR {r.error}"
         elif r.flagged:
             note = f"reference prints {r.reference_value}"
         else:
@@ -227,6 +228,7 @@ def _cmd_generators(args, cfg: Config) -> int:
     if hooks is not None:
         hooks.flush()
     sys.stdout.write(render_table(table, args.format))
+    table.raise_on_error()
     return 0
 
 
@@ -272,6 +274,7 @@ def _cmd_table(args, cfg: Config) -> int:
     if hooks is not None:
         hooks.flush()
     sys.stdout.write(render_table(table, args.format, case_id=args.case))
+    table.raise_on_error()
     return 0
 
 
@@ -293,7 +296,8 @@ def _cmd_conjecture(args, cfg: Config) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--ceiling", type=int, metavar="N",
-                        help="dimension bound above which enumeration refuses")
+                        help="dimension bound for the cross-check and for "
+                        "enumeration")
     common.add_argument("--workers", type=int, metavar="K",
                         help="threads for table rows (default 1)")
     common.add_argument("--cache", metavar="PATH", help="cache file location")

@@ -6,7 +6,7 @@ functions here expect (or produce) that canonical form.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 
 Partition = tuple[int, ...]
 TableauContent = tuple[int, ...]
@@ -59,11 +59,7 @@ def schur_dimension(n: int, lam: Partition) -> int:
     return num // den
 
 
-def ssyt_stream(
-    n: int,
-    lam: Partition,
-    first_row: Sequence[int] | None = None,
-) -> Iterator[TableauContent]:
+def ssyt_stream(n: int, lam: Partition) -> Iterator[TableauContent]:
     """Yield the content vector of every SSYT of shape lam with entries in 1..n.
 
     Contents are length-n count vectors; a content is emitted once per tableau,
@@ -71,10 +67,6 @@ def ssyt_stream(
     with the row-weak / column-strict constraints checked as each cell is set,
     which keeps memory at O(|lam| + n).  The iteration order is fixed (entries
     tried in increasing order), so two traversals agree element for element.
-
-    ``first_row`` pins the top-row entries of the leading columns; streams for
-    distinct pins are disjoint and their union is the full stream, which gives
-    callers a way to split the work (see :func:`ssyt_substreams`).
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -86,7 +78,6 @@ def ssyt_stream(
         return
     heights = conjugate(lam)
     ncols = lam[0]
-    pinned = tuple(first_row) if first_row is not None else None
     counts = [0] * n
     columns = [[0] * h for h in heights]
 
@@ -102,11 +93,6 @@ def ssyt_stream(
             if left > lo:
                 lo = left
         hi = n - (h - 1 - i)
-        if pinned is not None and i == 0 and j < len(pinned):
-            v = pinned[j]
-            if v < lo or v > hi:
-                return
-            lo = hi = v
         if i + 1 < h:
             nj, ni = j, i + 1
         else:
@@ -118,26 +104,6 @@ def ssyt_stream(
             counts[v - 1] -= 1
 
     yield from fill(0, 0)
-
-
-def ssyt_substreams(
-    n: int, lam: Partition, prefix_len: int
-) -> list[tuple[tuple[int, ...], Iterator[TableauContent]]]:
-    """Split the tableau stream by the first prefix_len entries of the top row.
-
-    Returns (prefix, stream) pairs covering the full stream disjointly.  Some
-    prefixes may be infeasible and carry an empty stream.
-    """
-    from itertools import combinations_with_replacement
-
-    lam = partition(lam)
-    if len(lam) > n or not lam:
-        return [((), ssyt_stream(n, lam))]
-    prefix_len = min(prefix_len, lam[0])
-    return [
-        (pre, ssyt_stream(n, lam, first_row=pre))
-        for pre in combinations_with_replacement(range(1, n + 1), prefix_len)
-    ]
 
 
 def ssyt_count(n: int, lam: Partition) -> int:

@@ -40,7 +40,7 @@ class TableRow:
     flagged: bool
     cross_checked: bool
     reference_value: int | None = None
-    error: str | None = None
+    error: CrossCheckError | None = None
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,14 @@ class GeneratorTable:
     spec: GroupSpec
     rows: tuple[TableRow, ...]
     gcd: int
+
+    def raise_on_error(self) -> None:
+        """Raise the first row's cross-check failure, chained to the original,
+        so that no gcd over the remaining rows passes as certified."""
+        for r in self.rows:
+            if r.error is not None:
+                e = r.error
+                raise CrossCheckError(e.n, e.lam, e.closed, e.subshape) from e
 
 
 @dataclass(frozen=True)
@@ -210,7 +218,7 @@ def _compute_rows(
                     record(spec.n, spec.d, lam, res)
         except CrossCheckError as exc:
             return TableRow(w, lam, None, False, False,
-                            printed.get(w), error=str(exc))
+                            printed.get(w), error=exc)
         value = res.n_lambda
         flag = w in printed and printed[w] != value
         return TableRow(w, lam, value, flag, res.cross_checked, printed.get(w))
@@ -280,11 +288,7 @@ def image_index(
     """gcd of the indices n_lam over the generating set: the image of the
     degree-2 Chern class map is this multiple of c2."""
     table = generator_table(spec, method, ceiling, workers, lookup, record)
-    bad = [r for r in table.rows if r.error]
-    if bad:
-        raise CrossCheckError(
-            spec.n, bad[0].partition, -1, -1
-        ) from None
+    table.raise_on_error()
     return table.gcd
 
 

@@ -4,25 +4,84 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import schern.chern as chern_mod
 from schern.chern import (
     CrossCheckError,
     EnumerationCeilingError,
-    TruncatedQuadratic,
     c2,
     c2_closed_form,
     c2_enumeration,
+    c2_subshape,
     casimir,
     dual_partition,
     reduce_full_columns,
 )
+from schern.partitions import schur_dimension, ssyt_stream
 from schern.weights import dual_weight, partition_of
 
 partitions_small = st.lists(st.integers(1, 3), min_size=0, max_size=5).map(
     lambda xs: tuple(sorted(xs, reverse=True))
 )
+
+
+def _at_most_ten_boxes(parts):
+    kept, size = [], 0
+    for p in parts:
+        if size + p <= 10:
+            kept.append(p)
+            size += p
+    return tuple(sorted(kept, reverse=True))
+
+
+partitions_up_to_ten = st.lists(st.integers(1, 10), max_size=10).map(
+    _at_most_ten_boxes
+)
+
+
+class TruncatedQuadratic:
+    """Polynomial in n commuting variables truncated to total degree <= 2."""
+
+    __slots__ = ("n", "const", "lin", "quad")
+
+    def __init__(self, n: int, const: int = 1):
+        self.n = n
+        self.const = const
+        self.lin = [0] * n
+        self.quad = [0] * (n * (n + 1) // 2)
+
+    def _qi(self, i: int, j: int) -> int:
+        if i > j:
+            i, j = j, i
+        return i * self.n - i * (i - 1) // 2 + (j - i)
+
+    def times_one_plus_linear(self, m) -> "TruncatedQuadratic":
+        """Multiply by (1 + m1*x1 + ... + mn*xn), discarding degree > 2."""
+        out = TruncatedQuadratic(self.n, self.const)
+        out.quad = list(self.quad)
+        lin = self.lin
+        for i, mi in enumerate(m):
+            out.lin[i] = lin[i] + self.const * mi
+            if mi:
+                for j in range(self.n):
+                    out.quad[self._qi(i, j)] += lin[j] * mi
+        return out
+
+    def coefficient(self, i: int, j: int) -> int:
+        """Coefficient of xi*xj (or of xi^2 when i == j)."""
+        return self.quad[self._qi(i, j)]
+
+
+def polynomial_route(n, lam):
+    """The splitting-principle product over tableau contents kept in full
+    (truncated at degree 2); the index is [x1*x2] - 2*[x1^2]."""
+    lam = reduce_full_columns(n, lam)
+    q = TruncatedQuadratic(n)
+    for c in ssyt_stream(n, lam):
+        q = q.times_one_plus_linear(c)
+    return q.coefficient(0, 1) - 2 * q.coefficient(0, 0)
 
 
 class TestCasimir:
@@ -88,15 +147,15 @@ class TestEnumeration:
             c2_enumeration(3, (1, 1, 1, 1))
 
     def test_polynomial_route_on_example(self):
-        assert c2_enumeration(8, (2, 2, 2), route="polynomial").n_lambda == 700
+        assert polynomial_route(8, (2, 2, 2)) == 700
 
     @given(st.integers(2, 5), partitions_small)
     @settings(max_examples=40, deadline=None)
     def test_polynomial_route_matches_streaming(self, n, lam):
         if len(lam) > n:
             return
-        a = c2_enumeration(n, lam, route="streaming").n_lambda
-        b = c2_enumeration(n, lam, route="polynomial").n_lambda
+        a = c2_enumeration(n, lam).n_lambda
+        b = polynomial_route(n, lam)
         assert a == b
 
     @given(st.integers(2, 6), partitions_small)
@@ -105,6 +164,42 @@ class TestEnumeration:
         if len(lam) > n:
             return
         assert c2_enumeration(n, lam).n_lambda == c2_closed_form(n, lam).n_lambda
+
+
+class TestSubshape:
+    def test_reference_values(self):
+        assert c2_subshape(8, (2, 2, 2)) == 700
+        assert c2_subshape(6, (2, 1)) == 33
+        assert c2_subshape(9, (3, 3, 3, 3, 3)) == 116424
+        assert c2_subshape(8, (2, 2, 2, 2, 2, 2, 2, 2)) == 0
+
+    def test_small_n(self):
+        assert c2_subshape(1, (5,)) == 0
+        assert c2_subshape(2, (1,)) == 1
+        assert c2_subshape(2, (3,)) == c2_closed_form(2, (3,)).n_lambda == 10
+        assert c2_subshape(5, ()) == 0
+
+    def test_rejects_too_many_rows(self):
+        with pytest.raises(ValueError):
+            c2_subshape(3, (1, 1, 1, 1))
+
+    @given(st.integers(1, 12), partitions_up_to_ten)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_closed_form(self, n, lam):
+        assume(len(lam) <= n)
+        assert c2_subshape(n, lam) == c2_closed_form(n, lam).n_lambda
+
+    @given(st.integers(1, 12), partitions_up_to_ten)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_enumeration_when_small(self, n, lam):
+        assume(len(lam) <= n and schur_dimension(n, lam) <= 20_000)
+        assert c2_subshape(n, lam) == c2_enumeration(n, lam).n_lambda
+
+    @given(st.integers(1, 12), partitions_up_to_ten)
+    @settings(max_examples=100, deadline=None)
+    def test_duality_invariance(self, n, lam):
+        assume(len(lam) <= n)
+        assert c2_subshape(n, dual_partition(n, lam)) == c2_subshape(n, lam)
 
 
 class TestTruncatedQuadratic:
@@ -145,6 +240,16 @@ class TestFrontDoor:
     def test_explicit_both_respects_ceiling(self):
         with pytest.raises(EnumerationCeilingError):
             c2(9, (3, 3, 3, 3), method="both")
+
+    def test_cross_check_runs_the_subshape_sum(self, monkeypatch):
+        def no_tableaux(*args, **kwargs):
+            raise AssertionError("the cross-check must not stream tableaux")
+
+        monkeypatch.setattr(chern_mod, "c2_enumeration", no_tableaux)
+        monkeypatch.setattr(chern_mod, "c2_subshape", lambda n, lam: 701)
+        with pytest.raises(CrossCheckError) as info:
+            c2(8, (2, 2, 2))
+        assert (info.value.closed, info.value.subshape) == (700, 701)
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import schern.chern as chern_mod
 from schern.cli import parse_partition, run
 from schern.partitions import PartitionError
 
@@ -179,6 +180,31 @@ def test_table_unknown_case_exits_2(capsys):
 def test_image_index(capsys):
     assert invoke(capsys, "image-index", "8", "2", "--no-cache")[1] == "2\n"
     assert invoke(capsys, "image-index", "9", "3", "--no-cache")[1] == "3\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("image-index", "8", "2"),
+        ("generators", "8", "2"),
+        ("generators", "8", "2", "--format", "json"),
+        ("table", "--case", "sl8-mu2", "--format", "csv"),
+        ("verify", "sl8-mu2"),
+    ],
+)
+def test_failed_cross_check_exits_3(capsys, monkeypatch, argv):
+    real = chern_mod.c2_subshape
+
+    def disagree(n, lam):
+        value = real(n, lam)
+        return value + 1 if lam == (1, 1) else value
+
+    monkeypatch.setattr(chern_mod, "c2_subshape", disagree)
+    code, out, err = invoke(capsys, *argv, "--no-cache")
+    assert code == 3
+    assert "closed form 6, sub-shape sum 7" in err
+    if argv[0] in ("image-index", "verify"):
+        assert out == ""
 
 
 def test_verify_counterexample_case(capsys):

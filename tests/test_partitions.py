@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,6 @@ from schern.partitions import (
     schur_dimension,
     ssyt_count,
     ssyt_stream,
-    ssyt_substreams,
 )
 
 
@@ -51,6 +51,55 @@ def branching_dimension(n, lam):
     if n == 1:
         return 1
     return sum(branching_dimension(n - 1, mu) for mu in interlacings(row))
+
+
+def tableaux(n, lam):
+    """Every SSYT of shape lam with entries in 1..n, as a tuple of rows.
+
+    Fills row by row (weakly increasing along a row, strictly down a
+    column); shares nothing with the column-wise stream in the package.
+    """
+    def rows_from(i, above):
+        if i == len(lam):
+            yield ()
+            return
+        for row in fill_row(i, above, 0, 1, ()):
+            for rest in rows_from(i + 1, row):
+                yield (row,) + rest
+
+    def fill_row(i, above, j, prev, acc):
+        if j == lam[i]:
+            yield acc
+            return
+        lo = max(prev, above[j] + 1 if above else 1)
+        for v in range(lo, n + 1):
+            yield from fill_row(i, above, j + 1, v, acc + (v,))
+
+    return rows_from(0, None)
+
+
+def content(n, tableau):
+    counts = [0] * n
+    for row in tableau:
+        for v in row:
+            counts[v - 1] += 1
+    return tuple(counts)
+
+
+def ssyt_substreams(n, lam, prefix_len):
+    """Split the tableau contents by the first prefix_len entries of the top
+    row: (prefix, contents) pairs that cover all tableaux disjointly.  Some
+    prefixes are infeasible and carry no contents."""
+    if len(lam) > n or not lam:
+        return [((), [content(n, t) for t in tableaux(n, lam)])]
+    prefix_len = min(prefix_len, lam[0])
+    split = {
+        pre: []
+        for pre in combinations_with_replacement(range(1, n + 1), prefix_len)
+    }
+    for t in tableaux(n, lam):
+        split[t[0][:prefix_len]].append(content(n, t))
+    return list(split.items())
 
 
 partitions_small = st.lists(st.integers(1, 4), min_size=0, max_size=5).map(

@@ -135,6 +135,23 @@ class TestGeneratorTable:
 
 
 class TestImageIndex:
+    def test_failed_row_raises_with_the_values_that_disagree(self, monkeypatch):
+        real = tables_mod.c2
+        original = CrossCheckError(4, (1, 1), 4, 5)
+
+        def broken(n, lam, method="auto", ceiling=0):
+            if lam == (1, 1):
+                raise original
+            return real(n, lam, method=method, ceiling=ceiling)
+
+        monkeypatch.setattr(tables_mod, "c2", broken)
+        with pytest.raises(CrossCheckError) as info:
+            image_index(GroupSpec(4, 2))
+        assert (info.value.lam, info.value.closed, info.value.subshape) == (
+            (1, 1), 4, 5
+        )
+        assert info.value.__cause__ is original
+
     def test_headline_values(self):
         assert image_index(GroupSpec(8, 2)) == 2
         assert image_index(GroupSpec(9, 3)) == 3
