@@ -32,16 +32,14 @@ def show(table, title):
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--workers", type=int, default=1)
-    args = ap.parse_args()
+    argparse.ArgumentParser(description=__doc__).parse_args()
 
     t0 = time.perf_counter()
     for case_id in sorted(REFERENCE_TABLES):
         ref = REFERENCE_TABLES[case_id]
-        diff = table_against_reference(case_id, workers=args.workers)
+        diff = table_against_reference(case_id)
         show(diff, f"{case_id}: bundled rows recomputed ({len(diff.rows)})")
-        full = generator_table(ref.spec, workers=args.workers)
+        full = generator_table(ref.spec)
         extra = len(full.rows) - len(diff.rows)
         show(
             full,
@@ -52,7 +50,7 @@ def main() -> int:
     print("== stored case expectations ==")
     ok = True
     for case_id in sorted(CASES):
-        rep = verify_case(case_id, workers=args.workers)
+        rep = verify_case(case_id)
         status = "ok" if rep.matches_expected else "MISMATCH"
         ok &= rep.matches_expected
         print(

@@ -5,6 +5,11 @@ representations labelled by partitions, enumerates minimal generating
 sets of the representation rings of the quotients SL(n)/mu_d, and
 certifies the gcd of the indices over such a set.
 """
+# The one version string: the cache stamps its records with it and
+# pyproject.toml reads it.  Set before the imports below, since .cache
+# imports it while this package is still initialising.
+__version__ = "0.1.0"
+
 from .chern import (
     ChernResult,
     CrossCheckError,
@@ -44,13 +49,10 @@ from .weights import (
     dual_weight,
     hilbert_basis,
     is_monoid_irreducible,
-    monoid_members_up_to,
     partition_of,
     weight_of,
     weight_str,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "CASES",
@@ -79,7 +81,6 @@ __all__ = [
     "hilbert_basis",
     "image_index",
     "is_monoid_irreducible",
-    "monoid_members_up_to",
     "partition",
     "partition_of",
     "schur_dimension",

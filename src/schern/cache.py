@@ -11,10 +11,9 @@ import fcntl
 import json
 from pathlib import Path
 
+from . import __version__
 from .chern import ChernResult
 from .partitions import Partition
-
-VERSION = "0.1.0"
 
 CacheKey = tuple[int, int | None, Partition]
 
@@ -28,10 +27,14 @@ def _decode(line: str) -> tuple[CacheKey, dict] | None:
         rec = json.loads(line)
     except json.JSONDecodeError:
         return None
-    if not isinstance(rec, dict) or rec.get("version") != VERSION:
+    if not isinstance(rec, dict) or rec.get("version") != __version__:
         return None
     try:
-        key = _key(int(rec["n"]), rec["d"], tuple(int(p) for p in rec["partition"]))
+        d = rec["d"]
+        # bool is an int subclass and 2.0 == 2: both would alias a real key
+        if d is not None and (type(d) is not int or d < 1):
+            return None
+        key = _key(int(rec["n"]), d, tuple(int(p) for p in rec["partition"]))
         int(rec["n_lambda"]), int(rec["dim"]), str(rec["method"])
     except (KeyError, TypeError, ValueError):
         return None
@@ -39,10 +42,16 @@ def _decode(line: str) -> tuple[CacheKey, dict] | None:
 
 
 class ResultCache:
-    """In-memory view of one cache file; later lines win on duplicate keys."""
+    """In-memory view of one cache file; later lines win on duplicate keys.
 
-    def __init__(self, path: Path):
+    With ``verify`` set, :meth:`result` misses on purpose so that every
+    value is recomputed, and :meth:`record` raises StaleCacheError when a
+    recomputed value disagrees with the file.
+    """
+
+    def __init__(self, path: Path, verify: bool = False):
         self.path = path
+        self.verify = verify
         self._data: dict[CacheKey, dict] = {}
         if path.exists():
             for line in path.read_text().splitlines():
@@ -53,6 +62,8 @@ class ResultCache:
         return self._data.get(_key(n, d, lam))
 
     def result(self, n: int, d: int | None, lam: Partition) -> ChernResult | None:
+        if self.verify:
+            return None
         rec = self.get(n, d, lam)
         if rec is None:
             return None
@@ -63,6 +74,14 @@ class ResultCache:
             dim=int(rec["dim"]),
         )
 
+    def record(self, n: int, d: int | None, lam: Partition, res: ChernResult) -> None:
+        """Append a freshly computed result unless the file already holds it."""
+        old = self.get(n, d, lam)
+        if old is None:
+            self.put(n, d, lam, res)
+        elif int(old["n_lambda"]) != res.n_lambda:
+            raise StaleCacheError(n, d, lam, int(old["n_lambda"]), res.n_lambda)
+
     def put(self, n: int, d: int | None, lam: Partition, res: ChernResult) -> None:
         rec = {
             "n": n,
@@ -71,7 +90,7 @@ class ResultCache:
             "n_lambda": res.n_lambda,
             "dim": res.dim,
             "method": res.method,
-            "version": VERSION,
+            "version": __version__,
         }
         self._data[_key(n, d, lam)] = rec
         self._append(rec)
@@ -79,10 +98,15 @@ class ResultCache:
     def _append(self, rec: dict) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         line = json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
-        with open(self.path, "a") as fh:
+        with open(self.path, "ab+") as fh:
             fcntl.flock(fh, fcntl.LOCK_EX)
             try:
-                fh.write(line)
+                # a torn last line (no newline) would swallow this record
+                if fh.seek(0, 2) > 0:
+                    fh.seek(-1, 2)
+                    if fh.read(1) != b"\n":
+                        line = "\n" + line
+                fh.write(line.encode())
                 fh.flush()
             finally:
                 fcntl.flock(fh, fcntl.LOCK_UN)
@@ -100,4 +124,4 @@ class StaleCacheError(Exception):
         )
 
 
-__all__ = ["ResultCache", "StaleCacheError", "VERSION"]
+__all__ = ["ResultCache", "StaleCacheError"]

@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 bad arguments or violated preconditions (unknown
-case, ceiling exceeded, malformed partition), 3 a consistency check failed
-(method cross-check, a table row whose cross-check failed, or --verify-cache
-disagreement).
+Exit codes: 0 success, 1 an arithmetic invariant failed (verify found an
+index that is not a multiple of the H^4 generator), 2 bad arguments or
+violated preconditions (unknown case, ceiling exceeded, malformed
+partition), 3 a consistency check failed (method cross-check, a table row
+whose cross-check failed, or --verify-cache disagreement).
 """
 from __future__ import annotations
 
@@ -13,12 +14,10 @@ import dataclasses
 import io
 import json
 import sys
-import threading
 from pathlib import Path
 
 from .cache import ResultCache, StaleCacheError
 from .chern import (
-    ChernResult,
     CrossCheckError,
     EnumerationCeilingError,
     c2,
@@ -58,52 +57,11 @@ def parse_partition(text: str) -> Partition:
     return partition(parts)
 
 
-class CacheHooks:
-    """lookup/record pair bridging the table engine and the cache file.
-
-    Writes are buffered and flushed in key order so the file contents do
-    not depend on worker scheduling.  In verify mode lookups miss on
-    purpose and record() raises StaleCacheError on any disagreement.
-    """
-
-    def __init__(self, store: ResultCache, d: int | None, verify: bool):
-        self.store = store
-        self.d = d
-        self.verify = verify
-        self._pending: dict[tuple, tuple] = {}
-        self._lock = threading.Lock()
-
-    def lookup(self, n: int, d: int | None, lam: Partition) -> ChernResult | None:
-        if self.verify:
-            return None
-        return self.store.result(n, d, lam)
-
-    def record(self, n: int, d: int | None, lam: Partition, res: ChernResult) -> None:
-        old = self.store.get(n, d, lam)
-        if old is not None:
-            if int(old["n_lambda"]) != res.n_lambda:
-                raise StaleCacheError(n, d, lam, int(old["n_lambda"]), res.n_lambda)
-            return
-        with self._lock:
-            self._pending[(n, d if d is not None else -1, lam)] = (n, d, lam, res)
-
-    def flush(self) -> None:
-        for key in sorted(self._pending):
-            self.store.put(*self._pending[key])
-        self._pending.clear()
-
-
-def _hooks(cfg: Config, d: int | None) -> CacheHooks | None:
+def _cache(cfg: Config) -> ResultCache | None:
     if not cfg.use_cache:
         return None
     path = cfg.cache_path or default_cache_path()
-    return CacheHooks(ResultCache(path), d, cfg.verify_cache)
-
-
-def _table_hooks(hooks: CacheHooks | None):
-    if hooks is None:
-        return None, None
-    return hooks.lookup, hooks.record
+    return ResultCache(path, verify=cfg.verify_cache)
 
 
 # ---------------------------------------------------------------- rendering
@@ -183,16 +141,15 @@ def _cmd_c2(args, cfg: Config) -> int:
     n = args.n
     lam = parse_partition(args.partition)
     method = METHOD_BY_FLAG[args.method]
-    hooks = _hooks(cfg, None)
-    if hooks is not None and args.method is None:
-        cached = hooks.lookup(n, None, lam)
+    cache = _cache(cfg)
+    if cache is not None and args.method is None:
+        cached = cache.result(n, None, lam)
         if cached is not None:
             print(cached.n_lambda)
             return 0
     res = c2(n, lam, method=method, ceiling=cfg.enum_ceiling)
-    if hooks is not None:
-        hooks.record(n, None, lam, res)
-        hooks.flush()
+    if cache is not None:
+        cache.record(n, None, lam, res)
     print(res.n_lambda)
     return 0
 
@@ -200,33 +157,22 @@ def _cmd_c2(args, cfg: Config) -> int:
 def _cmd_dim(args, cfg: Config) -> int:
     n = args.n
     lam = parse_partition(args.partition)
-    hooks = _hooks(cfg, None)
-    if hooks is not None:
-        cached = hooks.store.get(n, None, lam) if not cfg.verify_cache else None
+    cache = _cache(cfg)
+    if cache is not None:
+        cached = cache.result(n, None, lam)
         if cached is not None:
-            print(int(cached["dim"]))
+            print(cached.dim)
             return 0
     d = schur_dimension(n, lam)
-    if hooks is not None and d > 0:
-        hooks.record(n, None, lam, c2_closed_form(n, lam))
-        hooks.flush()
+    if cache is not None and d > 0:
+        cache.record(n, None, lam, c2_closed_form(n, lam))
     print(d)
     return 0
 
 
 def _cmd_generators(args, cfg: Config) -> int:
     spec = GroupSpec(args.n, args.d)
-    hooks = _hooks(cfg, spec.d)
-    lookup, record = _table_hooks(hooks)
-    table = generator_table(
-        spec,
-        ceiling=cfg.enum_ceiling,
-        workers=cfg.workers,
-        lookup=lookup,
-        record=record,
-    )
-    if hooks is not None:
-        hooks.flush()
+    table = generator_table(spec, ceiling=cfg.enum_ceiling, cache=_cache(cfg))
     sys.stdout.write(render_table(table, args.format))
     table.raise_on_error()
     return 0
@@ -234,23 +180,12 @@ def _cmd_generators(args, cfg: Config) -> int:
 
 def _cmd_image_index(args, cfg: Config) -> int:
     spec = GroupSpec(args.n, args.d)
-    hooks = _hooks(cfg, spec.d)
-    lookup, record = _table_hooks(hooks)
-    idx = image_index(
-        spec,
-        ceiling=cfg.enum_ceiling,
-        workers=cfg.workers,
-        lookup=lookup,
-        record=record,
-    )
-    if hooks is not None:
-        hooks.flush()
-    print(idx)
+    print(image_index(spec, ceiling=cfg.enum_ceiling, cache=_cache(cfg)))
     return 0
 
 
 def _cmd_verify(args, cfg: Config) -> int:
-    report = verify_case(args.case, ceiling=cfg.enum_ceiling, workers=cfg.workers)
+    report = verify_case(args.case, ceiling=cfg.enum_ceiling)
     match = "matches" if report.matches_expected else "DIFFERS FROM"
     print(
         f"{report.case_id}: image index {report.computed_index}, "
@@ -262,17 +197,9 @@ def _cmd_verify(args, cfg: Config) -> int:
 
 
 def _cmd_table(args, cfg: Config) -> int:
-    hooks = _hooks(cfg, REFERENCE_TABLES[args.case].spec.d)
-    lookup, record = _table_hooks(hooks)
     table = table_against_reference(
-        args.case,
-        ceiling=cfg.enum_ceiling,
-        workers=cfg.workers,
-        lookup=lookup,
-        record=record,
+        args.case, ceiling=cfg.enum_ceiling, cache=_cache(cfg)
     )
-    if hooks is not None:
-        hooks.flush()
     sys.stdout.write(render_table(table, args.format, case_id=args.case))
     table.raise_on_error()
     return 0
@@ -298,8 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--ceiling", type=int, metavar="N",
                         help="dimension bound for the cross-check and for "
                         "enumeration")
-    common.add_argument("--workers", type=int, metavar="K",
-                        help="threads for table rows (default 1)")
     common.add_argument("--cache", metavar="PATH", help="cache file location")
     common.add_argument("--no-cache", action="store_true",
                         help="skip the cache entirely")
@@ -363,8 +288,6 @@ def _resolve_config(args) -> Config:
     cfg = Config.from_env()
     if args.ceiling is not None:
         cfg = dataclasses.replace(cfg, enum_ceiling=args.ceiling)
-    if args.workers is not None:
-        cfg = dataclasses.replace(cfg, workers=args.workers)
     if args.cache is not None:
         cfg = dataclasses.replace(cfg, cache_path=Path(args.cache))
     if args.verify_cache:

@@ -15,7 +15,6 @@ ENV_PREFIX = "SCHERN_"
 class Config:
     enum_ceiling: int = DEFAULT_ENUMERATION_CEILING
     max_ell: int = 7
-    workers: int = 1
     cache_path: Path | None = None
     verify_cache: bool = False
     use_cache: bool = True
@@ -28,8 +27,6 @@ class Config:
             cfg = replace(cfg, enum_ceiling=int(v))
         if v := env.get(ENV_PREFIX + "MAX_ELL"):
             cfg = replace(cfg, max_ell=int(v))
-        if v := env.get(ENV_PREFIX + "WORKERS"):
-            cfg = replace(cfg, workers=int(v))
         if v := env.get(ENV_PREFIX + "CACHE"):
             cfg = replace(cfg, cache_path=Path(v))
         if v := env.get(ENV_PREFIX + "VERIFY_CACHE"):

@@ -12,14 +12,13 @@ either side.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Iterable
+from typing import Iterable
 
+from .cache import ResultCache
 from .chern import (
     DEFAULT_ENUMERATION_CEILING,
-    ChernResult,
     CrossCheckError,
     c2,
     c2_closed_form,
@@ -27,9 +26,6 @@ from .chern import (
 )
 from .partitions import Partition
 from .weights import GroupSpec, Weight, hilbert_basis, partition_of
-
-LookupHook = Callable[[int, int, Partition], "ChernResult | None"]
-RecordHook = Callable[[int, int, Partition, ChernResult], None]
 
 
 @dataclass(frozen=True)
@@ -199,54 +195,45 @@ def _compute_rows(
     weights: Iterable[Weight],
     method: str,
     ceiling: int,
-    workers: int,
-    lookup: LookupHook | None,
-    record: RecordHook | None,
+    cache: ResultCache | None,
 ) -> list[TableRow]:
     ref = _REFERENCE_BY_GROUP.get((spec.n, spec.d))
     printed = {w: v for w, _, v in ref.rows} if ref else {}
-
-    def one(w: Weight) -> TableRow:
+    rows = []
+    for w in weights:
         lam = partition_of(w)
-        cached = lookup(spec.n, spec.d, lam) if lookup else None
-        try:
-            if cached is not None:
-                res = cached
-            else:
+        res = cache.result(spec.n, spec.d, lam) if cache is not None else None
+        if res is None:
+            try:
                 res = c2(spec.n, lam, method=method, ceiling=ceiling)
-                if record:
-                    record(spec.n, spec.d, lam, res)
-        except CrossCheckError as exc:
-            return TableRow(w, lam, None, False, False,
-                            printed.get(w), error=exc)
+            except CrossCheckError as exc:
+                rows.append(TableRow(w, lam, None, False, False,
+                                     printed.get(w), error=exc))
+                continue
+            if cache is not None:
+                cache.record(spec.n, spec.d, lam, res)
         value = res.n_lambda
         flag = w in printed and printed[w] != value
-        return TableRow(w, lam, value, flag, res.cross_checked, printed.get(w))
-
-    weights = list(weights)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, weights))
-    return [one(w) for w in weights]
+        rows.append(
+            TableRow(w, lam, value, flag, res.cross_checked, printed.get(w))
+        )
+    return rows
 
 
 def generator_table(
     spec: GroupSpec,
     method: str = "auto",
     ceiling: int = DEFAULT_ENUMERATION_CEILING,
-    workers: int = 1,
-    lookup: LookupHook | None = None,
-    record: RecordHook | None = None,
+    cache: ResultCache | None = None,
 ) -> GeneratorTable:
     """Index table over the minimal generating set of the descent monoid.
 
     A row is flagged when a bundled reference value exists for its weight and
     disagrees with the recomputation.  Cross-check failures are carried on
-    the row (error set, index None) without aborting the table.
+    the row (error set, index None) without aborting the table.  With a
+    cache, hits are used as they stand and every fresh row is recorded.
     """
-    rows = _compute_rows(
-        spec, hilbert_basis(spec), method, ceiling, workers, lookup, record
-    )
+    rows = _compute_rows(spec, hilbert_basis(spec), method, ceiling, cache)
     g = running_gcd(r.n_lambda for r in rows if r.n_lambda is not None)
     return GeneratorTable(spec, tuple(rows), g)
 
@@ -255,9 +242,7 @@ def table_against_reference(
     case_id: str,
     method: str = "auto",
     ceiling: int = DEFAULT_ENUMERATION_CEILING,
-    workers: int = 1,
-    lookup: LookupHook | None = None,
-    record: RecordHook | None = None,
+    cache: ResultCache | None = None,
 ) -> GeneratorTable:
     """Recompute exactly the rows of a bundled reference table.
 
@@ -270,8 +255,7 @@ def table_against_reference(
         )
     ref = REFERENCE_TABLES[case_id]
     rows = _compute_rows(
-        ref.spec, [w for w, _, _ in ref.rows], method, ceiling, workers,
-        lookup, record,
+        ref.spec, [w for w, _, _ in ref.rows], method, ceiling, cache
     )
     g = running_gcd(r.n_lambda for r in rows if r.n_lambda is not None)
     return GeneratorTable(ref.spec, tuple(rows), g)
@@ -281,13 +265,11 @@ def image_index(
     spec: GroupSpec,
     method: str = "auto",
     ceiling: int = DEFAULT_ENUMERATION_CEILING,
-    workers: int = 1,
-    lookup: LookupHook | None = None,
-    record: RecordHook | None = None,
+    cache: ResultCache | None = None,
 ) -> int:
     """gcd of the indices n_lam over the generating set: the image of the
     degree-2 Chern class map is this multiple of c2."""
-    table = generator_table(spec, method, ceiling, workers, lookup, record)
+    table = generator_table(spec, method, ceiling, cache)
     table.raise_on_error()
     return table.gcd
 
@@ -296,13 +278,12 @@ def verify_case(
     case_id: str,
     method: str = "auto",
     ceiling: int = DEFAULT_ENUMERATION_CEILING,
-    workers: int = 1,
 ) -> CaseReport:
     """Compare the computed image index against a stored expectation."""
     if case_id not in CASES:
         raise ValueError(f"unknown case {case_id!r}; known: {sorted(CASES)}")
     case = CASES[case_id]
-    idx = image_index(case.spec, method=method, ceiling=ceiling, workers=workers)
+    idx = image_index(case.spec, method=method, ceiling=ceiling)
     if idx % case.h4_multiplier:
         raise ArithmeticError(
             f"index {idx} is not a multiple of the H^4 generator "

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
 
+from .chern import reduce_full_columns
 from .partitions import Partition, partition
 
 Weight = tuple[int, ...]
-
-MEMBER_ENUMERATION_CEILING = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -56,11 +55,7 @@ def weight_of(lam: Partition, n: int) -> Weight:
     A partition with n rows is first reduced by its full column (subtract
     lam_n from every part); more than n rows is rejected.
     """
-    lam = partition(lam)
-    if len(lam) > n:
-        raise ValueError(f"partition {lam} has more than n={n} rows")
-    if len(lam) == n and lam[-1] > 0:
-        lam = partition(p - lam[-1] for p in lam)
+    lam = reduce_full_columns(n, lam)
     padded = lam + (0,) * (n - len(lam))
     return tuple(padded[j] - padded[j + 1] for j in range(n - 1))
 
@@ -141,38 +136,3 @@ def hilbert_basis(spec: GroupSpec) -> tuple[Weight, ...]:
         if is_monoid_irreducible(w, spec.d):
             out.append(w)
     return tuple(out)
-
-
-def monoid_members_up_to(
-    spec: GroupSpec, bound: int, ceiling: int = MEMBER_ENUMERATION_CEILING
-) -> set[Weight]:
-    """Brute-force oracle: all members with every coefficient <= bound.
-
-    Includes the zero weight.  Refuses when the candidate grid is larger than
-    ``ceiling``.
-    """
-    count = (bound + 1) ** (spec.n - 1)
-    if count > ceiling:
-        raise ValueError(
-            f"{count} candidates exceed the enumeration ceiling {ceiling}"
-        )
-    return {
-        w
-        for w in product(range(bound + 1), repeat=spec.n - 1)
-        if weight_size(w) % spec.d == 0
-    }
-
-
-def greedy_decomposition(w: Weight, basis: tuple[Weight, ...]) -> list[Weight]:
-    """Split a monoid member into basis elements by repeated subtraction."""
-    parts = []
-    rest = w
-    while any(rest):
-        for b in basis:
-            if all(x <= y for x, y in zip(b, rest)):
-                parts.append(b)
-                rest = tuple(y - x for x, y in zip(b, rest))
-                break
-        else:
-            raise ValueError(f"{w} does not decompose over the given basis")
-    return parts

@@ -1,14 +1,18 @@
 """Exit codes, output formats, and cache behaviour of the command line."""
+import argparse
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import schern.chern as chern_mod
-from schern.cli import parse_partition, run
+from schern import __version__
+from schern.cli import build_parser, parse_partition, run
 from schern.partitions import PartitionError
 
 
@@ -16,8 +20,8 @@ from schern.partitions import PartitionError
 def isolated_env(tmp_path, monkeypatch):
     """Keep CLI runs away from the user's real cache and env knobs."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
-    for var in ("SCHERN_ENUM_CEILING", "SCHERN_MAX_ELL", "SCHERN_WORKERS",
-                "SCHERN_CACHE", "SCHERN_VERIFY_CACHE"):
+    for var in ("SCHERN_ENUM_CEILING", "SCHERN_MAX_ELL", "SCHERN_CACHE",
+                "SCHERN_VERIFY_CACHE"):
         monkeypatch.delenv(var, raising=False)
 
 
@@ -352,6 +356,33 @@ def test_corrupt_cache_lines_skipped(capsys, tmp_path):
     assert out == "700\n"
 
 
+@pytest.mark.parametrize("bad_d,d", [
+    ([2], 2),    # unhashable: used to crash every run that read the file
+    (True, 1),   # True == 1 would alias the d=1 row
+    (2.0, 2),    # 2.0 == 2 would alias the d=2 row
+    (0, 2),
+], ids=["list", "bool", "float", "zero"])
+def test_cache_line_with_malformed_d_is_skipped(capsys, tmp_path, bad_d, d):
+    clean = invoke(capsys, "generators", "4", str(d), "--no-cache")
+    cache = tmp_path / "c.jsonl"
+    rec = {
+        "n": 4, "d": bad_d, "partition": [1, 1], "n_lambda": 999,
+        "dim": 6, "method": "both", "version": __version__,
+    }
+    cache.write_text(json.dumps(rec, sort_keys=True) + "\n")
+    assert invoke(capsys, "generators", "4", str(d), "--cache", str(cache)) == clean
+
+
+def test_torn_last_line_does_not_swallow_an_append(capsys, tmp_path):
+    cache = tmp_path / "c.jsonl"
+    cache.write_text('{"d":null,"dim":3,"method"')  # no trailing newline
+    argv = ("image-index", "8", "2", "--cache", str(cache))
+    assert invoke(capsys, *argv)[:2] == (0, "2\n")
+    cold = cache.read_bytes()
+    assert invoke(capsys, *argv)[:2] == (0, "2\n")
+    assert cache.read_bytes() == cold  # every cold row was kept: all hits
+
+
 def test_cache_respects_group_context(capsys, tmp_path):
     # a standalone c2 record (d null) must not satisfy a d=2 table row
     cache = tmp_path / "c.jsonl"
@@ -364,6 +395,25 @@ def test_cache_respects_group_context(capsys, tmp_path):
 
 
 # --------------------------------------------------------------- entrypoint
+
+def test_readme_configuration_table_lists_the_shared_flags():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Configuration", 1)[1].split("\n### ", 1)[0]
+    documented = {
+        flag
+        for line in section.splitlines() if line.startswith("|")
+        for flag in re.findall(r"--[a-z][a-z-]*", line.split("|")[1])
+    }
+    subparsers = next(
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ).choices.values()
+    shared = set.intersection(*(
+        {o for a in sp._actions for o in a.option_strings if o.startswith("--")}
+        for sp in subparsers
+    )) - {"--help"}
+    assert documented == shared
+
 
 def test_console_script_is_wired():
     proc = subprocess.run(

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
 import schern.tables as tables_mod
+from monoid_oracle import monoid_members_up_to
+from schern.cache import ResultCache
 from schern.chern import ChernResult, CrossCheckError, c2_closed_form
 from schern.tables import (
     CASES,
@@ -96,24 +99,18 @@ class TestGeneratorTable:
         t = generator_table(GroupSpec(6, 3))
         assert [r.weight for r in t.rows] == sorted(r.weight for r in t.rows)
 
-    def test_workers_do_not_change_the_table(self):
-        a = generator_table(GroupSpec(6, 2))
-        b = generator_table(GroupSpec(6, 2), workers=3)
-        assert a == b
-
-    def test_lookup_hook_short_circuits_and_record_hook_fires(self):
+    def test_lookup_hook_short_circuits_and_record_hook_fires(self, tmp_path):
+        # a cache hit stands in for c2; every other row is appended
         spec = GroupSpec(4, 2)
-        seen: list = []
+        path = tmp_path / "c.jsonl"
         canned = ChernResult(999, "closed-form", False, 1)
+        ResultCache(path).put(4, 2, (1, 1), canned)
 
-        def lookup(n, d, lam):
-            return canned if lam == (1, 1) else None
-
-        t = generator_table(spec, lookup=lookup,
-                            record=lambda *a: seen.append(a))
+        t = generator_table(spec, cache=ResultCache(path))
         byw = {r.partition: r for r in t.rows}
         assert byw[(1, 1)].n_lambda == 999
-        assert (1, 1) not in [s[2] for s in seen]
+        seen = [json.loads(line) for line in path.read_text().splitlines()[1:]]
+        assert [1, 1] not in [rec["partition"] for rec in seen]
         assert len(seen) == len(t.rows) - 1
 
     def test_cross_check_failure_marks_row_without_aborting(self, monkeypatch):
@@ -165,7 +162,6 @@ class TestImageIndex:
         assert image_index(GroupSpec(6, 3)) == 3
 
     def test_index_divides_every_member_up_to_bound_two(self):
-        from schern.weights import monoid_members_up_to
         for n, d in [(8, 2), (9, 3)]:
             spec = GroupSpec(n, d)
             idx = image_index(spec)

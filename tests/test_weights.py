@@ -6,14 +6,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from monoid_oracle import greedy_decomposition, monoid_members_up_to
 from schern.weights import (
     GroupSpec,
     descends,
     dual_weight,
-    greedy_decomposition,
     hilbert_basis,
     is_monoid_irreducible,
-    monoid_members_up_to,
     partition_of,
     weight_of,
     weight_size,
