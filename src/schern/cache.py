@@ -30,15 +30,19 @@ def _decode(line: str) -> tuple[CacheKey, dict] | None:
     if not isinstance(rec, dict) or rec.get("version") != __version__:
         return None
     try:
-        d = rec["d"]
-        # bool is an int subclass and 2.0 == 2: both would alias a real key
-        if d is not None and (type(d) is not int or d < 1):
-            return None
-        key = _key(int(rec["n"]), d, tuple(int(p) for p in rec["partition"]))
-        int(rec["n_lambda"]), int(rec["dim"]), str(rec["method"])
-    except (KeyError, TypeError, ValueError):
+        n, d, lam, method = rec["n"], rec["d"], rec["partition"], rec["method"]
+        values = [n, rec["n_lambda"], rec["dim"]]
+    except KeyError:
         return None
-    return key, rec
+    # exact types only: True == 1, 2.0 == 2 and "11" iterates to (1, 1), so
+    # any coercion would let a foreign line alias a real key
+    if type(lam) is not list or type(method) is not str:
+        return None
+    if any(type(v) is not int for v in values + lam):
+        return None
+    if d is not None and (type(d) is not int or d < 1):
+        return None
+    return _key(n, d, tuple(lam)), rec
 
 
 class ResultCache:
@@ -68,10 +72,10 @@ class ResultCache:
         if rec is None:
             return None
         return ChernResult(
-            n_lambda=int(rec["n_lambda"]),
-            method=str(rec["method"]),
+            n_lambda=rec["n_lambda"],
+            method=rec["method"],
             cross_checked=rec["method"] == "both",
-            dim=int(rec["dim"]),
+            dim=rec["dim"],
         )
 
     def record(self, n: int, d: int | None, lam: Partition, res: ChernResult) -> None:
@@ -79,8 +83,8 @@ class ResultCache:
         old = self.get(n, d, lam)
         if old is None:
             self.put(n, d, lam, res)
-        elif int(old["n_lambda"]) != res.n_lambda:
-            raise StaleCacheError(n, d, lam, int(old["n_lambda"]), res.n_lambda)
+        elif old["n_lambda"] != res.n_lambda:
+            raise StaleCacheError(n, d, lam, old["n_lambda"], res.n_lambda)
 
     def put(self, n: int, d: int | None, lam: Partition, res: ChernResult) -> None:
         rec = {

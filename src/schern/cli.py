@@ -1,34 +1,39 @@
 """Command-line front end.
 
+The parsed arguments are the only settings object: each shared flag takes
+its default from a SCHERN_* variable (SCHERN_MAX_ELL is read by the
+conjecture command).  Only default-mode c2 and table rows go through the
+result cache, via tables.cached_c2; dim and --method runs never touch it.
+
 Exit codes: 0 success, 1 an arithmetic invariant failed (verify found an
 index that is not a multiple of the H^4 generator), 2 bad arguments or
 violated preconditions (unknown case, ceiling exceeded, malformed
-partition), 3 a consistency check failed (method cross-check, a table row
-whose cross-check failed, or --verify-cache disagreement).
+partition or SCHERN_* variable), 3 a consistency check failed (method
+cross-check, a table row whose cross-check failed, or --verify-cache
+disagreement).
 """
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
 from .cache import ResultCache, StaleCacheError
 from .chern import (
+    DEFAULT_ENUMERATION_CEILING,
     CrossCheckError,
     EnumerationCeilingError,
-    c2,
-    c2_closed_form,
 )
-from .config import Config, default_cache_path
 from .partitions import Partition, PartitionError, partition, schur_dimension
 from .tables import (
     CASES,
     REFERENCE_TABLES,
     GeneratorTable,
+    cached_c2,
     explore_conjecture,
     generator_table,
     image_index,
@@ -57,16 +62,15 @@ def parse_partition(text: str) -> Partition:
     return partition(parts)
 
 
-def _cache(cfg: Config) -> ResultCache | None:
-    if not cfg.use_cache:
+def _cache(args) -> ResultCache | None:
+    if args.no_cache:
         return None
-    path = cfg.cache_path or default_cache_path()
-    return ResultCache(path, verify=cfg.verify_cache)
+    return ResultCache(args.cache, verify=args.verify_cache)
 
 
 # ---------------------------------------------------------------- rendering
 
-def _row_payload(spec: GroupSpec, row) -> dict:
+def _row_payload(row) -> dict:
     out = {
         "weight": list(row.weight),
         "weight_str": weight_str(row.weight),
@@ -88,7 +92,7 @@ def render_table(table: GeneratorTable, fmt: str, case_id: str | None = None) ->
             "n": table.spec.n,
             "d": table.spec.d,
             "gcd": table.gcd,
-            "rows": [_row_payload(table.spec, r) for r in table.rows],
+            "rows": [_row_payload(r) for r in table.rows],
         }
         if case_id is not None:
             payload["case"] = case_id
@@ -137,55 +141,35 @@ def render_table(table: GeneratorTable, fmt: str, case_id: str | None = None) ->
 
 # ----------------------------------------------------------------- commands
 
-def _cmd_c2(args, cfg: Config) -> int:
-    n = args.n
+def _cmd_c2(args) -> int:
     lam = parse_partition(args.partition)
     method = METHOD_BY_FLAG[args.method]
-    cache = _cache(cfg)
-    if cache is not None and args.method is None:
-        cached = cache.result(n, None, lam)
-        if cached is not None:
-            print(cached.n_lambda)
-            return 0
-    res = c2(n, lam, method=method, ceiling=cfg.enum_ceiling)
-    if cache is not None:
-        cache.record(n, None, lam, res)
+    res = cached_c2(args.n, None, lam, method, args.ceiling, _cache(args))
     print(res.n_lambda)
     return 0
 
 
-def _cmd_dim(args, cfg: Config) -> int:
-    n = args.n
-    lam = parse_partition(args.partition)
-    cache = _cache(cfg)
-    if cache is not None:
-        cached = cache.result(n, None, lam)
-        if cached is not None:
-            print(cached.dim)
-            return 0
-    d = schur_dimension(n, lam)
-    if cache is not None and d > 0:
-        cache.record(n, None, lam, c2_closed_form(n, lam))
-    print(d)
+def _cmd_dim(args) -> int:
+    print(schur_dimension(args.n, parse_partition(args.partition)))
     return 0
 
 
-def _cmd_generators(args, cfg: Config) -> int:
+def _cmd_generators(args) -> int:
     spec = GroupSpec(args.n, args.d)
-    table = generator_table(spec, ceiling=cfg.enum_ceiling, cache=_cache(cfg))
+    table = generator_table(spec, ceiling=args.ceiling, cache=_cache(args))
     sys.stdout.write(render_table(table, args.format))
     table.raise_on_error()
     return 0
 
 
-def _cmd_image_index(args, cfg: Config) -> int:
+def _cmd_image_index(args) -> int:
     spec = GroupSpec(args.n, args.d)
-    print(image_index(spec, ceiling=cfg.enum_ceiling, cache=_cache(cfg)))
+    print(image_index(spec, ceiling=args.ceiling, cache=_cache(args)))
     return 0
 
 
-def _cmd_verify(args, cfg: Config) -> int:
-    report = verify_case(args.case, ceiling=cfg.enum_ceiling)
+def _cmd_verify(args) -> int:
+    report = verify_case(args.case, ceiling=args.ceiling)
     match = "matches" if report.matches_expected else "DIFFERS FROM"
     print(
         f"{report.case_id}: image index {report.computed_index}, "
@@ -196,17 +180,22 @@ def _cmd_verify(args, cfg: Config) -> int:
     return 0 if report.matches_expected else 3
 
 
-def _cmd_table(args, cfg: Config) -> int:
+def _cmd_table(args) -> int:
     table = table_against_reference(
-        args.case, ceiling=cfg.enum_ceiling, cache=_cache(cfg)
+        args.case, ceiling=args.ceiling, cache=_cache(args)
     )
     sys.stdout.write(render_table(table, args.format, case_id=args.case))
     table.raise_on_error()
     return 0
 
 
-def _cmd_conjecture(args, cfg: Config) -> int:
-    rep = explore_conjecture(args.ell, max_ell=cfg.max_ell)
+def _cmd_conjecture(args) -> int:
+    raw = os.environ.get("SCHERN_MAX_ELL") or "7"
+    try:
+        max_ell = int(raw)
+    except ValueError:
+        raise ValueError(f"SCHERN_MAX_ELL is not an integer: {raw!r}") from None
+    rep = explore_conjecture(args.ell, max_ell=max_ell)
     yn = {True: "yes", False: "no"}
     print(f"ell: {rep.ell}")
     print(f"group: SL({rep.spec.n})/mu_{rep.spec.d}")
@@ -221,14 +210,26 @@ def _cmd_conjecture(args, cfg: Config) -> int:
 # ------------------------------------------------------------------ parser
 
 def build_parser() -> argparse.ArgumentParser:
+    # A flag beats its SCHERN_* variable, which beats the default.  argparse
+    # runs a string default through `type`, so a malformed variable is a
+    # usage error (exit 2) like a malformed flag.
+    env = os.environ
+    xdg = Path(env.get("XDG_CACHE_HOME") or "~/.cache").expanduser()
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--ceiling", type=int, metavar="N",
+                        default=env.get("SCHERN_ENUM_CEILING")
+                        or DEFAULT_ENUMERATION_CEILING,
                         help="dimension bound for the cross-check and for "
                         "enumeration")
-    common.add_argument("--cache", metavar="PATH", help="cache file location")
+    common.add_argument("--cache", type=Path, metavar="PATH",
+                        default=env.get("SCHERN_CACHE")
+                        or xdg / "schern" / "results.jsonl",
+                        help="cache file location")
     common.add_argument("--no-cache", action="store_true",
                         help="skip the cache entirely")
     common.add_argument("--verify-cache", action="store_true",
+                        default=env.get("SCHERN_VERIFY_CACHE", "")
+                        not in ("", "0", "false"),
                         help="recompute cached rows; disagreement exits 3")
 
     p = argparse.ArgumentParser(
@@ -284,28 +285,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _resolve_config(args) -> Config:
-    cfg = Config.from_env()
-    if args.ceiling is not None:
-        cfg = dataclasses.replace(cfg, enum_ceiling=args.ceiling)
-    if args.cache is not None:
-        cfg = dataclasses.replace(cfg, cache_path=Path(args.cache))
-    if args.verify_cache:
-        cfg = dataclasses.replace(cfg, verify_cache=True)
-    if args.no_cache:
-        cfg = dataclasses.replace(cfg, use_cache=False)
-    return cfg
-
-
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    cfg = _resolve_config(args)
     try:
-        return args.func(args, cfg)
+        return args.func(args)
     except (CrossCheckError, StaleCacheError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -19,6 +19,7 @@ from typing import Iterable
 from .cache import ResultCache
 from .chern import (
     DEFAULT_ENUMERATION_CEILING,
+    ChernResult,
     CrossCheckError,
     c2,
     c2_closed_form,
@@ -190,34 +191,54 @@ def running_gcd(values: Iterable[int]) -> int:
     return out
 
 
-def _compute_rows(
+def cached_c2(
+    n: int,
+    d: int | None,
+    lam: Partition,
+    method: str,
+    ceiling: int,
+    cache: ResultCache | None,
+) -> ChernResult:
+    """:func:`c2` through the result cache, keyed by ``(n, d, lam)``.
+
+    Only the default ``auto`` mode reads or records the cache, so the file
+    holds nothing but what that mode certifies.  In verify mode every value
+    is recomputed and a disagreement raises StaleCacheError.
+    """
+    if cache is None or method != "auto":
+        return c2(n, lam, method, ceiling)
+    res = cache.result(n, d, lam)
+    if res is None:
+        res = c2(n, lam, method, ceiling)
+        cache.record(n, d, lam, res)
+    return res
+
+
+def _compute_table(
     spec: GroupSpec,
     weights: Iterable[Weight],
     method: str,
     ceiling: int,
     cache: ResultCache | None,
-) -> list[TableRow]:
+) -> GeneratorTable:
     ref = _REFERENCE_BY_GROUP.get((spec.n, spec.d))
     printed = {w: v for w, _, v in ref.rows} if ref else {}
     rows = []
     for w in weights:
         lam = partition_of(w)
-        res = cache.result(spec.n, spec.d, lam) if cache is not None else None
-        if res is None:
-            try:
-                res = c2(spec.n, lam, method=method, ceiling=ceiling)
-            except CrossCheckError as exc:
-                rows.append(TableRow(w, lam, None, False, False,
-                                     printed.get(w), error=exc))
-                continue
-            if cache is not None:
-                cache.record(spec.n, spec.d, lam, res)
+        try:
+            res = cached_c2(spec.n, spec.d, lam, method, ceiling, cache)
+        except CrossCheckError as exc:
+            rows.append(TableRow(w, lam, None, False, False,
+                                 printed.get(w), error=exc))
+            continue
         value = res.n_lambda
         flag = w in printed and printed[w] != value
         rows.append(
             TableRow(w, lam, value, flag, res.cross_checked, printed.get(w))
         )
-    return rows
+    g = running_gcd(r.n_lambda for r in rows if r.n_lambda is not None)
+    return GeneratorTable(spec, tuple(rows), g)
 
 
 def generator_table(
@@ -230,12 +251,10 @@ def generator_table(
 
     A row is flagged when a bundled reference value exists for its weight and
     disagrees with the recomputation.  Cross-check failures are carried on
-    the row (error set, index None) without aborting the table.  With a
-    cache, hits are used as they stand and every fresh row is recorded.
+    the row (error set, index None) without aborting the table.  Each row
+    goes through :func:`cached_c2`.
     """
-    rows = _compute_rows(spec, hilbert_basis(spec), method, ceiling, cache)
-    g = running_gcd(r.n_lambda for r in rows if r.n_lambda is not None)
-    return GeneratorTable(spec, tuple(rows), g)
+    return _compute_table(spec, hilbert_basis(spec), method, ceiling, cache)
 
 
 def table_against_reference(
@@ -254,11 +273,9 @@ def table_against_reference(
             f"unknown table {case_id!r}; known: {sorted(REFERENCE_TABLES)}"
         )
     ref = REFERENCE_TABLES[case_id]
-    rows = _compute_rows(
+    return _compute_table(
         ref.spec, [w for w, _, _ in ref.rows], method, ceiling, cache
     )
-    g = running_gcd(r.n_lambda for r in rows if r.n_lambda is not None)
-    return GeneratorTable(ref.spec, tuple(rows), g)
 
 
 def image_index(

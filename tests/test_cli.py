@@ -1,6 +1,7 @@
 """Exit codes, output formats, and cache behaviour of the command line."""
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import re
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import schern.chern as chern_mod
+import schern.tables as tables_mod
 from schern import __version__
 from schern.cli import build_parser, parse_partition, run
 from schern.partitions import PartitionError
@@ -97,6 +99,18 @@ def test_c2_env_ceiling(capsys, monkeypatch):
         "--no-cache",
     )
     assert code == 0 and out == "2\n"
+
+
+@pytest.mark.parametrize("var,value,argv", [
+    ("SCHERN_ENUM_CEILING", "abc", ("c2", "4", "1,1")),
+    ("SCHERN_MAX_ELL", "x", ("conjecture", "3")),
+])
+def test_malformed_env_setting_exits_2(capsys, monkeypatch, var, value, argv):
+    monkeypatch.setenv(var, value)
+    code, out, err = invoke(capsys, *argv, "--no-cache")
+    assert code == 2
+    assert out == ""
+    assert repr(value) in err and "Traceback" not in err
 
 
 def test_dim(capsys):
@@ -223,6 +237,26 @@ def test_verify_holds_case(capsys):
     assert code == 0
     assert "verdict holds" in out
     assert "image index 8" in out
+
+
+def test_verify_non_multiple_of_h4_generator_exits_1(capsys, monkeypatch):
+    case = tables_mod.CASES["sl8-mu2"]
+    monkeypatch.setitem(tables_mod.CASES, "sl8-mu2",
+                        dataclasses.replace(case, h4_multiplier=3))
+    code, out, err = invoke(capsys, "verify", "sl8-mu2", "--no-cache")
+    assert code == 1
+    assert out == ""
+    assert "index 2 is not a multiple of the H^4 generator 3" in err
+
+
+def test_verify_differing_expectation_exits_3(capsys, monkeypatch):
+    case = tables_mod.CASES["sl8-mu2"]
+    monkeypatch.setitem(tables_mod.CASES, "sl8-mu2",
+                        dataclasses.replace(case, expected_gcd=4))
+    code, out, _ = invoke(capsys, "verify", "sl8-mu2", "--no-cache")
+    assert code == 3
+    assert "image index 2" in out
+    assert "DIFFERS FROM stored expectation 4" in out
 
 
 def test_verify_unknown_case_exits_2(capsys):
@@ -356,19 +390,30 @@ def test_corrupt_cache_lines_skipped(capsys, tmp_path):
     assert out == "700\n"
 
 
-@pytest.mark.parametrize("bad_d,d", [
-    ([2], 2),    # unhashable: used to crash every run that read the file
-    (True, 1),   # True == 1 would alias the d=1 row
-    (2.0, 2),    # 2.0 == 2 would alias the d=2 row
-    (0, 2),
-], ids=["list", "bool", "float", "zero"])
-def test_cache_line_with_malformed_d_is_skipped(capsys, tmp_path, bad_d, d):
+@pytest.mark.parametrize("field,value,d", [
+    ("d", [2], 2),     # unhashable: used to crash every run that read the file
+    ("d", True, 1),    # True == 1 would alias the d=1 row
+    ("d", 2.0, 2),     # 2.0 == 2 would alias the d=2 row
+    ("d", 0, 2),
+    ("n", 4.9, 2),     # int(4.9) == 4 would alias the n=4 row
+    ("n", "4", 2),
+    ("partition", [1.5, 1], 2),
+    ("partition", [True, True], 2),
+    ("partition", "11", 2),   # a string iterates to its digits, (1, 1)
+    ("n_lambda", 999.0, 2),
+    ("dim", "6", 2),
+], ids=["list", "bool", "float", "zero", "n-float", "n-str", "part-float",
+        "part-bool", "part-str", "n_lambda-float", "dim-str"])
+def test_cache_line_with_malformed_d_is_skipped(capsys, tmp_path, field, value, d):
+    """A line with any field of the wrong JSON type is skipped, never
+    coerced onto a real key."""
     clean = invoke(capsys, "generators", "4", str(d), "--no-cache")
     cache = tmp_path / "c.jsonl"
     rec = {
-        "n": 4, "d": bad_d, "partition": [1, 1], "n_lambda": 999,
+        "n": 4, "d": d, "partition": [1, 1], "n_lambda": 999,
         "dim": 6, "method": "both", "version": __version__,
     }
+    rec[field] = value
     cache.write_text(json.dumps(rec, sort_keys=True) + "\n")
     assert invoke(capsys, "generators", "4", str(d), "--cache", str(cache)) == clean
 
@@ -381,6 +426,18 @@ def test_torn_last_line_does_not_swallow_an_append(capsys, tmp_path):
     cold = cache.read_bytes()
     assert invoke(capsys, *argv)[:2] == (0, "2\n")
     assert cache.read_bytes() == cold  # every cold row was kept: all hits
+
+
+def test_only_default_mode_c2_touches_the_cache(capsys, tmp_path):
+    # dim and an explicit --method never certify a record for default mode
+    cache = tmp_path / "c.jsonl"
+    assert invoke(capsys, "dim", "8", "2,2,2", "--cache", str(cache))[:2] == (0, "1176\n")
+    assert invoke(capsys, "c2", "8", "2,1", "--method", "weyl",
+                  "--cache", str(cache))[:2] == (0, "61\n")
+    assert not cache.exists() or cache.read_text() == ""
+    assert invoke(capsys, "c2", "8", "2,1", "--cache", str(cache))[:2] == (0, "61\n")
+    lines = cache.read_text().splitlines()
+    assert len(lines) == 1 and '"method":"both"' in lines[0]
 
 
 def test_cache_respects_group_context(capsys, tmp_path):
