@@ -209,10 +209,18 @@ def _cmd_conjecture(args) -> int:
 
 # ------------------------------------------------------------------ parser
 
+def _env_switch(name: str) -> bool:
+    """An on/off SCHERN_* variable: 1/true/yes/on or empty/0/false/no/off."""
+    raw = os.environ.get(name, "")
+    if raw.lower() not in ("1", "true", "yes", "on", "", "0", "false", "no", "off"):
+        raise ValueError(f"{name} is neither on nor off: {raw!r}")
+    return raw.lower() in ("1", "true", "yes", "on")
+
+
 def build_parser() -> argparse.ArgumentParser:
     # A flag beats its SCHERN_* variable, which beats the default.  argparse
-    # runs a string default through `type`, so a malformed variable is a
-    # usage error (exit 2) like a malformed flag.
+    # runs a string default through `type`, and _env_switch raises ValueError,
+    # so a malformed variable exits 2 like a malformed flag.
     env = os.environ
     xdg = Path(env.get("XDG_CACHE_HOME") or "~/.cache").expanduser()
     common = argparse.ArgumentParser(add_help=False)
@@ -228,8 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--no-cache", action="store_true",
                         help="skip the cache entirely")
     common.add_argument("--verify-cache", action="store_true",
-                        default=env.get("SCHERN_VERIFY_CACHE", "")
-                        not in ("", "0", "false"),
+                        default=_env_switch("SCHERN_VERIFY_CACHE"),
                         help="recompute cached rows; disagreement exits 3")
 
     p = argparse.ArgumentParser(
@@ -286,13 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except (CrossCheckError, StaleCacheError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator
 
 from .chern import reduce_full_columns
 from .partitions import Partition, partition
@@ -86,22 +85,6 @@ def descends(lam: Partition, spec: GroupSpec) -> bool:
     return sum(partition(lam)) % spec.d == 0
 
 
-def _bounded_vectors(length: int, budget: int) -> Iterator[Weight]:
-    """All nonnegative vectors with coefficient sum <= budget, in lex order."""
-    vec = [0] * length
-
-    def rec(i: int, left: int) -> Iterator[Weight]:
-        if i == length:
-            yield tuple(vec)
-            return
-        for v in range(left + 1):
-            vec[i] = v
-            yield from rec(i + 1, left - v)
-        vec[i] = 0
-
-    yield from rec(0, budget)
-
-
 def is_monoid_irreducible(w: Weight, d: int) -> bool:
     """No proper nonzero sub-weight of w has size divisible by d.
 
@@ -121,18 +104,31 @@ def is_monoid_irreducible(w: Weight, d: int) -> bool:
 def hilbert_basis(spec: GroupSpec) -> tuple[Weight, ...]:
     """Minimal generating set of the descending dominant weights, lex sorted.
 
-    Every monoid member with more than d fundamental-weight tokens is a sum of
-    two members: among the d+1 prefix sums of its token multiset, two agree
-    mod d, and the tokens between them form a proper sub-member.  Candidates
-    are therefore the vectors with coefficient sum at most d, and minimality
-    is decided by exhaustive splitting of each candidate.
+    With a_i tokens i of residue i mod d, a generator is a minimal zero-sum
+    sequence over Z/d, and T is one exactly when T = S.g with S zero-sum-free
+    and g = -sigma(S) (Geroldinger and Halter-Koch, *Non-Unique
+    Factorizations*, ch. 5).  S grows in non-decreasing label order with its
+    subsequence sums as a d-bit mask, pruned once 0 is a sum, and is closed by
+    each label g >= max(S) of residue -sigma(S), so T arises once: g = max(T).
     """
+    n, d = spec.n, spec.d
+    full = (1 << d) - 1
+    counts = [0] * (n - 1)
     out = []
-    for w in _bounded_vectors(spec.n - 1, spec.d):
-        if not any(w):
-            continue
-        if weight_size(w) % spec.d:
-            continue
-        if is_monoid_irreducible(w, spec.d):
-            out.append(w)
-    return tuple(out)
+
+    def grow(lo: int, total: int, sums: int) -> None:
+        for g in range(lo + (-total - lo) % d, n, d):
+            counts[g - 1] += 1
+            out.append(tuple(counts))
+            counts[g - 1] -= 1
+        for i in range(lo, n):
+            r = i % d
+            grown = sums | ((sums << r | sums >> (d - r)) & full) | 1 << r
+            if grown & 1:  # a zero-sum subsequence; residue-0 tokens end here
+                continue
+            counts[i - 1] += 1
+            grow(i, total + r, grown)
+            counts[i - 1] -= 1
+
+    grow(1, 0, 0)
+    return tuple(sorted(out))

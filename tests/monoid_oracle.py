@@ -2,8 +2,9 @@
 from __future__ import annotations
 
 from itertools import product
+from typing import Iterator
 
-from schern.weights import GroupSpec, Weight, weight_size
+from schern.weights import GroupSpec, Weight, is_monoid_irreducible, weight_size
 
 MEMBER_ENUMERATION_CEILING = 4_000_000
 
@@ -41,3 +42,37 @@ def greedy_decomposition(w: Weight, basis: tuple[Weight, ...]) -> list[Weight]:
         else:
             raise ValueError(f"{w} does not decompose over the given basis")
     return parts
+
+
+def _bounded_vectors(length: int, budget: int) -> Iterator[Weight]:
+    """All nonnegative vectors with coefficient sum <= budget, in lex order."""
+    vec = [0] * length
+
+    def rec(i: int, left: int) -> Iterator[Weight]:
+        if i == length:
+            yield tuple(vec)
+            return
+        for v in range(left + 1):
+            vec[i] = v
+            yield from rec(i + 1, left - v)
+        vec[i] = 0
+
+    yield from rec(0, budget)
+
+
+def scan_basis(spec: GroupSpec) -> tuple[Weight, ...]:
+    """Brute-force oracle for hilbert_basis, lex sorted.
+
+    Every monoid member with more than d fundamental-weight tokens is a sum of
+    two members: among the d+1 prefix sums of its token multiset, two agree
+    mod d, and the tokens between them form a proper sub-member.  Candidates
+    are therefore the vectors with coefficient sum at most d, and minimality
+    is decided by exhaustive splitting of each candidate.
+    """
+    return tuple(
+        w
+        for w in _bounded_vectors(spec.n - 1, spec.d)
+        if any(w)
+        and weight_size(w) % spec.d == 0
+        and is_monoid_irreducible(w, spec.d)
+    )

@@ -104,6 +104,7 @@ def test_c2_env_ceiling(capsys, monkeypatch):
 @pytest.mark.parametrize("var,value,argv", [
     ("SCHERN_ENUM_CEILING", "abc", ("c2", "4", "1,1")),
     ("SCHERN_MAX_ELL", "x", ("conjecture", "3")),
+    ("SCHERN_VERIFY_CACHE", "maybe", ("c2", "4", "1,1")),
 ])
 def test_malformed_env_setting_exits_2(capsys, monkeypatch, var, value, argv):
     monkeypatch.setenv(var, value)
@@ -111,6 +112,16 @@ def test_malformed_env_setting_exits_2(capsys, monkeypatch, var, value, argv):
     assert code == 2
     assert out == ""
     assert repr(value) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value,on", [
+    ("1", True), ("true", True), ("True", True), ("yes", True), ("ON", True),
+    ("", False), ("0", False), ("false", False), ("False", False),
+    ("no", False), ("off", False), ("OFF", False),
+])
+def test_verify_cache_env_spellings(monkeypatch, value, on):
+    monkeypatch.setenv("SCHERN_VERIFY_CACHE", value)
+    assert build_parser().parse_args(["dim", "4", "1"]).verify_cache is on
 
 
 def test_dim(capsys):

@@ -46,3 +46,15 @@ def test_conjecture_scan():
         "divisible=yes  dual-invariant=yes  ("
     )
     assert lines[1] == "index equals ell for every prime tried"
+
+
+def test_conjecture_scan_reaches_ell_5():
+    proc = run_script("conjecture_scan.py", "--max-ell", "5")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 3
+    assert lines[1].startswith(
+        "ell=5: SL(25)/mu_5  generators=1558  index=5  equals ell=yes  "
+        "divisible=yes  dual-invariant=yes  ("
+    )
+    assert lines[2] == "index equals ell for every prime tried"

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
 import pytest
 
+import schern.chern as chern_mod
 import schern.tables as tables_mod
 from monoid_oracle import monoid_members_up_to
 from schern.cache import ResultCache
@@ -234,6 +236,18 @@ class TestExploreConjecture:
         assert rep.matches_ell
         assert rep.all_rows_divisible
         assert rep.duality_invariant
+
+    def test_row_disagreeing_with_its_dual_row_breaks_duality(self, monkeypatch):
+        def skewed(n, lam):
+            res = c2_closed_form(n, lam)
+            if lam == (1, 1, 1):  # dual (1,1,1,1,1,1) keeps its value 21
+                return dataclasses.replace(res, n_lambda=res.n_lambda + 3)
+            return res
+
+        monkeypatch.setattr(chern_mod, "c2_closed_form", skewed)
+        rep = explore_conjecture(3)
+        assert rep.image_index == 3 and rep.all_rows_divisible
+        assert not rep.duality_invariant
 
     def test_rejects_two(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from monoid_oracle import greedy_decomposition, monoid_members_up_to
+from monoid_oracle import greedy_decomposition, monoid_members_up_to, scan_basis
 from schern.weights import (
     GroupSpec,
     descends,
@@ -179,6 +179,19 @@ class TestHilbertBasis:
     def test_output_is_lex_sorted_without_duplicates(self):
         basis = hilbert_basis(GroupSpec(9, 3))
         assert list(basis) == sorted(set(basis))
+
+    @pytest.mark.parametrize("n,d", [
+        (n, d) for n in range(2, 11) for d in range(1, n + 1) if n % d == 0
+    ] + [(12, 2), (12, 3), (12, 4), (12, 6)])
+    def test_search_matches_the_candidate_scan(self, n, d):
+        assert hilbert_basis(GroupSpec(n, d)) == scan_basis(GroupSpec(n, d))
+
+    def test_sl49_mu7_is_closed_under_duality(self):
+        # 2.0e8 scan candidates; the search visits only zero-sum-free prefixes
+        basis = hilbert_basis(GroupSpec(49, 7))
+        assert len(basis) == 66_407
+        assert all(sum(w) <= 7 and weight_size(w) % 7 == 0 for w in basis)
+        assert {dual_weight(w) for w in basis} == set(basis)
 
     @pytest.mark.parametrize("n,d", [(4, 2), (6, 2), (6, 3), (8, 2), (9, 3)])
     def test_minimality_by_exhaustive_splitting(self, n, d):
