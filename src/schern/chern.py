@@ -20,10 +20,12 @@ only by an explicit ``method="enumeration"`` and serves tests as an oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING, NamedTuple
 
 from .partitions import Partition, partition, schur_dimension, ssyt_stream
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 DEFAULT_ENUMERATION_CEILING = 100_000
 
@@ -49,8 +51,7 @@ class CrossCheckError(Exception):
         )
 
 
-@dataclass(frozen=True)
-class ChernResult:
+class ChernResult(NamedTuple):
     n_lambda: int
     method: str
     cross_checked: bool
@@ -78,29 +79,39 @@ def dual_partition(n: int, lam: Partition) -> Partition:
     return partition(lam[0] - p for p in reversed(padded))
 
 
-def casimir(n: int, lam: Partition) -> Fraction:
-    """Casimir eigenvalue (lam, lam + 2 rho) in the normalization where the
-    defining representation of SL(n) has eigenvalue (n^2 - 1) / n."""
-    lam = partition(lam)
+def _n_casimir(n: int, lam: Partition) -> int:
+    """n times the Casimir eigenvalue of lam: an integer."""
     if len(lam) > n:
         raise ValueError(f"partition {lam} has more than n={n} rows")
     size = sum(lam)
     total = sum(p * (p + n + 1 - 2 * i) for i, p in enumerate(lam, start=1))
-    return total - Fraction(size * size, n)
+    return n * total - size * size
+
+
+def casimir(n: int, lam: Partition) -> Fraction:
+    """Casimir eigenvalue (lam, lam + 2 rho) in the normalization where the
+    defining representation of SL(n) has eigenvalue (n^2 - 1) / n."""
+    from fractions import Fraction
+
+    return Fraction(_n_casimir(n, partition(lam)), n)
 
 
 def c2_closed_form(n: int, lam: Partition) -> ChernResult:
-    """n_lam = dim * casimir / (n^2 - 1); the division is always exact."""
+    """n_lam = dim * casimir / (n^2 - 1), computed as the integer quotient
+    dim * (n * casimir) / (n * (n^2 - 1)); the division is always exact."""
     lam = reduce_full_columns(n, lam)
     if not lam:
         return ChernResult(0, METHOD_CLOSED_FORM, False, 1)
     dim = schur_dimension(n, lam)
-    value = dim * casimir(n, lam) / (n * n - 1)
-    if value.denominator != 1:
+    num, den = dim * _n_casimir(n, lam), n * (n * n - 1)
+    value, rest = divmod(num, den)
+    if rest:
+        g = math.gcd(num, den)
         raise ArithmeticError(
-            f"non-integral index {value} for n={n} lam={lam}; formula misapplied"
+            f"non-integral index {num // g}/{den // g} for n={n} lam={lam}; "
+            "formula misapplied"
         )
-    return ChernResult(int(value), METHOD_CLOSED_FORM, False, dim)
+    return ChernResult(value, METHOD_CLOSED_FORM, False, dim)
 
 
 def _bareiss_determinant(a: list[list[int]]) -> int:

@@ -15,7 +15,6 @@ disagreement).
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -98,6 +97,8 @@ def render_table(table: GeneratorTable, fmt: str, case_id: str | None = None) ->
             payload["case"] = case_id
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
+        import csv  # only this format needs it; keep it off every start-up
+
         buf = []
         for r in table.rows:
             buf.append(

@@ -12,9 +12,8 @@ either side.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .cache import ResultCache
 from .chern import (
@@ -28,8 +27,7 @@ from .partitions import Partition
 from .weights import GroupSpec, Weight, hilbert_basis, partition_of
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     weight: Weight
     partition: Partition
     n_lambda: int | None
@@ -39,8 +37,7 @@ class TableRow:
     error: CrossCheckError | None = None
 
 
-@dataclass(frozen=True)
-class GeneratorTable:
+class GeneratorTable(NamedTuple):
     spec: GroupSpec
     rows: tuple[TableRow, ...]
     gcd: int
@@ -54,16 +51,14 @@ class GeneratorTable:
                 raise CrossCheckError(e.n, e.lam, e.closed, e.subshape) from e
 
 
-@dataclass(frozen=True)
-class ReferenceTable:
+class ReferenceTable(NamedTuple):
     case_id: str
     spec: GroupSpec
     rows: tuple[tuple[Weight, Partition, int], ...]
     source: str
 
 
-@dataclass(frozen=True)
-class CaseExpectation:
+class CaseExpectation(NamedTuple):
     case_id: str
     spec: GroupSpec
     expected_gcd: int
@@ -71,8 +66,7 @@ class CaseExpectation:
     source: str
 
 
-@dataclass(frozen=True)
-class CaseReport:
+class CaseReport(NamedTuple):
     case_id: str
     spec: GroupSpec
     computed_index: int
@@ -83,8 +77,7 @@ class CaseReport:
     source: str
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     ell: int
     spec: GroupSpec
     basis_size: int

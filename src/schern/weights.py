@@ -11,8 +11,8 @@ generating set.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .chern import reduce_full_columns
 from .partitions import Partition, partition
@@ -20,20 +20,30 @@ from .partitions import Partition, partition
 Weight = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    """Quotient SL(n)/mu_d; d must divide n."""
-
+class _GroupFields(NamedTuple):
     n: int
     d: int
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"n must be at least 2, got {self.n}")
-        if self.d < 1:
-            raise ValueError(f"d must be positive, got {self.d}")
-        if self.n % self.d:
-            raise ValueError(f"d must divide n, got n={self.n} d={self.d}")
+
+# typing.NamedTuple refuses a __new__ in its own body, so the checks live on
+# a subclass; _make is routed through them so that _replace checks too.
+class GroupSpec(_GroupFields):
+    """Quotient SL(n)/mu_d; d must divide n."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, d: int) -> GroupSpec:
+        if n < 2:
+            raise ValueError(f"n must be at least 2, got {n}")
+        if d < 1:
+            raise ValueError(f"d must be positive, got {d}")
+        if n % d:
+            raise ValueError(f"d must divide n, got n={n} d={d}")
+        return super().__new__(cls, n, d)
+
+    @classmethod
+    def _make(cls, iterable) -> GroupSpec:
+        return cls(*iterable)
 
 
 def partition_of(w: Weight) -> Partition:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import schern.chern as chern_mod
 from schern.chern import (
+    ChernResult,
     CrossCheckError,
     EnumerationCeilingError,
     c2,
@@ -124,6 +125,28 @@ class TestClosedForm:
         assert res.method == "closed-form"
         assert not res.cross_checked
         assert res.dim == 70
+
+    def test_result_is_an_immutable_value(self):
+        res = c2_closed_form(6, (2, 1))
+        with pytest.raises(AttributeError):
+            res.n_lambda = 34
+        same = ChernResult(33, "closed-form", False, 70)
+        assert res == same and hash(res) == hash(same)
+        assert res != same._replace(cross_checked=True)
+
+    # n = 1 would divide by n^2 - 1 = 0; test_n_equal_one pins it
+    @given(st.integers(2, 12), partitions_up_to_ten)
+    @settings(max_examples=150, deadline=None)
+    def test_integer_quotient_matches_the_rational_route(self, n, lam):
+        assume(len(lam) <= n)
+        rational = schur_dimension(n, lam) * casimir(n, lam) / (n * n - 1)
+        assert c2_closed_form(n, lam).n_lambda == rational
+
+    def test_inexact_division_raises(self, monkeypatch):
+        monkeypatch.setattr(chern_mod, "schur_dimension",
+                            lambda n, lam: schur_dimension(n, lam) + 1)
+        with pytest.raises(ArithmeticError, match="non-integral index 5/4"):
+            c2_closed_form(4, (1,))
 
 
 class TestEnumeration:

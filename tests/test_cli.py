@@ -1,9 +1,9 @@
 """Exit codes, output formats, and cache behaviour of the command line."""
 import argparse
 import csv
-import dataclasses
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -253,7 +253,7 @@ def test_verify_holds_case(capsys):
 def test_verify_non_multiple_of_h4_generator_exits_1(capsys, monkeypatch):
     case = tables_mod.CASES["sl8-mu2"]
     monkeypatch.setitem(tables_mod.CASES, "sl8-mu2",
-                        dataclasses.replace(case, h4_multiplier=3))
+                        case._replace(h4_multiplier=3))
     code, out, err = invoke(capsys, "verify", "sl8-mu2", "--no-cache")
     assert code == 1
     assert out == ""
@@ -263,7 +263,7 @@ def test_verify_non_multiple_of_h4_generator_exits_1(capsys, monkeypatch):
 def test_verify_differing_expectation_exits_3(capsys, monkeypatch):
     case = tables_mod.CASES["sl8-mu2"]
     monkeypatch.setitem(tables_mod.CASES, "sl8-mu2",
-                        dataclasses.replace(case, expected_gcd=4))
+                        case._replace(expected_gcd=4))
     code, out, _ = invoke(capsys, "verify", "sl8-mu2", "--no-cache")
     assert code == 3
     assert "image index 2" in out
@@ -481,6 +481,38 @@ def test_readme_configuration_table_lists_the_shared_flags():
         for sp in subparsers
     )) - {"--help"}
     assert documented == shared
+
+
+def test_c2_non_integral_closed_form_exits_1(capsys, monkeypatch):
+    real = chern_mod.schur_dimension
+    monkeypatch.setattr(chern_mod, "schur_dimension",
+                        lambda n, lam: real(n, lam) + 1)
+    code, out, err = invoke(capsys, "c2", "4", "1", "--no-cache")
+    assert code == 1
+    assert out == ""
+    assert "non-integral index 5/4 for n=4 lam=(1,)" in err
+
+
+def test_start_up_imports_no_unused_heavy_modules():
+    # dataclasses pulls in inspect, dis, ast and tokenize; fractions pulls in
+    # decimal and numbers.  Counted after site, so only schern's own imports
+    # show.
+    script = (
+        "import sys\n"
+        "heavy = {'dataclasses', 'inspect', 'fractions', 'decimal', 'csv'}\n"
+        "before = set(sys.modules)\n"
+        "import schern.cli\n"
+        "code = schern.cli.run(['dim', '4', '1'])\n"
+        "print(code, sorted((set(sys.modules) - before) & heavy))\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "4\n0 []\n"
 
 
 def test_console_script_is_wired():

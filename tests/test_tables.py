@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 
@@ -96,6 +95,15 @@ class TestGeneratorTable:
         # reference table omits keep it
         for r in extras:
             assert r.n_lambda % 3 == 0, r
+
+    def test_rows_are_immutable_values(self):
+        row = generator_table(GroupSpec(8, 2)).rows[0]
+        with pytest.raises(AttributeError):
+            row.n_lambda = 0
+        again = generator_table(GroupSpec(8, 2)).rows[0]
+        assert row == again and hash(row) == hash(again)
+        assert row != again._replace(flagged=not row.flagged)
+        assert row.error is None  # defaults kept: reference_value, error
 
     def test_rows_in_lex_weight_order(self):
         t = generator_table(GroupSpec(6, 3))
@@ -241,7 +249,7 @@ class TestExploreConjecture:
         def skewed(n, lam):
             res = c2_closed_form(n, lam)
             if lam == (1, 1, 1):  # dual (1,1,1,1,1,1) keeps its value 21
-                return dataclasses.replace(res, n_lambda=res.n_lambda + 3)
+                return res._replace(n_lambda=res.n_lambda + 3)
             return res
 
         monkeypatch.setattr(chern_mod, "c2_closed_form", skewed)

@@ -94,6 +94,29 @@ class TestGroupSpec:
         with pytest.raises(ValueError):
             GroupSpec(1, 1)
 
+    @pytest.mark.parametrize("n, d, message", [
+        (9, 2, "d must divide n, got n=9 d=2"),
+        (1, 1, "n must be at least 2, got 1"),
+        (4, 0, "d must be positive, got 0"),
+    ])
+    def test_rejection_messages(self, n, d, message):
+        with pytest.raises(ValueError) as info:
+            GroupSpec(n, d)
+        assert str(info.value) == message
+
+    def test_replace_runs_the_checks(self):
+        assert GroupSpec(9, 3)._replace(d=9) == GroupSpec(9, 9)
+        with pytest.raises(ValueError, match="d must divide n"):
+            GroupSpec(9, 3)._replace(d=2)
+
+    def test_is_an_immutable_value(self):
+        spec = GroupSpec(9, 3)
+        with pytest.raises(AttributeError):
+            spec.d = 2
+        assert spec == GroupSpec(9, 3) and hash(spec) == hash(GroupSpec(9, 3))
+        assert spec != GroupSpec(9, 9)
+        assert repr(spec) == "GroupSpec(n=9, d=3)"
+
 
 class TestWeightPartitionBridge:
     def test_partition_of_examples(self):
