@@ -6,7 +6,8 @@ conjecture command).  Only default-mode c2 and table rows go through the
 result cache, via tables.cached_c2; dim and --method runs never touch it.
 
 Exit codes: 0 success, 1 an arithmetic invariant failed (verify found an
-index that is not a multiple of the H^4 generator), 2 bad arguments or
+index that is not a multiple of the H^4 generator, or the closed form or
+the hook-content dimension did not divide exactly), 2 bad arguments or
 violated preconditions (unknown case, ceiling exceeded, malformed
 partition or SCHERN_* variable), 3 a consistency check failed (method
 cross-check, a table row whose cross-check failed, or --verify-cache

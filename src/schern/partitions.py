@@ -1,12 +1,15 @@
 """Partitions, hook lengths, and semistandard tableau enumeration.
 
 A partition is a tuple of weakly decreasing positive integers.  The empty
-partition is ().  Trailing zeros are stripped by :func:`partition`, and all
-functions here expect (or produce) that canonical form.
+partition is ().  The public functions accept any part sequence and validate
+it once through :func:`partition`, which strips trailing zeros; the private
+helpers behind them trust that canonical form and do not check it again.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Iterator
+from operator import index, lt
 
 Partition = tuple[int, ...]
 TableauContent = tuple[int, ...]
@@ -17,13 +20,21 @@ class PartitionError(ValueError):
 
 
 def partition(parts: Iterable[int]) -> Partition:
-    """Canonicalize a part sequence: strip trailing zeros, validate monotonicity."""
-    out = tuple(int(p) for p in parts)
-    while out and out[-1] == 0:
-        out = out[:-1]
-    for a, b in zip(out, out[1:]):
-        if a < b:
-            raise PartitionError(f"parts must be weakly decreasing, got {out}")
+    """Canonicalize a part sequence: strip trailing zeros, validate monotonicity.
+
+    Parts must be integers (anything with ``__index__``); a float, string or
+    fraction is rejected rather than truncated.
+    """
+    try:
+        out = tuple(map(index, parts))
+    except TypeError as exc:
+        raise PartitionError(f"parts must be integers: {exc}") from None
+    end = len(out)
+    while end and not out[end - 1]:
+        end -= 1
+    out = out[:end]
+    if any(map(lt, out, out[1:])):
+        raise PartitionError(f"parts must be weakly decreasing, got {out}")
     if out and out[-1] < 0:
         raise PartitionError(f"parts must be nonnegative, got {out}")
     return out
@@ -31,16 +42,30 @@ def partition(parts: Iterable[int]) -> Partition:
 
 def conjugate(lam: Partition) -> Partition:
     """Transpose the Young diagram: column lengths become row lengths."""
-    lam = partition(lam)
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p > j) for j in range(lam[0]))
+    return _conjugate(partition(lam))
+
+
+def _conjugate(lam: Partition) -> Partition:
+    """Column heights of a canonical partition.  One pointer walks up from
+    the bottom row, so the rows are passed once in all, not once per column."""
+    heights = []
+    i = len(lam)
+    for j in range(lam[0] if lam else 0):
+        while lam[i - 1] <= j:
+            i -= 1
+        heights.append(i)
+    return tuple(heights)
 
 
 def schur_dimension(n: int, lam: Partition) -> int:
     """Dimension of the irreducible GL(n) (equivalently SL(n)) module of shape lam.
 
-    Hook content formula: product over cells (i, j) of (n + j - i) / hook(i, j).
+    Hook content formula, taken column by column over the column heights
+    c_0 >= c_1 >= ... >= c_(k-1): column j contributes the contents
+    (n + j)! / (n + j - c_j)!, and with m_j = c_j + k - 1 - j the hook
+    lengths multiply to prod m_j! / prod_(i<j) (m_i - m_j) (Macdonald,
+    Symmetric Functions and Hall Polynomials, I.1).  Both sides carry
+    prod c_j!, which is cancelled: comb(n + j, c_j) over perm(m_j, k - 1 - j).
     Returns 0 when lam has more than n rows.
     """
     if n < 1:
@@ -48,15 +73,24 @@ def schur_dimension(n: int, lam: Partition) -> int:
     lam = partition(lam)
     if len(lam) > n:
         return 0
-    conj = conjugate(lam)
+    heights = _conjugate(lam)
+    k = len(heights)
     num = 1
     den = 1
-    for i, row in enumerate(lam):
-        for j in range(row):
-            num *= n + j - i
-            den *= (row - j) + (conj[j] - i) - 1
-    assert num % den == 0, "hook content division must be exact"
-    return num // den
+    ms = []
+    for j, c in enumerate(heights):
+        num *= math.comb(n + j, c)
+        m = c + k - 1 - j
+        den *= math.perm(m, k - 1 - j)
+        for prev in ms:
+            num *= prev - m
+        ms.append(m)
+    dim, rest = divmod(num, den)
+    if rest:
+        raise ArithmeticError(
+            f"hook content division is not exact for n={n} lam={lam}"
+        )
+    return dim
 
 
 def ssyt_stream(n: int, lam: Partition) -> Iterator[TableauContent]:
@@ -76,7 +110,7 @@ def ssyt_stream(n: int, lam: Partition) -> Iterator[TableauContent]:
     if not lam:
         yield (0,) * n
         return
-    heights = conjugate(lam)
+    heights = _conjugate(lam)
     ncols = lam[0]
     counts = [0] * n
     columns = [[0] * h for h in heights]

@@ -21,10 +21,15 @@ from .chern import (
     ChernResult,
     CrossCheckError,
     c2,
-    dual_partition,
 )
 from .partitions import Partition
-from .weights import GroupSpec, Weight, hilbert_basis, partition_of
+from .weights import (
+    GroupSpec,
+    Weight,
+    dual_weight,
+    hilbert_basis,
+    partition_of,
+)
 
 
 class TableRow(NamedTuple):
@@ -324,9 +329,9 @@ def explore_conjecture(ell: int, max_ell: int = 7) -> ConjectureReport:
         raise ValueError(f"ell={ell} exceeds the configured ceiling {max_ell}")
     spec = GroupSpec(ell * ell, ell)
     table = generator_table(spec, method="closed-form")
-    index_of = {r.partition: r.n_lambda for r in table.rows}  # duals are rows
+    index_of = {r.weight: r.n_lambda for r in table.rows}  # duals are rows
     duality_ok = all(
-        index_of.get(dual_partition(spec.n, r.partition)) == r.n_lambda
+        index_of.get(dual_weight(r.weight)) == r.n_lambda
         for r in table.rows
     )
     return ConjectureReport(

@@ -11,7 +11,8 @@ generating set.
 """
 from __future__ import annotations
 
-from itertools import product
+from itertools import accumulate, product
+from operator import index
 from typing import NamedTuple
 
 from .chern import reduce_full_columns
@@ -47,15 +48,23 @@ class GroupSpec(_GroupFields):
 
 
 def partition_of(w: Weight) -> Partition:
-    """Partition with parts lam_j = sum of coefficients a_j..a_(n-1)."""
-    parts = []
-    total = 0
-    for a in reversed(w):
-        if a < 0:
-            raise ValueError(f"weight coefficients must be nonnegative, got {w}")
-        total += a
-        parts.append(total)
-    return partition(reversed(parts))
+    """Partition with parts lam_j = sum of coefficients a_j..a_(n-1).
+
+    Partial sums of non-negative coefficients never increase, so the tuple
+    is canonical once its zero parts, those of the trailing zero
+    coefficients, are dropped.
+    """
+    try:
+        sums = list(accumulate(map(index, reversed(w))))
+    except TypeError:
+        raise ValueError(
+            f"weight coefficients must be integers, got {w}"
+        ) from None
+    if min(w, default=0) < 0:
+        raise ValueError(f"weight coefficients must be nonnegative, got {w}")
+    del sums[:sums.count(0)]
+    sums.reverse()
+    return tuple(sums)
 
 
 def weight_of(lam: Partition, n: int) -> Weight:

@@ -8,10 +8,12 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import schern.chern as chern_mod
+import schern.partitions as partitions_mod
 import schern.tables as tables_mod
 from schern import __version__
 from schern.cli import build_parser, parse_partition, run
@@ -491,6 +493,16 @@ def test_c2_non_integral_closed_form_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "non-integral index 5/4 for n=4 lam=(1,)" in err
+
+
+def test_dim_inexact_hook_division_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(partitions_mod, "math",
+                        SimpleNamespace(comb=lambda a, b: 1,
+                                        perm=lambda a, b: 2))
+    code, out, err = invoke(capsys, "dim", "4", "2,1")
+    assert code == 1
+    assert out == ""
+    assert "hook content division is not exact for n=4 lam=(2, 1)" in err
 
 
 def test_start_up_imports_no_unused_heavy_modules():

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import schern.partitions as partitions_mod
 from schern.partitions import (
     PartitionError,
     conjugate,
@@ -51,6 +54,19 @@ def branching_dimension(n, lam):
     if n == 1:
         return 1
     return sum(branching_dimension(n - 1, mu) for mu in interlacings(row))
+
+
+def weyl_dimension(n, lam):
+    """Weyl's dimension formula: the product over pairs of rows i < j of
+    (lam_i - lam_j + j - i) / (j - i).  Never looks at the columns."""
+    row = tuple(lam) + (0,) * (n - len(lam))
+    num = den = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            num *= row[i] - row[j] + j - i
+            den *= j - i
+    assert num % den == 0
+    return num // den
 
 
 def tableaux(n, lam):
@@ -121,6 +137,22 @@ class TestPartitionBasics:
         with pytest.raises(PartitionError):
             partition((2, -1))
 
+    @pytest.mark.parametrize(
+        "parts",
+        [(2.5, 2), (2.0, 2), ("2", 1), (Fraction(5, 2), 2), (Fraction(2), 1)],
+        ids=["float", "integral-float", "str", "fraction", "integral-fraction"],
+    )
+    def test_rejects_non_integral_parts(self, parts):
+        # these used to be truncated by int(): (2.5, 2) -> (2, 2)
+        with pytest.raises(PartitionError, match="integers"):
+            partition(parts)
+        with pytest.raises(PartitionError):
+            schur_dimension(8, parts)
+
+    def test_bools_count_as_integers(self):
+        # bool is a subclass of int and has __index__
+        assert partition((True, True, False)) == (1, 1)
+
     def test_conjugate_examples(self):
         assert conjugate((2, 2, 2)) == (3, 3)
         assert conjugate((3, 1)) == (2, 1, 1)
@@ -159,6 +191,30 @@ class TestSchurDimension:
     @settings(max_examples=60, deadline=None)
     def test_matches_branching_oracle(self, n, lam):
         assert schur_dimension(n, lam) == branching_dimension(n, lam)
+
+    @given(
+        st.integers(2, 50).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.integers(1, 7), max_size=n).map(
+                    lambda xs: tuple(sorted(xs, reverse=True))
+                ),
+            )
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_weyl_product_for_up_to_seven_columns(self, case):
+        # the shape class of the conjecture rows: many rows, few columns
+        n, lam = case
+        assert schur_dimension(n, lam) == weyl_dimension(n, lam)
+
+    def test_inexact_hook_division_raises(self, monkeypatch):
+        # comb / perm stubbed so that the hook product no longer divides
+        monkeypatch.setattr(partitions_mod, "math",
+                            SimpleNamespace(comb=lambda a, b: 1,
+                                            perm=lambda a, b: 2))
+        with pytest.raises(ArithmeticError, match="not exact"):
+            schur_dimension(4, (2, 1))
 
     def test_exterior_power_dimensions(self):
         for n in range(2, 9):

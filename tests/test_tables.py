@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 
 import pytest
 
 import schern.chern as chern_mod
+import schern.partitions as partitions_mod
 import schern.tables as tables_mod
 from monoid_oracle import monoid_members_up_to
 from schern.cache import ResultCache
@@ -122,6 +124,37 @@ class TestGeneratorTable:
         seen = [json.loads(line) for line in path.read_text().splitlines()[1:]]
         assert [1, 1] not in [rec["partition"] for rec in seen]
         assert len(seen) == len(t.rows) - 1
+
+    @pytest.mark.parametrize("run", [
+        lambda: len(generator_table(GroupSpec(25, 5), "closed-form").rows),
+        lambda: explore_conjecture(5).basis_size,
+    ], ids=["generator_table", "explore_conjecture"])
+    def test_closed_form_rows_validate_their_partition_at_most_twice(
+        self, monkeypatch, run
+    ):
+        # partition_of builds the canonical tuple; reduce_full_columns and
+        # schur_dimension validate it once each, and the duality check
+        # compares weights.  Four calls per table row and six per
+        # conjecture row before.
+        original = partitions_mod.partition
+        calls = 0
+
+        def counting(parts):
+            nonlocal calls
+            calls += 1
+            return original(parts)
+
+        patched = [
+            name for name, mod in list(sys.modules.items())
+            if name.split(".")[0] == "schern"
+            and getattr(mod, "partition", None) is original
+        ]
+        for name in patched:
+            monkeypatch.setattr(sys.modules[name], "partition", counting)
+        assert "schern.partitions" in patched and "schern.chern" in patched
+        rows = run()
+        assert rows == 1558
+        assert calls <= 2 * rows
 
     def test_cross_check_failure_marks_row_without_aborting(self, monkeypatch):
         real = tables_mod.c2
@@ -255,6 +288,17 @@ class TestExploreConjecture:
         monkeypatch.setattr(chern_mod, "c2_closed_form", skewed)
         rep = explore_conjecture(3)
         assert rep.image_index == 3 and rep.all_rows_divisible
+        assert not rep.duality_invariant
+
+    def test_missing_dual_row_breaks_duality(self, monkeypatch):
+        real = tables_mod.hilbert_basis
+        gone = (0, 0, 1, 0, 0, 0, 0, 0)  # lam = (1,1,1); its dual stays
+        monkeypatch.setattr(
+            tables_mod, "hilbert_basis",
+            lambda spec: tuple(w for w in real(spec) if w != gone),
+        )
+        rep = explore_conjecture(3)
+        assert rep.basis_size == 30
         assert not rep.duality_invariant
 
     def test_rejects_two(self):

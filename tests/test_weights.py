@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from monoid_oracle import greedy_decomposition, monoid_members_up_to, scan_basis
+from schern.partitions import conjugate, partition
 from schern.weights import (
     GroupSpec,
     descends,
@@ -125,6 +127,24 @@ class TestWeightPartitionBridge:
         assert partition_of((0, 0, 0, 0, 1, 0, 1)) == (2, 2, 2, 2, 2, 1, 1)
         assert partition_of((0, 2, 0, 0, 1, 0, 0, 0)) == (3, 3, 1, 1, 1)
         assert partition_of((0,) * 7) == ()
+
+    @given(st.lists(st.integers(0, 4), max_size=8), st.integers(0, 4))
+    def test_partition_of_matches_partial_sums(self, coeffs, zeros):
+        w = tuple(coeffs) + (0,) * zeros  # trailing zero coefficients
+        lam = partition_of(w)
+        assert lam == partition(list(accumulate(reversed(w)))[::-1])
+        heights = conjugate(lam)
+        for k, a in enumerate(w, start=1):
+            assert heights.count(k) == a
+
+    @pytest.mark.parametrize("w, message", [
+        ((1, -1, 2), "nonnegative"),
+        ((1, 2.5, 0), "integers"),
+        ((1, "2"), "integers"),
+    ], ids=["negative", "float", "str"])
+    def test_partition_of_rejects_bad_coefficients(self, w, message):
+        with pytest.raises(ValueError, match=message):
+            partition_of(w)
 
     def test_weight_of_examples(self):
         assert weight_of((2, 1, 1), 8) == (1, 0, 1, 0, 0, 0, 0)
