@@ -3,7 +3,7 @@
 
 For each prime the full generating set of the descent monoid is built and
 the gcd of the indices n_lambda is reported, all via the closed form.
-ell = 5 takes about 0.04 s and ell = 7 (66,407 generators) about 3 s on
+ell = 5 takes about 0.04 s and ell = 7 (66,407 generators) about 2.5 s on
 a 2-core Intel Xeon with Python 3.11.
 """
 import argparse
@@ -22,7 +22,7 @@ def odd_primes(limit):
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-ell", type=int, default=5,
-                    help="largest prime to try (default 5; 7 takes about 3 s)")
+                    help="largest prime to try (default 5; 7 takes about 2.5 s)")
     args = ap.parse_args()
 
     all_match = True

@@ -8,7 +8,6 @@ are ignored on version mismatch.
 from __future__ import annotations
 
 import fcntl
-import json
 from pathlib import Path
 
 from . import __version__
@@ -23,6 +22,8 @@ def _key(n: int, d: int | None, lam: Partition) -> CacheKey:
 
 
 def _decode(line: str) -> tuple[CacheKey, dict] | None:
+    import json  # only a cache file needs it; keep it off every start-up
+
     try:
         rec = json.loads(line)
     except json.JSONDecodeError:
@@ -100,6 +101,8 @@ class ResultCache:
         self._append(rec)
 
     def _append(self, rec: dict) -> None:
+        import json
+
         self.path.parent.mkdir(parents=True, exist_ok=True)
         line = json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
         with open(self.path, "ab+") as fh:

@@ -5,10 +5,14 @@ integer multiple n_lam of the second Chern class of the defining
 representation (first Chern classes vanish on SL(n)).  Three routes compute
 n_lam:
 
-* closed form: dimension times Casimir eigenvalue divided by n^2 - 1;
+* closed form: dimension times Casimir eigenvalue divided by n^2 - 1, both
+  taken from the column heights of lam (a generator has few columns and
+  many rows);
 * sub-shape sum: group the tableaux by the two-row sub-shape nu that their
   entries 1 and 2 fill, and count the fillings of lam/nu by entries 3..n
-  with Jacobi-Trudi determinants; it never touches the Casimir;
+  with the column (dual) Jacobi-Trudi determinant of elementary symmetric
+  functions (Macdonald, Symmetric Functions and Hall Polynomials, I.5),
+  whose size is the number of columns; it never touches the Casimir;
 * enumeration: stream every semistandard tableau content and read off the
   quadratic part of the splitting-principle product modulo (x1+...+xn).
 
@@ -22,7 +26,14 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .partitions import Partition, partition, schur_dimension, ssyt_stream
+from .partitions import (
+    Partition,
+    _column_dimension,
+    _conjugate,
+    partition,
+    schur_dimension,
+    ssyt_stream,
+)
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -79,12 +90,18 @@ def dual_partition(n: int, lam: Partition) -> Partition:
     return partition(lam[0] - p for p in reversed(padded))
 
 
-def _n_casimir(n: int, lam: Partition) -> int:
-    """n times the Casimir eigenvalue of lam: an integer."""
-    if len(lam) > n:
-        raise ValueError(f"partition {lam} has more than n={n} rows")
-    size = sum(lam)
-    total = sum(p * (p + n + 1 - 2 * i) for i, p in enumerate(lam, start=1))
+def _n_casimir(n: int, heights: Partition) -> int:
+    """n times the Casimir eigenvalue of the partition with column heights
+    c_1 >= c_2 >= ...: an integer.
+
+    With |lam| = sum c_j, sum lam_i^2 = sum (2j - 1) c_j and
+    sum i lam_i = sum c_j (c_j + 1) / 2, the row sum
+    sum lam_i (lam_i + n + 1 - 2i) is (n + 1)|lam| + sum c_j (2j - 2 - c_j).
+    """
+    size = sum(heights)
+    total = (n + 1) * size
+    for j, c in enumerate(heights, start=1):
+        total += c * (2 * j - 2 - c)
     return n * total - size * size
 
 
@@ -93,7 +110,10 @@ def casimir(n: int, lam: Partition) -> Fraction:
     defining representation of SL(n) has eigenvalue (n^2 - 1) / n."""
     from fractions import Fraction
 
-    return Fraction(_n_casimir(n, partition(lam)), n)
+    lam = partition(lam)
+    if len(lam) > n:
+        raise ValueError(f"partition {lam} has more than n={n} rows")
+    return Fraction(_n_casimir(n, _conjugate(lam)), n)
 
 
 def c2_closed_form(n: int, lam: Partition) -> ChernResult:
@@ -102,8 +122,9 @@ def c2_closed_form(n: int, lam: Partition) -> ChernResult:
     lam = reduce_full_columns(n, lam)
     if not lam:
         return ChernResult(0, METHOD_CLOSED_FORM, False, 1)
-    dim = schur_dimension(n, lam)
-    num, den = dim * _n_casimir(n, lam), n * (n * n - 1)
+    heights = _conjugate(lam)
+    dim = _column_dimension(n, heights)
+    num, den = dim * _n_casimir(n, heights), n * (n * n - 1)
     value, rest = divmod(num, den)
     if rest:
         g = math.gcd(num, den)
@@ -142,31 +163,34 @@ def c2_subshape(n: int, lam: Partition) -> int:
     The streaming sum over tableau contents, sum of m1 * (m1 - m2), depends
     only on the tableau's {1, 2} part: an SSYT of a shape nu within lam with
     at most two rows and m1 ones in nu2..nu1.  The entries 3..n fill lam/nu
-    in s_{lam/nu}(1^(n-2)) ways, the Jacobi-Trudi determinant
-    det[h(lam_i - nu_j - i + j)] with h(k) = C(n - 3 + k, k) (Macdonald,
-    Symmetric Functions and Hall Polynomials, I.5).  Exact integer
-    arithmetic throughout; neither the Casimir nor the tableaux are used.
+    in s_{lam/nu}(1^(n-2)) ways, the column (dual) Jacobi-Trudi determinant
+    det[e(lam'_i - nu'_j - i + j)] over lam_1 x lam_1, with
+    nu' = (2^nu2, 1^(nu1 - nu2)) and e(k) = e_k(1^(n-2)) = C(n - 2, k)
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.5).  Exact
+    integer arithmetic throughout; neither the Casimir nor the tableaux are
+    used.
     """
     lam = reduce_full_columns(n, lam)
     if not lam:
         return 0
-    rows = len(lam)
+    heights = _conjugate(lam)
+    cols = len(heights)
     m = n - 2
-    # h[k] = h_k(1^m) = C(m + k - 1, k); h_0 = 1 also when m = 0
-    h = [1] + [math.comb(m + k - 1, k) for k in range(1, lam[0] + rows)]
-    lam2 = lam[1] if rows > 1 else 0
+    # e[k] = e_k(1^m) = C(m, k); e_0 = 1 also when m = 0, and e_k = 0 past m
+    e = [math.comb(m, k) for k in range(m + 1)]
+    lam2 = lam[1] if len(lam) > 1 else 0
     total = 0
-    for nu1 in range(lam[0] + 1):
+    for nu1 in range(cols + 1):
         for nu2 in range(min(nu1, lam2) + 1):
             size = nu1 + nu2
             weight = sum(m1 * (2 * m1 - size) for m1 in range(nu2, nu1 + 1))
             if not weight:
                 continue
-            nu = (nu1, nu2) + (0,) * rows
+            nu_t = [2] * nu2 + [1] * (nu1 - nu2) + [0] * (cols - nu1)
             skew = [
-                [h[k] if (k := lam[i] - nu[j] - i + j) >= 0 else 0
-                 for j in range(rows)]
-                for i in range(rows)
+                [e[k] if 0 <= (k := heights[i] - nu_t[j] - i + j) <= m else 0
+                 for j in range(cols)]
+                for i in range(cols)
             ]
             total += weight * _bareiss_determinant(skew)
     return total

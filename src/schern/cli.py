@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import os
 import sys
 from pathlib import Path
@@ -51,15 +50,18 @@ METHOD_BY_FLAG = {
 
 
 def parse_partition(text: str) -> Partition:
-    """"2,2,1" -> (2, 2, 1); "" and "0" denote the empty partition."""
+    """"2,2,1" -> (2, 2, 1); "" and "0" denote the empty partition.
+
+    Each part is ASCII digits, with spaces around it allowed: int() alone
+    would also take "1_0", "+2" and non-ASCII digits.
+    """
     text = text.strip()
     if text in ("", "0", "()"):
         return ()
-    try:
-        parts = tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise PartitionError(f"cannot parse partition {text!r}") from None
-    return partition(parts)
+    tokens = [tok.strip() for tok in text.split(",")]
+    if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+        raise PartitionError(f"cannot parse partition {text!r}")
+    return partition(map(int, tokens))
 
 
 def _cache(args) -> ResultCache | None:
@@ -88,6 +90,8 @@ def _row_payload(row) -> dict:
 
 def render_table(table: GeneratorTable, fmt: str, case_id: str | None = None) -> str:
     if fmt == "json":
+        import json  # only this format needs it; keep it off every start-up
+
         payload = {
             "n": table.spec.n,
             "d": table.spec.d,

@@ -60,12 +60,6 @@ def _conjugate(lam: Partition) -> Partition:
 def schur_dimension(n: int, lam: Partition) -> int:
     """Dimension of the irreducible GL(n) (equivalently SL(n)) module of shape lam.
 
-    Hook content formula, taken column by column over the column heights
-    c_0 >= c_1 >= ... >= c_(k-1): column j contributes the contents
-    (n + j)! / (n + j - c_j)!, and with m_j = c_j + k - 1 - j the hook
-    lengths multiply to prod m_j! / prod_(i<j) (m_i - m_j) (Macdonald,
-    Symmetric Functions and Hall Polynomials, I.1).  Both sides carry
-    prod c_j!, which is cancelled: comb(n + j, c_j) over perm(m_j, k - 1 - j).
     Returns 0 when lam has more than n rows.
     """
     if n < 1:
@@ -73,7 +67,18 @@ def schur_dimension(n: int, lam: Partition) -> int:
     lam = partition(lam)
     if len(lam) > n:
         return 0
-    heights = _conjugate(lam)
+    return _column_dimension(n, _conjugate(lam))
+
+
+def _column_dimension(n: int, heights: Partition) -> int:
+    """Dimension from the column heights c_0 >= c_1 >= ... >= c_(k-1) <= n.
+
+    Hook content formula, taken column by column: column j contributes the
+    contents (n + j)! / (n + j - c_j)!, and with m_j = c_j + k - 1 - j the
+    hook lengths multiply to prod m_j! / prod_(i<j) (m_i - m_j) (Macdonald,
+    Symmetric Functions and Hall Polynomials, I.1).  Both sides carry
+    prod c_j!, which is cancelled: comb(n + j, c_j) over perm(m_j, k - 1 - j).
+    """
     k = len(heights)
     num = 1
     den = 1
@@ -88,7 +93,8 @@ def schur_dimension(n: int, lam: Partition) -> int:
     dim, rest = divmod(num, den)
     if rest:
         raise ArithmeticError(
-            f"hook content division is not exact for n={n} lam={lam}"
+            f"hook content division is not exact for n={n} "
+            f"lam={_conjugate(heights)}"
         )
     return dim
 

@@ -21,7 +21,7 @@ from schern.chern import (
     reduce_full_columns,
 )
 from schern.partitions import schur_dimension, ssyt_stream
-from schern.weights import dual_weight, partition_of
+from schern.weights import GroupSpec, dual_weight, hilbert_basis, partition_of
 
 partitions_small = st.lists(st.integers(1, 3), min_size=0, max_size=5).map(
     lambda xs: tuple(sorted(xs, reverse=True))
@@ -99,6 +99,23 @@ class TestCasimir:
         with pytest.raises(ValueError):
             casimir(2, (1, 1, 1))
 
+    @given(
+        st.integers(2, 50).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.integers(1, 7), max_size=n).map(
+                    lambda xs: tuple(sorted(xs, reverse=True))
+                ),
+            )
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_row_formula_for_up_to_seven_columns(self, case):
+        # (lam, lam + 2 rho) = sum lam_i (lam_i + n + 1 - 2i) - |lam|^2 / n
+        n, lam = case
+        rows = sum(p * (p + n + 1 - 2 * i) for i, p in enumerate(lam, start=1))
+        assert casimir(n, lam) == rows - Fraction(sum(lam) ** 2, n)
+
 
 class TestClosedForm:
     def test_reference_values(self):
@@ -143,8 +160,9 @@ class TestClosedForm:
         assert c2_closed_form(n, lam).n_lambda == rational
 
     def test_inexact_division_raises(self, monkeypatch):
-        monkeypatch.setattr(chern_mod, "schur_dimension",
-                            lambda n, lam: schur_dimension(n, lam) + 1)
+        real = chern_mod._column_dimension
+        monkeypatch.setattr(chern_mod, "_column_dimension",
+                            lambda n, heights: real(n, heights) + 1)
         with pytest.raises(ArithmeticError, match="non-integral index 5/4"):
             c2_closed_form(4, (1,))
 
@@ -223,6 +241,17 @@ class TestSubshape:
     def test_duality_invariance(self, n, lam):
         assume(len(lam) <= n)
         assert c2_subshape(n, dual_partition(n, lam)) == c2_subshape(n, lam)
+
+
+def test_subshape_matches_closed_form_on_every_conjecture_5_row():
+    # all 1,558 generators of SL(25)/mu_5: at most 5 columns, up to 24 rows
+    rows = [partition_of(w) for w in hilbert_basis(GroupSpec(25, 5))]
+    assert len(rows) == 1558
+    mismatched = [
+        lam for lam in rows
+        if c2_subshape(25, lam) != c2_closed_form(25, lam).n_lambda
+    ]
+    assert mismatched == []
 
 
 class TestTruncatedQuadratic:

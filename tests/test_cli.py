@@ -51,6 +51,24 @@ def test_parse_partition_rejects_garbage():
         parse_partition("1,2")
 
 
+def test_parse_partition_allows_spaces_and_empty_forms():
+    assert parse_partition(" 2, 1") == (2, 1)
+    assert parse_partition("()") == ()
+    assert parse_partition("2,0") == (2,)
+
+
+@pytest.mark.parametrize(
+    "text", ["1_0", "\uff12,1", "+2,1", "2,,1"],
+    ids=["underscore", "fullwidth-digit", "plus-sign", "empty-part"],
+)
+def test_dim_rejects_parts_that_are_not_ascii_digits(capsys, text):
+    # int() alone reads "1_0" as 10 and the fullwidth "\uff12" as 2
+    code, out, err = invoke(capsys, "dim", "8", text)
+    assert code == 2
+    assert out == ""
+    assert "cannot parse partition" in err
+
+
 # ----------------------------------------------------------------- c2 / dim
 
 def test_c2_prints_index(capsys):
@@ -486,9 +504,9 @@ def test_readme_configuration_table_lists_the_shared_flags():
 
 
 def test_c2_non_integral_closed_form_exits_1(capsys, monkeypatch):
-    real = chern_mod.schur_dimension
-    monkeypatch.setattr(chern_mod, "schur_dimension",
-                        lambda n, lam: real(n, lam) + 1)
+    real = chern_mod._column_dimension
+    monkeypatch.setattr(chern_mod, "_column_dimension",
+                        lambda n, heights: real(n, heights) + 1)
     code, out, err = invoke(capsys, "c2", "4", "1", "--no-cache")
     assert code == 1
     assert out == ""
@@ -525,6 +543,26 @@ def test_start_up_imports_no_unused_heavy_modules():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "4\n0 []\n"
+
+
+def test_text_and_uncached_commands_do_not_import_json():
+    # json is needed only by the cache file and --format json
+    script = (
+        "import sys\n"
+        "import schern.cli\n"
+        "codes = [schern.cli.run(['dim', '4', '1']),\n"
+        "         schern.cli.run(['conjecture', '3']),\n"
+        "         schern.cli.run(['image-index', '8', '2', '--no-cache'])]\n"
+        "print(codes, 'json' in sys.modules)\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False"
 
 
 def test_console_script_is_wired():

@@ -17,3 +17,46 @@ def test_package_source_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_perfbench_tracer_wraps_every_target_and_restores_it():
+    # The tracer looks each wrapped name up with getattr, so a rename in the
+    # package would break only a traced benchmark run; catch it here.
+    import importlib.util
+    import sys
+
+    import schern.cli  # noqa: F401  (loads every schern module)
+
+    path = SRC.parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+
+    functions = [(m, a) for m, a, _ in tracer.SPANS + tracer.COUNTERS]
+    missing = [f"{m}.{a}" for m, a in functions if not hasattr(sys.modules[m], a)]
+    methods = []
+    for cls_path, attr, _ in tracer.METHODS:
+        mod_name, cls_name = cls_path.rsplit(".", 1)
+        cls = getattr(sys.modules[mod_name], cls_name, None)
+        if cls is None or attr not in vars(cls):
+            missing.append(f"{cls_path}.{attr}")
+        else:
+            methods.append((cls, attr))
+    assert missing == []
+
+    modules = [m for k, m in sys.modules.items() if k.split(".")[0] == "schern"]
+    before = [(mod, dict(vars(mod))) for mod in modules]
+    originals = {(m, a): getattr(sys.modules[m], a) for m, a in functions}
+    original_methods = {(c, a): vars(c)[a] for c, a in methods}
+    t = tracer.Tracer()
+    t.install()
+    try:
+        assert all(getattr(sys.modules[m], a) is not f
+                   for (m, a), f in originals.items())
+        assert all(vars(c)[a] is not f for (c, a), f in original_methods.items())
+    finally:
+        t.uninstall()
+    for mod, names in before:
+        changed = [k for k, v in vars(mod).items() if names.get(k, v) is not v]
+        assert changed == [], mod.__name__
+    assert all(vars(c)[a] is f for (c, a), f in original_methods.items())
