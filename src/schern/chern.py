@@ -6,13 +6,14 @@ representation (first Chern classes vanish on SL(n)).  Three routes compute
 n_lam:
 
 * closed form: dimension times Casimir eigenvalue divided by n^2 - 1, both
-  taken from the column heights of lam (a generator has few columns and
-  many rows);
+  taken from one conjugation of lam (a generator has few columns and many
+  rows), the dimension over the shorter of rows and columns;
 * sub-shape sum: group the tableaux by the two-row sub-shape nu that their
   entries 1 and 2 fill, and count the fillings of lam/nu by entries 3..n
-  with the column (dual) Jacobi-Trudi determinant of elementary symmetric
-  functions (Macdonald, Symmetric Functions and Hall Polynomials, I.5),
-  whose size is the number of columns; it never touches the Casimir;
+  with a Jacobi-Trudi determinant (Macdonald, Symmetric Functions and Hall
+  Polynomials, I.5) over the shorter side of lam: the column (dual) form in
+  elementary symmetric functions for a generator, the row form in complete
+  ones for a wide shape; it never touches the Casimir;
 * enumeration: stream every semistandard tableau content and read off the
   quadratic part of the splitting-principle product modulo (x1+...+xn).
 
@@ -28,8 +29,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .partitions import (
     Partition,
-    _column_dimension,
     _conjugate,
+    _hook_dimension,
     partition,
     schur_dimension,
     ssyt_stream,
@@ -123,7 +124,7 @@ def c2_closed_form(n: int, lam: Partition) -> ChernResult:
     if not lam:
         return ChernResult(0, METHOD_CLOSED_FORM, False, 1)
     heights = _conjugate(lam)
-    dim = _column_dimension(n, heights)
+    dim = _hook_dimension(n, lam, heights)
     num, den = dim * _n_casimir(n, heights), n * (n * n - 1)
     value, rest = divmod(num, den)
     if rest:
@@ -157,42 +158,58 @@ def _bareiss_determinant(a: list[list[int]]) -> int:
     return sign * a[-1][-1] if size else 1
 
 
+def _skew_count(outer: Partition, inner: tuple[int, ...], entry: list[int]) -> int:
+    """Jacobi-Trudi determinant det[entry(outer_i - inner_j - i + j)] over
+    len(outer) x len(outer), with inner padded by zeros and entry(k) = 0
+    outside 0 <= k < len(entry)."""
+    size = len(outer)
+    inner = inner + (0,) * (size - len(inner))
+    top = len(entry)
+    return _bareiss_determinant([
+        [entry[k] if 0 <= (k := outer[i] - inner[j] - i + j) < top else 0
+         for j in range(size)]
+        for i in range(size)
+    ])
+
+
 def c2_subshape(n: int, lam: Partition) -> int:
     """n_lam summed over the sub-shape nu that the entries 1 and 2 fill.
 
     The streaming sum over tableau contents, sum of m1 * (m1 - m2), depends
     only on the tableau's {1, 2} part: an SSYT of a shape nu within lam with
-    at most two rows and m1 ones in nu2..nu1.  The entries 3..n fill lam/nu
-    in s_{lam/nu}(1^(n-2)) ways, the column (dual) Jacobi-Trudi determinant
+    at most two rows and m1 ones, one for each m1 in nu2..nu1.  Their terms
+    m1 * (2 * m1 - nu1 - nu2) sum to C(nu1 - nu2 + 2, 3), which is zero when
+    nu1 = nu2.  The entries 3..n fill lam/nu in s_{lam/nu}(1^(n-2)) ways, a
+    Jacobi-Trudi determinant (Macdonald, Symmetric Functions and Hall
+    Polynomials, I.5) over the shorter side of lam.  When lam has at most as
+    many columns as rows, that is the column (dual) form
     det[e(lam'_i - nu'_j - i + j)] over lam_1 x lam_1, with
-    nu' = (2^nu2, 1^(nu1 - nu2)) and e(k) = e_k(1^(n-2)) = C(n - 2, k)
-    (Macdonald, Symmetric Functions and Hall Polynomials, I.5).  Exact
-    integer arithmetic throughout; neither the Casimir nor the tableaux are
-    used.
+    nu' = (2^nu2, 1^(nu1 - nu2)) and e(k) = e_k(1^(n-2)) = C(n - 2, k);
+    otherwise the row form det[h(lam_i - nu_j - i + j)] over
+    len(lam) x len(lam), with h(k) = h_k(1^(n-2)) = C(n - 3 + k, k).  A
+    generator has few columns and a symmetric power one row, so both stay
+    small.  Exact integer arithmetic throughout; neither the Casimir nor the
+    tableaux are used.
     """
     lam = reduce_full_columns(n, lam)
     if not lam:
         return 0
     heights = _conjugate(lam)
-    cols = len(heights)
     m = n - 2
-    # e[k] = e_k(1^m) = C(m, k); e_0 = 1 also when m = 0, and e_k = 0 past m
-    e = [math.comb(m, k) for k in range(m + 1)]
+    by_columns = len(heights) <= len(lam)
+    if by_columns:
+        # e_k(1^m) = C(m, k); e_0 = 1 also when m = 0, and e_k = 0 past m
+        outer, entry = heights, [math.comb(m, k) for k in range(m + 1)]
+    else:
+        # h_k(1^m) = C(m + k - 1, k); h_0 = 1 also when m = 0
+        top = lam[0] + len(lam)
+        outer, entry = lam, [1] + [math.comb(m + k - 1, k) for k in range(1, top)]
     lam2 = lam[1] if len(lam) > 1 else 0
     total = 0
-    for nu1 in range(cols + 1):
-        for nu2 in range(min(nu1, lam2) + 1):
-            size = nu1 + nu2
-            weight = sum(m1 * (2 * m1 - size) for m1 in range(nu2, nu1 + 1))
-            if not weight:
-                continue
-            nu_t = [2] * nu2 + [1] * (nu1 - nu2) + [0] * (cols - nu1)
-            skew = [
-                [e[k] if 0 <= (k := heights[i] - nu_t[j] - i + j) <= m else 0
-                 for j in range(cols)]
-                for i in range(cols)
-            ]
-            total += weight * _bareiss_determinant(skew)
+    for nu1 in range(1, lam[0] + 1):
+        for nu2 in range(min(nu1 - 1, lam2) + 1):  # nu2 = nu1 weighs 0
+            inner = (2,) * nu2 + (1,) * (nu1 - nu2) if by_columns else (nu1, nu2)
+            total += math.comb(nu1 - nu2 + 2, 3) * _skew_count(outer, inner, entry)
     return total
 
 

@@ -67,24 +67,32 @@ def schur_dimension(n: int, lam: Partition) -> int:
     lam = partition(lam)
     if len(lam) > n:
         return 0
-    return _column_dimension(n, _conjugate(lam))
+    return _hook_dimension(n, lam, _conjugate(lam))
 
 
-def _column_dimension(n: int, heights: Partition) -> int:
-    """Dimension from the column heights c_0 >= c_1 >= ... >= c_(k-1) <= n.
+def _hook_dimension(n: int, lam: Partition, heights: Partition) -> int:
+    """Dimension from the rows lam and the column heights of one shape with
+    at most n rows, taken over whichever of the two is shorter.
 
-    Hook content formula, taken column by column: column j contributes the
-    contents (n + j)! / (n + j - c_j)!, and with m_j = c_j + k - 1 - j the
-    hook lengths multiply to prod m_j! / prod_(i<j) (m_i - m_j) (Macdonald,
-    Symmetric Functions and Hall Polynomials, I.1).  Both sides carry
-    prod c_j!, which is cancelled: comb(n + j, c_j) over perm(m_j, k - 1 - j).
+    Hook content formula, line by line over the lines l_0 >= ... >= l_(k-1):
+    column j contributes the contents (n + j)! / (n + j - l_j)!, row j the
+    contents (n - 1 - j + l_j)! / (n - 1 - j)!, and with
+    m_j = l_j + k - 1 - j the hook lengths multiply to
+    prod m_j! / prod_(i<j) (m_i - m_j) in either case, as lam and its
+    conjugate have the same hooks (Macdonald, Symmetric Functions and Hall
+    Polynomials, I.1).  Both sides carry prod l_j!, which is cancelled:
+    comb(n + j, l_j) or comb(n - 1 - j + l_j, l_j) over perm(m_j, k - 1 - j).
+    The intermediate products grow with the square of k, so a generator's
+    few columns and a symmetric power's one row are both cheap.
     """
-    k = len(heights)
+    by_columns = len(heights) <= len(lam)
+    lines = heights if by_columns else lam
+    k = len(lines)
     num = 1
     den = 1
     ms = []
-    for j, c in enumerate(heights):
-        num *= math.comb(n + j, c)
+    for j, c in enumerate(lines):
+        num *= math.comb(n + j if by_columns else n - 1 - j + c, c)
         m = c + k - 1 - j
         den *= math.perm(m, k - 1 - j)
         for prev in ms:
@@ -93,8 +101,7 @@ def _column_dimension(n: int, heights: Partition) -> int:
     dim, rest = divmod(num, den)
     if rest:
         raise ArithmeticError(
-            f"hook content division is not exact for n={n} "
-            f"lam={_conjugate(heights)}"
+            f"hook content division is not exact for n={n} lam={lam}"
         )
     return dim
 

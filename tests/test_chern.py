@@ -160,9 +160,9 @@ class TestClosedForm:
         assert c2_closed_form(n, lam).n_lambda == rational
 
     def test_inexact_division_raises(self, monkeypatch):
-        real = chern_mod._column_dimension
-        monkeypatch.setattr(chern_mod, "_column_dimension",
-                            lambda n, heights: real(n, heights) + 1)
+        real = chern_mod._hook_dimension
+        monkeypatch.setattr(chern_mod, "_hook_dimension",
+                            lambda n, lam, heights: real(n, lam, heights) + 1)
         with pytest.raises(ArithmeticError, match="non-integral index 5/4"):
             c2_closed_form(4, (1,))
 
@@ -241,6 +241,30 @@ class TestSubshape:
     def test_duality_invariance(self, n, lam):
         assume(len(lam) <= n)
         assert c2_subshape(n, dual_partition(n, lam)) == c2_subshape(n, lam)
+
+    @pytest.mark.parametrize("n, lam", [
+        (2, (5000,)), (3, (300,)), (4, (60, 30)), (12, (40, 40, 3)),
+        (30, (1,) * 29), (25, (5, 4, 4, 3, 3, 2, 2, 1, 1, 1, 1, 1)),
+    ])
+    def test_determinants_run_over_the_shorter_side(self, monkeypatch, n, lam):
+        # a one-row shape has one row and lam_1 columns: 1 x 1 determinants
+        sizes = []
+        real = chern_mod._bareiss_determinant
+
+        def spy(a):
+            sizes.append(len(a))
+            return real(a)
+
+        monkeypatch.setattr(chern_mod, "_bareiss_determinant", spy)
+        assert c2_subshape(n, lam) == c2_closed_form(n, lam).n_lambda
+        assert sizes and max(sizes) <= min(lam[0], len(lam))
+
+    def test_wide_shapes_are_cross_checked(self):
+        # dimensions 5001 and 45451, under the default ceiling
+        for n, lam in [(2, (5000,)), (3, (300,))]:
+            res = c2(n, lam)
+            assert res.cross_checked
+            assert res.dim == math.comb(n + lam[0] - 1, lam[0])
 
 
 def test_subshape_matches_closed_form_on_every_conjecture_5_row():

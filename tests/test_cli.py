@@ -504,9 +504,9 @@ def test_readme_configuration_table_lists_the_shared_flags():
 
 
 def test_c2_non_integral_closed_form_exits_1(capsys, monkeypatch):
-    real = chern_mod._column_dimension
-    monkeypatch.setattr(chern_mod, "_column_dimension",
-                        lambda n, heights: real(n, heights) + 1)
+    real = chern_mod._hook_dimension
+    monkeypatch.setattr(chern_mod, "_hook_dimension",
+                        lambda n, lam, heights: real(n, lam, heights) + 1)
     code, out, err = invoke(capsys, "c2", "4", "1", "--no-cache")
     assert code == 1
     assert out == ""

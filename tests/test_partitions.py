@@ -216,6 +216,12 @@ class TestSchurDimension:
         with pytest.raises(ArithmeticError, match="not exact"):
             schur_dimension(4, (2, 1))
 
+    def test_symmetric_power_dimensions(self):
+        # one row, many columns: the hook product runs over the one row
+        for n in (2, 3, 9):
+            for k in (1, 300, 5000):
+                assert schur_dimension(n, (k,)) == math.comb(n + k - 1, k)
+
     def test_exterior_power_dimensions(self):
         for n in range(2, 9):
             for k in range(1, n + 1):
