@@ -22,13 +22,14 @@ def odd_primes(limit):
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-ell", type=int, default=5,
-                    help="largest prime to try (default 5; 7 takes about 2.5 s)")
+                    help="largest prime to try (default 5; 7, the largest "
+                    "accepted, takes about 2.5 s)")
     args = ap.parse_args()
 
     all_match = True
     for ell in odd_primes(args.max_ell):
         t0 = time.perf_counter()
-        rep = explore_conjecture(ell, max_ell=args.max_ell)
+        rep = explore_conjecture(ell)
         dt = time.perf_counter() - t0
         all_match &= rep.matches_ell
         print(

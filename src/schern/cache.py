@@ -21,12 +21,12 @@ def _key(n: int, d: int | None, lam: Partition) -> CacheKey:
     return (n, d, tuple(lam))
 
 
-def _decode(line: str) -> tuple[CacheKey, dict] | None:
+def _decode(line: bytes) -> tuple[CacheKey, dict] | None:
     import json  # only a cache file needs it; keep it off every start-up
 
     try:
-        rec = json.loads(line)
-    except json.JSONDecodeError:
+        rec = json.loads(line.decode())
+    except ValueError:  # not UTF-8, or not JSON
         return None
     if not isinstance(rec, dict) or rec.get("version") != __version__:
         return None
@@ -59,7 +59,7 @@ class ResultCache:
         self.verify = verify
         self._data: dict[CacheKey, dict] = {}
         if path.exists():
-            for line in path.read_text().splitlines():
+            for line in path.read_bytes().splitlines():
                 if decoded := _decode(line):
                     self._data[decoded[0]] = decoded[1]
 
@@ -80,12 +80,13 @@ class ResultCache:
         )
 
     def record(self, n: int, d: int | None, lam: Partition, res: ChernResult) -> None:
-        """Append a freshly computed result unless the file already holds it."""
+        """Append a freshly computed result unless the file already holds it
+        by the same route."""
         old = self.get(n, d, lam)
-        if old is None:
-            self.put(n, d, lam, res)
-        elif old["n_lambda"] != res.n_lambda:
+        if old is not None and old["n_lambda"] != res.n_lambda:
             raise StaleCacheError(n, d, lam, old["n_lambda"], res.n_lambda)
+        if old is None or old["method"] != res.method:
+            self.put(n, d, lam, res)
 
     def put(self, n: int, d: int | None, lam: Partition, res: ChernResult) -> None:
         rec = {

@@ -1,15 +1,15 @@
 """Command-line front end.
 
-The parsed arguments are the only settings object: each shared flag takes
-its default from a SCHERN_* variable (SCHERN_MAX_ELL is read by the
-conjecture command).  Only default-mode c2 and table rows go through the
-result cache, via tables.cached_c2; dim and --method runs never touch it.
+The parsed flags are the only settings; the environment supplies nothing
+but the default cache location under XDG_CACHE_HOME.  Only default-mode
+c2 and table rows go through the result cache, via tables.cached_c2; dim
+and --method runs never touch it.
 
 Exit codes: 0 success, 1 an arithmetic invariant failed (verify found an
 index that is not a multiple of the H^4 generator, or the closed form or
 the hook-content dimension did not divide exactly), 2 bad arguments or
 violated preconditions (unknown case, ceiling exceeded, malformed
-partition or SCHERN_* variable), 3 a consistency check failed (method
+partition, unusable cache path), 3 a consistency check failed (method
 cross-check, a table row whose cross-check failed, or --verify-cache
 disagreement).
 """
@@ -196,12 +196,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
-    raw = os.environ.get("SCHERN_MAX_ELL") or "7"
-    try:
-        max_ell = int(raw)
-    except ValueError:
-        raise ValueError(f"SCHERN_MAX_ELL is not an integer: {raw!r}") from None
-    rep = explore_conjecture(args.ell, max_ell=max_ell)
+    rep = explore_conjecture(args.ell)
     yn = {True: "yes", False: "no"}
     print(f"ell: {rep.ell}")
     print(f"group: SL({rep.spec.n})/mu_{rep.spec.d}")
@@ -215,34 +210,19 @@ def _cmd_conjecture(args) -> int:
 
 # ------------------------------------------------------------------ parser
 
-def _env_switch(name: str) -> bool:
-    """An on/off SCHERN_* variable: 1/true/yes/on or empty/0/false/no/off."""
-    raw = os.environ.get(name, "")
-    if raw.lower() not in ("1", "true", "yes", "on", "", "0", "false", "no", "off"):
-        raise ValueError(f"{name} is neither on nor off: {raw!r}")
-    return raw.lower() in ("1", "true", "yes", "on")
-
-
 def build_parser() -> argparse.ArgumentParser:
-    # A flag beats its SCHERN_* variable, which beats the default.  argparse
-    # runs a string default through `type`, and _env_switch raises ValueError,
-    # so a malformed variable exits 2 like a malformed flag.
-    env = os.environ
-    xdg = Path(env.get("XDG_CACHE_HOME") or "~/.cache").expanduser()
+    xdg = Path(os.environ.get("XDG_CACHE_HOME") or "~/.cache").expanduser()
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--ceiling", type=int, metavar="N",
-                        default=env.get("SCHERN_ENUM_CEILING")
-                        or DEFAULT_ENUMERATION_CEILING,
+                        default=DEFAULT_ENUMERATION_CEILING,
                         help="dimension bound for the cross-check and for "
                         "enumeration")
     common.add_argument("--cache", type=Path, metavar="PATH",
-                        default=env.get("SCHERN_CACHE")
-                        or xdg / "schern" / "results.jsonl",
+                        default=xdg / "schern" / "results.jsonl",
                         help="cache file location")
     common.add_argument("--no-cache", action="store_true",
                         help="skip the cache entirely")
     common.add_argument("--verify-cache", action="store_true",
-                        default=_env_switch("SCHERN_VERIFY_CACHE"),
                         help="recompute cached rows; disagreement exits 3")
 
     p = argparse.ArgumentParser(
@@ -307,7 +287,7 @@ def run(argv: list[str] | None = None) -> int:
     except (CrossCheckError, StaleCacheError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (PartitionError, EnumerationCeilingError, ValueError) as exc:
+    except (PartitionError, EnumerationCeilingError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

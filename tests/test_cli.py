@@ -22,11 +22,8 @@ from schern.partitions import PartitionError
 
 @pytest.fixture(autouse=True)
 def isolated_env(tmp_path, monkeypatch):
-    """Keep CLI runs away from the user's real cache and env knobs."""
+    """Keep CLI runs away from the user's real cache."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
-    for var in ("SCHERN_ENUM_CEILING", "SCHERN_MAX_ELL", "SCHERN_CACHE",
-                "SCHERN_VERIFY_CACHE"):
-        monkeypatch.delenv(var, raising=False)
 
 
 def invoke(capsys, *argv):
@@ -109,39 +106,18 @@ def test_c2_ceiling_flag_overrides(capsys):
     assert out == "116424\n"
 
 
-def test_c2_env_ceiling(capsys, monkeypatch):
+def test_settings_come_from_the_command_line_only(capsys, monkeypatch, tmp_path):
+    # the package reads no SCHERN_* variable, so none of these, malformed or
+    # not, changes a result or the cache path
+    ignored = tmp_path / "x.jsonl"
     monkeypatch.setenv("SCHERN_ENUM_CEILING", "5")  # dim of (1,1) at n=4 is 6
-    code, _, _ = invoke(capsys, "c2", "4", "1,1", "--method", "both", "--no-cache")
-    assert code == 2
-    # flag beats env
-    code, out, _ = invoke(
-        capsys, "c2", "4", "1,1", "--method", "both", "--ceiling", "100",
-        "--no-cache",
-    )
-    assert code == 0 and out == "2\n"
-
-
-@pytest.mark.parametrize("var,value,argv", [
-    ("SCHERN_ENUM_CEILING", "abc", ("c2", "4", "1,1")),
-    ("SCHERN_MAX_ELL", "x", ("conjecture", "3")),
-    ("SCHERN_VERIFY_CACHE", "maybe", ("c2", "4", "1,1")),
-])
-def test_malformed_env_setting_exits_2(capsys, monkeypatch, var, value, argv):
-    monkeypatch.setenv(var, value)
-    code, out, err = invoke(capsys, *argv, "--no-cache")
-    assert code == 2
-    assert out == ""
-    assert repr(value) in err and "Traceback" not in err
-
-
-@pytest.mark.parametrize("value,on", [
-    ("1", True), ("true", True), ("True", True), ("yes", True), ("ON", True),
-    ("", False), ("0", False), ("false", False), ("False", False),
-    ("no", False), ("off", False), ("OFF", False),
-])
-def test_verify_cache_env_spellings(monkeypatch, value, on):
-    monkeypatch.setenv("SCHERN_VERIFY_CACHE", value)
-    assert build_parser().parse_args(["dim", "4", "1"]).verify_cache is on
+    monkeypatch.setenv("SCHERN_MAX_ELL", "3")
+    monkeypatch.setenv("SCHERN_CACHE", str(ignored))
+    monkeypatch.setenv("SCHERN_VERIFY_CACHE", "maybe")
+    assert invoke(capsys, "c2", "4", "1,1", "--method", "both")[:2] == (0, "2\n")
+    assert invoke(capsys, "conjecture", "5")[0] == 0
+    assert invoke(capsys, "c2", "4", "1,1")[:2] == (0, "2\n")
+    assert not ignored.exists()
 
 
 def test_dim(capsys):
@@ -312,10 +288,11 @@ def test_conjecture_rejects_non_odd_prime(capsys, ell):
     assert "odd prime" in err
 
 
-def test_conjecture_env_max_ell(capsys, monkeypatch):
-    monkeypatch.setenv("SCHERN_MAX_ELL", "3")
-    code, _, err = invoke(capsys, "conjecture", "5", "--no-cache")
+def test_conjecture_above_ceiling_exits_2(capsys):
+    # ell = 11 has 83,907,107 generators; refuse before building any
+    code, out, err = invoke(capsys, "conjecture", "11")
     assert code == 2
+    assert out == ""
     assert "ceiling" in err
 
 
@@ -419,6 +396,42 @@ def test_corrupt_cache_lines_skipped(capsys, tmp_path):
     code, out, _ = invoke(capsys, "c2", "8", "2,2,2", "--cache", str(cache))
     assert code == 0
     assert out == "700\n"
+
+
+def test_non_utf8_cache_line_skipped(capsys, tmp_path):
+    cache = tmp_path / "c.jsonl"
+    rec = {
+        "n": 8, "d": None, "partition": [2, 2, 2], "n_lambda": 12345,
+        "dim": 2352, "method": "both", "version": __version__,
+    }
+    cache.write_bytes(b"\xff\n" + json.dumps(rec, sort_keys=True).encode() + b"\n")
+    code, out, _ = invoke(capsys, "c2", "8", "2,2,2", "--cache", str(cache))
+    assert code == 0
+    assert out == "12345\n"  # the valid record after the bad line is served
+
+
+@pytest.mark.parametrize("where", ["directory", "under-a-file"])
+def test_unusable_cache_path_exits_2(capsys, tmp_path, where):
+    (tmp_path / "file").write_text("")
+    cache = tmp_path if where == "directory" else tmp_path / "file" / "c.jsonl"
+    code, out, err = invoke(capsys, "c2", "8", "2,2,2", "--cache", str(cache))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("ceiling", ["0", "200000"])
+def test_cache_hit_from_another_ceiling_is_recomputed(capsys, tmp_path, ceiling):
+    # 27 of the 31 rows lie below the default ceiling and are cross-checked;
+    # a record warmed under another ceiling must not change that
+    cache = tmp_path / "c.jsonl"
+    argv = ("generators", "9", "3", "--format", "json")
+    clean = invoke(capsys, *argv, "--no-cache")
+    assert clean[1].count('"cross_checked": true') == 27
+    invoke(capsys, "image-index", "9", "3", "--cache", str(cache),
+           "--ceiling", ceiling)
+    assert invoke(capsys, *argv, "--cache", str(cache)) == clean
+    assert invoke(capsys, *argv, "--cache", str(cache)) == clean
 
 
 @pytest.mark.parametrize("field,value,d", [

@@ -115,7 +115,7 @@ class TestGeneratorTable:
         # a cache hit stands in for c2; every other row is appended
         spec = GroupSpec(4, 2)
         path = tmp_path / "c.jsonl"
-        canned = ChernResult(999, "closed-form", False, 1)
+        canned = ChernResult(999, "both", True, 1)
         ResultCache(path).put(4, 2, (1, 1), canned)
 
         t = generator_table(spec, cache=ResultCache(path))
@@ -311,4 +311,4 @@ class TestExploreConjecture:
 
     def test_rejects_above_ceiling(self):
         with pytest.raises(ValueError):
-            explore_conjecture(7, max_ell=5)
+            explore_conjecture(11)
