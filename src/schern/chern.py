@@ -5,9 +5,9 @@ integer multiple n_lam of the second Chern class of the defining
 representation (first Chern classes vanish on SL(n)).  Three routes compute
 n_lam:
 
-* closed form: dimension times Casimir eigenvalue divided by n^2 - 1, both
-  taken from one conjugation of lam (a generator has few columns and many
-  rows), the dimension over the shorter of rows and columns;
+* closed form: dimension times Casimir eigenvalue divided by n^2 - 1, from
+  column heights that a generator row takes from the basis search (at most
+  d, by the Davenport bound) and another shape from one conjugation of lam;
 * sub-shape sum: group the tableaux by the two-row sub-shape nu that their
   entries 1 and 2 fill, and count the fillings of lam/nu by entries 3..n
   with a Jacobi-Trudi determinant (Macdonald, Symmetric Functions and Hall
@@ -125,15 +125,21 @@ def c2_closed_form(n: int, lam: Partition) -> ChernResult:
         return ChernResult(0, METHOD_CLOSED_FORM, False, 1)
     heights = _conjugate(lam)
     dim = _hook_dimension(n, lam, heights)
+    return ChernResult(_closed_form_index(n, heights, dim),
+                       METHOD_CLOSED_FORM, False, dim)
+
+
+def _closed_form_index(n: int, heights: Partition, dim: int) -> int:
+    """n_lam of the nonempty shape with these column heights (each < n)."""
     num, den = dim * _n_casimir(n, heights), n * (n * n - 1)
     value, rest = divmod(num, den)
     if rest:
         g = math.gcd(num, den)
         raise ArithmeticError(
-            f"non-integral index {num // g}/{den // g} for n={n} lam={lam}; "
-            "formula misapplied"
+            f"non-integral index {num // g}/{den // g} for n={n} "
+            f"lam={_conjugate(heights)}; formula misapplied"
         )
-    return ChernResult(value, METHOD_CLOSED_FORM, False, dim)
+    return value
 
 
 def _bareiss_determinant(a: list[list[int]]) -> int:

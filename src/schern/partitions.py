@@ -71,8 +71,13 @@ def schur_dimension(n: int, lam: Partition) -> int:
 
 
 def _hook_dimension(n: int, lam: Partition, heights: Partition) -> int:
-    """Dimension from the rows lam and the column heights of one shape with
-    at most n rows, taken over whichever of the two is shorter.
+    """Dimension over the shorter of the rows lam and their column heights."""
+    by_columns = len(heights) <= len(lam)
+    return _line_dimension(n, heights if by_columns else lam, by_columns)
+
+
+def _line_dimension(n: int, lines: Partition, by_columns: bool) -> int:
+    """Dimension of the shape with columns (by_columns) or rows ``lines``.
 
     Hook content formula, line by line over the lines l_0 >= ... >= l_(k-1):
     column j contributes the contents (n + j)! / (n + j - l_j)!, row j the
@@ -85,8 +90,6 @@ def _hook_dimension(n: int, lam: Partition, heights: Partition) -> int:
     The intermediate products grow with the square of k, so a generator's
     few columns and a symmetric power's one row are both cheap.
     """
-    by_columns = len(heights) <= len(lam)
-    lines = heights if by_columns else lam
     k = len(lines)
     num = 1
     den = 1
@@ -100,6 +103,7 @@ def _hook_dimension(n: int, lam: Partition, heights: Partition) -> int:
         ms.append(m)
     dim, rest = divmod(num, den)
     if rest:
+        lam = _conjugate(lines) if by_columns else lines
         raise ArithmeticError(
             f"hook content division is not exact for n={n} lam={lam}"
         )

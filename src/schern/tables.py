@@ -12,7 +12,7 @@ either side.
 """
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterable, NamedTuple
 
 from .cache import ResultCache
@@ -20,13 +20,14 @@ from .chern import (
     DEFAULT_ENUMERATION_CEILING,
     ChernResult,
     CrossCheckError,
+    _closed_form_index,
     c2,
 )
-from .partitions import Partition
+from .partitions import Partition, _line_dimension
 from .weights import (
     GroupSpec,
     Weight,
-    dual_weight,
+    generator_heights,
     hilbert_basis,
     partition_of,
 )
@@ -217,7 +218,6 @@ def cached_c2(
 def _compute_table(
     spec: GroupSpec,
     weights: Iterable[Weight],
-    method: str,
     ceiling: int,
     cache: ResultCache | None,
 ) -> GeneratorTable:
@@ -227,7 +227,7 @@ def _compute_table(
     for w in weights:
         lam = partition_of(w)
         try:
-            res = cached_c2(spec.n, spec.d, lam, method, ceiling, cache)
+            res = cached_c2(spec.n, spec.d, lam, "auto", ceiling, cache)
         except CrossCheckError as exc:
             rows.append(TableRow(w, lam, None, False, False,
                                  printed.get(w), error=exc))
@@ -243,7 +243,6 @@ def _compute_table(
 
 def generator_table(
     spec: GroupSpec,
-    method: str = "auto",
     ceiling: int = DEFAULT_ENUMERATION_CEILING,
     cache: ResultCache | None = None,
 ) -> GeneratorTable:
@@ -254,7 +253,7 @@ def generator_table(
     the row (error set, index None) without aborting the table.  Each row
     goes through :func:`cached_c2`.
     """
-    return _compute_table(spec, hilbert_basis(spec), method, ceiling, cache)
+    return _compute_table(spec, hilbert_basis(spec), ceiling, cache)
 
 
 def table_against_reference(
@@ -273,7 +272,7 @@ def table_against_reference(
         )
     ref = REFERENCE_TABLES[case_id]
     return _compute_table(
-        ref.spec, [w for w, _, _ in ref.rows], "auto", ceiling, cache
+        ref.spec, [w for w, _, _ in ref.rows], ceiling, cache
     )
 
 
@@ -328,23 +327,17 @@ def explore_conjecture(ell: int) -> ConjectureReport:
     the relevant quotients are already settled, and composite ell is outside
     the pattern probed.
     """
-    if ell == 2 or ell < 2 or any(ell % p == 0 for p in range(2, ell)):
+    if ell == 2 or ell < 2 or any(ell % p == 0 for p in range(2, isqrt(ell) + 1)):
         raise ValueError(f"ell must be an odd prime, got {ell}")
     if ell > MAX_CONJECTURE_ELL:
         raise ValueError(f"ell={ell} exceeds the ceiling {MAX_CONJECTURE_ELL}")
     spec = GroupSpec(ell * ell, ell)
-    table = generator_table(spec, method="closed-form")
-    index_of = {r.weight: r.n_lambda for r in table.rows}  # duals are rows
-    duality_ok = all(
-        index_of.get(dual_weight(r.weight)) == r.n_lambda
-        for r in table.rows
-    )
-    return ConjectureReport(
-        ell=ell,
-        spec=spec,
-        basis_size=len(table.rows),
-        image_index=table.gcd,
-        matches_ell=table.gcd == ell,
-        all_rows_divisible=all(r.n_lambda % ell == 0 for r in table.rows),
-        duality_invariant=duality_ok,
-    )
+    n = spec.n
+    heights = generator_heights(spec)
+    values = [_closed_form_index(n, h, _line_dimension(n, h, True)) for h in heights]
+    index_of = dict(zip(heights, values))  # duals, n - h reversed, are too
+    duality_ok = all(index_of.get(tuple(n - c for c in reversed(h))) == v
+                     for h, v in zip(heights, values))
+    g = running_gcd(values)
+    divisible = all(v % ell == 0 for v in values)
+    return ConjectureReport(ell, spec, len(heights), g, g == ell, divisible, duality_ok)

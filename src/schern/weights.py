@@ -120,8 +120,8 @@ def is_monoid_irreducible(w: Weight, d: int) -> bool:
     return True
 
 
-def hilbert_basis(spec: GroupSpec) -> tuple[Weight, ...]:
-    """Minimal generating set of the descending dominant weights, lex sorted.
+def generator_heights(spec: GroupSpec) -> list[Partition]:
+    """Column heights, tallest first, of each minimal generator's partition.
 
     With a_i tokens i of residue i mod d, a generator is a minimal zero-sum
     sequence over Z/d, and T is one exactly when T = S.g with S zero-sum-free
@@ -129,25 +129,35 @@ def hilbert_basis(spec: GroupSpec) -> tuple[Weight, ...]:
     Factorizations*, ch. 5).  S grows in non-decreasing label order with its
     subsequence sums as a d-bit mask, pruned once 0 is a sum, and is closed by
     each label g >= max(S) of residue -sigma(S), so T arises once: g = max(T).
+    Token i is a column of height i: T from g down is the column form of
+    partition_of(w), short since T has at most d tokens (Davenport bound).
     """
     n, d = spec.n, spec.d
     full = (1 << d) - 1
-    counts = [0] * (n - 1)
     out = []
 
-    def grow(lo: int, total: int, sums: int) -> None:
+    def grow(lo: int, total: int, sums: int, below: Partition) -> None:
         for g in range(lo + (-total - lo) % d, n, d):
-            counts[g - 1] += 1
-            out.append(tuple(counts))
-            counts[g - 1] -= 1
+            out.append((g,) + below)
         for i in range(lo, n):
             r = i % d
             grown = sums | ((sums << r | sums >> (d - r)) & full) | 1 << r
             if grown & 1:  # a zero-sum subsequence; residue-0 tokens end here
                 continue
-            counts[i - 1] += 1
-            grow(i, total + r, grown)
-            counts[i - 1] -= 1
+            grow(i, total + r, grown, (i,) + below)
 
-    grow(1, 0, 0)
+    grow(1, 0, 0, ())
+    return out
+
+
+def hilbert_basis(spec: GroupSpec) -> tuple[Weight, ...]:
+    """Minimal generating set of the descending dominant weights, lex sorted;
+    a_i counts the height-i columns of a :func:`generator_heights` entry, the
+    column form that generator rows run in, as it has at most d columns."""
+    out = []
+    for heights in generator_heights(spec):
+        counts = [0] * (spec.n - 1)
+        for c in heights:
+            counts[c - 1] += 1
+        out.append(tuple(counts))
     return tuple(sorted(out))

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -281,7 +282,41 @@ def test_conjecture_3(capsys):
     assert "duality invariant: yes" in out
 
 
-@pytest.mark.parametrize("ell", ["2", "4", "9"])
+def test_conjecture_7(capsys):
+    code, out, _ = invoke(capsys, "conjecture", "7")
+    assert code == 0
+    assert out == (
+        "ell: 7\n"
+        "group: SL(49)/mu_7\n"
+        "generators: 66407\n"
+        "image index: 7\n"
+        "index equals ell: yes\n"
+        "all rows divisible by ell: yes\n"
+        "duality invariant: yes\n"
+    )
+
+
+@pytest.mark.parametrize("module,name,value,message", [
+    # the closed form's division, on the first row the search yields
+    (chern_mod, "_n_casimir",
+     lambda n, heights, real=chern_mod._n_casimir: real(n, heights) + 1,
+     "non-integral index 1267/60 for n=9 lam=(1, 1, 1); formula misapplied"),
+    # the hook content division over that row's one column of height 3
+    (partitions_mod, "math",
+     SimpleNamespace(comb=lambda a, b: 1, perm=lambda a, b: 2),
+     "hook content division is not exact for n=9 lam=(1, 1, 1)"),
+], ids=["closed-form", "hook-content"])
+def test_conjecture_inexact_division_on_a_generator_row_exits_1(
+    capsys, monkeypatch, module, name, value, message
+):
+    monkeypatch.setattr(module, name, value)
+    code, out, err = invoke(capsys, "conjecture", "3")
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("ell", ["2", "4", "9", "15"])
 def test_conjecture_rejects_non_odd_prime(capsys, ell):
     code, _, err = invoke(capsys, "conjecture", ell, "--no-cache")
     assert code == 2
@@ -294,6 +329,16 @@ def test_conjecture_above_ceiling_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "ceiling" in err
+
+
+def test_conjecture_large_prime_exits_2_at_once(capsys):
+    # the odd-prime test trial-divides only up to isqrt(ell)
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "conjecture", "100000007")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert "exceeds the ceiling 7" in err
 
 
 # ------------------------------------------------------------- determinism

@@ -58,3 +58,10 @@ def test_conjecture_scan_reaches_ell_5():
         "divisible=yes  dual-invariant=yes  ("
     )
     assert lines[2] == "index equals ell for every prime tried"
+
+
+def test_conjecture_scan_rejects_max_ell_above_the_ceiling():
+    proc = run_script("conjecture_scan.py", "--max-ell", "11")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--max-ell 11 exceeds the ceiling 7" in proc.stderr

@@ -6,7 +6,6 @@ import sys
 
 import pytest
 
-import schern.chern as chern_mod
 import schern.partitions as partitions_mod
 import schern.tables as tables_mod
 from monoid_oracle import monoid_members_up_to
@@ -22,7 +21,13 @@ from schern.tables import (
     table_against_reference,
     verify_case,
 )
-from schern.weights import GroupSpec, descends, hilbert_basis, partition_of
+from schern.weights import (
+    GroupSpec,
+    descends,
+    dual_weight,
+    hilbert_basis,
+    partition_of,
+)
 
 
 class TestReferenceData:
@@ -124,37 +129,6 @@ class TestGeneratorTable:
         seen = [json.loads(line) for line in path.read_text().splitlines()[1:]]
         assert [1, 1] not in [rec["partition"] for rec in seen]
         assert len(seen) == len(t.rows) - 1
-
-    @pytest.mark.parametrize("run", [
-        lambda: len(generator_table(GroupSpec(25, 5), "closed-form").rows),
-        lambda: explore_conjecture(5).basis_size,
-    ], ids=["generator_table", "explore_conjecture"])
-    def test_closed_form_rows_validate_their_partition_at_most_twice(
-        self, monkeypatch, run
-    ):
-        # partition_of builds the canonical tuple; reduce_full_columns and
-        # schur_dimension validate it once each, and the duality check
-        # compares weights.  Four calls per table row and six per
-        # conjecture row before.
-        original = partitions_mod.partition
-        calls = 0
-
-        def counting(parts):
-            nonlocal calls
-            calls += 1
-            return original(parts)
-
-        patched = [
-            name for name, mod in list(sys.modules.items())
-            if name.split(".")[0] == "schern"
-            and getattr(mod, "partition", None) is original
-        ]
-        for name in patched:
-            monkeypatch.setattr(sys.modules[name], "partition", counting)
-        assert "schern.partitions" in patched and "schern.chern" in patched
-        rows = run()
-        assert rows == 1558
-        assert calls <= 2 * rows
 
     def test_cross_check_failure_marks_row_without_aborting(self, monkeypatch):
         real = tables_mod.c2
@@ -278,24 +252,66 @@ class TestExploreConjecture:
         assert rep.all_rows_divisible
         assert rep.duality_invariant
 
-    def test_row_disagreeing_with_its_dual_row_breaks_duality(self, monkeypatch):
-        def skewed(n, lam):
-            res = c2_closed_form(n, lam)
-            if lam == (1, 1, 1):  # dual (1,1,1,1,1,1) keeps its value 21
-                return res._replace(n_lambda=res.n_lambda + 3)
-            return res
+    def test_closed_form_rows_validate_their_partition_at_most_twice(
+        self, monkeypatch
+    ):
+        # The rows are the column heights of the basis search, so no
+        # partition is built or validated; two per row is the bound.
+        original = partitions_mod.partition
+        calls = 0
 
-        monkeypatch.setattr(chern_mod, "c2_closed_form", skewed)
+        def counting(parts):
+            nonlocal calls
+            calls += 1
+            return original(parts)
+
+        patched = [
+            name for name, mod in list(sys.modules.items())
+            if name.split(".")[0] == "schern"
+            and getattr(mod, "partition", None) is original
+        ]
+        for name in patched:
+            monkeypatch.setattr(sys.modules[name], "partition", counting)
+        assert "schern.partitions" in patched and "schern.chern" in patched
+        rows = explore_conjecture(5).basis_size
+        assert rows == 1558
+        assert calls <= 2 * rows
+
+    def test_ell_five_agrees_with_the_closed_form_over_the_weights(self):
+        # the partition round trip the search heights replace, as an oracle
+        basis = hilbert_basis(GroupSpec(25, 5))
+        index_of = {w: c2_closed_form(25, partition_of(w)).n_lambda
+                    for w in basis}
+        rep = explore_conjecture(5)
+        assert rep.basis_size == len(basis) == 1558
+        assert rep.image_index == running_gcd(index_of.values()) == 5
+        assert rep.all_rows_divisible == all(
+            v % 5 == 0 for v in index_of.values()
+        )
+        assert rep.duality_invariant == all(
+            index_of.get(dual_weight(w)) == v for w, v in index_of.items()
+        )
+
+    def test_row_disagreeing_with_its_dual_row_breaks_duality(self, monkeypatch):
+        real = tables_mod._closed_form_index
+
+        def skewed(n, heights, dim):
+            value = real(n, heights, dim)
+            if heights == (3,):  # lam = (1,1,1); dual (6,) keeps its value 21
+                return value + 3
+            return value
+
+        monkeypatch.setattr(tables_mod, "_closed_form_index", skewed)
         rep = explore_conjecture(3)
         assert rep.image_index == 3 and rep.all_rows_divisible
         assert not rep.duality_invariant
 
     def test_missing_dual_row_breaks_duality(self, monkeypatch):
-        real = tables_mod.hilbert_basis
-        gone = (0, 0, 1, 0, 0, 0, 0, 0)  # lam = (1,1,1); its dual stays
+        real = tables_mod.generator_heights
+        gone = (3,)  # lam = (1,1,1); its dual (6,) stays
         monkeypatch.setattr(
-            tables_mod, "hilbert_basis",
-            lambda spec: tuple(w for w in real(spec) if w != gone),
+            tables_mod, "generator_heights",
+            lambda spec: [h for h in real(spec) if h != gone],
         )
         rep = explore_conjecture(3)
         assert rep.basis_size == 30

@@ -13,6 +13,7 @@ from schern.weights import (
     GroupSpec,
     descends,
     dual_weight,
+    generator_heights,
     hilbert_basis,
     is_monoid_irreducible,
     partition_of,
@@ -228,6 +229,17 @@ class TestHilbertBasis:
     ] + [(12, 2), (12, 3), (12, 4), (12, 6)])
     def test_search_matches_the_candidate_scan(self, n, d):
         assert hilbert_basis(GroupSpec(n, d)) == scan_basis(GroupSpec(n, d))
+
+    @pytest.mark.parametrize("n,d", [
+        (n, d) for n in range(2, 17) for d in range(1, n + 1) if n % d == 0
+    ] + [(25, 5)])
+    def test_search_heights_are_the_generators_column_heights(self, n, d):
+        spec = GroupSpec(n, d)
+        heights = generator_heights(spec)
+        assert sorted(heights) == sorted(
+            conjugate(partition_of(w)) for w in hilbert_basis(spec)
+        )
+        assert max(map(len, heights)) <= d  # the Davenport bound
 
     def test_sl49_mu7_is_closed_under_duality(self):
         # 2.0e8 scan candidates; the search visits only zero-sum-free prefixes
