@@ -22,6 +22,8 @@ from .chern import (
     dual_partition,
 )
 from .partitions import (
+    InputError,
+    InvariantError,
     Partition,
     PartitionError,
     conjugate,
@@ -63,6 +65,8 @@ __all__ = [
     "EnumerationCeilingError",
     "GeneratorTable",
     "GroupSpec",
+    "InputError",
+    "InvariantError",
     "Partition",
     "PartitionError",
     "REFERENCE_TABLES",

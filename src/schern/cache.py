@@ -3,16 +3,16 @@
 One JSON object per line, keys sorted, no timestamps, so identical runs
 produce byte-identical files.  Appends take an advisory lock; concurrent
 writers interleave whole lines.  Records carry the package version and
-are ignored on version mismatch.
+are ignored on version mismatch.  A path that cannot be read or appended
+to raises InputError, as a bad --cache argument.
 """
 from __future__ import annotations
 
-import fcntl
 from pathlib import Path
 
 from . import __version__
 from .chern import ChernResult
-from .partitions import Partition
+from .partitions import InputError, Partition
 
 CacheKey = tuple[int, int | None, Partition]
 
@@ -58,10 +58,15 @@ class ResultCache:
         self.path = path
         self.verify = verify
         self._data: dict[CacheKey, dict] = {}
-        if path.exists():
-            for line in path.read_bytes().splitlines():
-                if decoded := _decode(line):
-                    self._data[decoded[0]] = decoded[1]
+        try:
+            blob = path.read_bytes()
+        except FileNotFoundError:
+            return
+        except OSError as exc:  # a directory, a path under a file, ...
+            raise InputError(f"unusable cache path: {exc}") from exc
+        for line in blob.splitlines():
+            if decoded := _decode(line):
+                self._data[decoded[0]] = decoded[1]
 
     def get(self, n: int, d: int | None, lam: Partition) -> dict | None:
         return self._data.get(_key(n, d, lam))
@@ -99,9 +104,13 @@ class ResultCache:
             "version": __version__,
         }
         self._data[_key(n, d, lam)] = rec
-        self._append(rec)
+        try:
+            self._append(rec)
+        except OSError as exc:  # a parent that is a file, a full disk, ...
+            raise InputError(f"unusable cache path: {exc}") from exc
 
     def _append(self, rec: dict) -> None:
+        import fcntl  # only an append needs these; keep them off start-up
         import json
 
         self.path.parent.mkdir(parents=True, exist_ok=True)

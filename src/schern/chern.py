@@ -28,6 +28,8 @@ import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from .partitions import (
+    InputError,
+    InvariantError,
     Partition,
     _conjugate,
     _hook_dimension,
@@ -46,7 +48,7 @@ METHOD_CLOSED_FORM = "closed-form"
 METHOD_BOTH = "both"
 
 
-class EnumerationCeilingError(ValueError):
+class EnumerationCeilingError(InputError):
     """Dimension above the ceiling for enumeration or a demanded cross-check;
     use the closed form instead."""
 
@@ -74,7 +76,7 @@ def reduce_full_columns(n: int, lam: Partition) -> Partition:
     """Strip determinant factors: subtract lam_n from every part."""
     lam = partition(lam)
     if len(lam) > n:
-        raise ValueError(f"partition {lam} has more than n={n} rows")
+        raise InputError(f"partition {lam} has more than n={n} rows")
     if len(lam) == n and lam[-1] > 0:
         lam = partition(p - lam[-1] for p in lam)
     return lam
@@ -84,7 +86,7 @@ def dual_partition(n: int, lam: Partition) -> Partition:
     """Highest weight of the dual: complement of lam in a lam_1 x n box."""
     lam = partition(lam)
     if len(lam) > n:
-        raise ValueError(f"partition {lam} has more than n={n} rows")
+        raise InputError(f"partition {lam} has more than n={n} rows")
     if not lam:
         return ()
     padded = lam + (0,) * (n - len(lam))
@@ -113,7 +115,7 @@ def casimir(n: int, lam: Partition) -> Fraction:
 
     lam = partition(lam)
     if len(lam) > n:
-        raise ValueError(f"partition {lam} has more than n={n} rows")
+        raise InputError(f"partition {lam} has more than n={n} rows")
     return Fraction(_n_casimir(n, _conjugate(lam)), n)
 
 
@@ -135,7 +137,7 @@ def _closed_form_index(n: int, heights: Partition, dim: int) -> int:
     value, rest = divmod(num, den)
     if rest:
         g = math.gcd(num, den)
-        raise ArithmeticError(
+        raise InvariantError(
             f"non-integral index {num // g}/{den // g} for n={n} "
             f"lam={_conjugate(heights)}; formula misapplied"
         )
@@ -265,7 +267,7 @@ def c2(
     if method == METHOD_ENUMERATION:
         return c2_enumeration(n, lam, ceiling)
     if method not in ("auto", METHOD_BOTH):
-        raise ValueError(f"unknown method {method!r}")
+        raise InputError(f"unknown method {method!r}")
     closed = c2_closed_form(n, lam)
     if closed.dim > ceiling:
         if method == "auto":

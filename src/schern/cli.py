@@ -3,50 +3,33 @@
 The parsed flags are the only settings; the environment supplies nothing
 but the default cache location under XDG_CACHE_HOME.  Only default-mode
 c2 and table rows go through the result cache, via tables.cached_c2; dim
-and --method runs never touch it.
+and --method runs never open it.  argv is read by parse_args against the
+COMMANDS table; -h/--help prints help and exits 0.
 
-Exit codes: 0 success, 1 an arithmetic invariant failed (verify found an
-index that is not a multiple of the H^4 generator, or the closed form or
-the hook-content dimension did not divide exactly), 2 bad arguments or
-violated preconditions (unknown case, ceiling exceeded, malformed
-partition, unusable cache path), 3 a consistency check failed (method
-cross-check, a table row whose cross-check failed, or --verify-cache
-disagreement).
+Exit codes: 0 success, 1 an arithmetic invariant failed (InvariantError:
+verify found an index that is not a multiple of the H^4 generator, or the
+closed form or the hook-content dimension did not divide exactly), 2 bad
+arguments or violated preconditions (InputError: a usage error from the
+parser itself, unknown case, ceiling exceeded, malformed partition,
+unusable cache path), 3 a consistency check failed (method cross-check,
+a table row whose cross-check failed, or --verify-cache disagreement).
 """
 from __future__ import annotations
 
-import argparse
 import io
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .cache import ResultCache, StaleCacheError
-from .chern import (
-    DEFAULT_ENUMERATION_CEILING,
-    CrossCheckError,
-    EnumerationCeilingError,
-)
-from .partitions import Partition, PartitionError, partition, schur_dimension
-from .tables import (
-    CASES,
-    REFERENCE_TABLES,
-    GeneratorTable,
-    cached_c2,
-    explore_conjecture,
-    generator_table,
-    image_index,
-    table_against_reference,
-    verify_case,
-)
+from .chern import DEFAULT_ENUMERATION_CEILING, CrossCheckError, c2
+from .partitions import (InputError, InvariantError, Partition, PartitionError,
+                         partition, schur_dimension)
+from .tables import (CASES, REFERENCE_TABLES, GeneratorTable, cached_c2,
+                     explore_conjecture, generator_table, image_index,
+                     table_against_reference, verify_case)
 from .weights import GroupSpec, weight_str
-
-METHOD_BY_FLAG = {
-    None: "auto",
-    "enum": "enumeration",
-    "weyl": "closed-form",
-    "both": "both",
-}
 
 
 def parse_partition(text: str) -> Partition:
@@ -65,22 +48,15 @@ def parse_partition(text: str) -> Partition:
 
 
 def _cache(args) -> ResultCache | None:
-    if args.no_cache:
-        return None
-    return ResultCache(args.cache, verify=args.verify_cache)
+    return None if args.no_cache else ResultCache(args.cache, args.verify_cache)
 
 
 # ---------------------------------------------------------------- rendering
 
 def _row_payload(row) -> dict:
-    out = {
-        "weight": list(row.weight),
-        "weight_str": weight_str(row.weight),
-        "partition": list(row.partition),
-        "n_lambda": row.n_lambda,
-        "flagged": row.flagged,
-        "cross_checked": row.cross_checked,
-    }
+    out = {"weight": list(row.weight), "weight_str": weight_str(row.weight),
+           "partition": list(row.partition), "n_lambda": row.n_lambda,
+           "flagged": row.flagged, "cross_checked": row.cross_checked}
     if row.reference_value is not None:
         out["reference"] = row.reference_value
     if row.error is not None:
@@ -88,59 +64,40 @@ def _row_payload(row) -> dict:
     return out
 
 
+def _shape(lam: Partition) -> str:
+    return "(" + ",".join(map(str, lam)) + ")"
+
+
 def render_table(table: GeneratorTable, fmt: str, case_id: str | None = None) -> str:
     if fmt == "json":
         import json  # only this format needs it; keep it off every start-up
 
-        payload = {
-            "n": table.spec.n,
-            "d": table.spec.d,
-            "gcd": table.gcd,
-            "rows": [_row_payload(r) for r in table.rows],
-        }
+        payload = {"n": table.spec.n, "d": table.spec.d, "gcd": table.gcd,
+                   "rows": [_row_payload(r) for r in table.rows]}
         if case_id is not None:
             payload["case"] = case_id
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
         import csv  # only this format needs it; keep it off every start-up
 
-        buf = []
-        for r in table.rows:
-            buf.append(
-                [
-                    weight_str(r.weight),
-                    "(" + ",".join(str(p) for p in r.partition) + ")",
-                    "" if r.n_lambda is None else str(r.n_lambda),
-                    "true" if r.flagged else "false",
-                ]
-            )
         out = io.StringIO()
         w = csv.writer(out, lineterminator="\n")
         w.writerow(["weight", "partition", "n_lambda", "flagged"])
-        w.writerows(buf)
+        w.writerows([weight_str(r.weight), _shape(r.partition),
+                     "" if r.n_lambda is None else str(r.n_lambda),
+                     "true" if r.flagged else "false"] for r in table.rows)
         return out.getvalue()
     # text
     header = ["weight", "partition", "n_lambda", "note"]
     body = []
     for r in table.rows:
-        if r.error is not None:
-            note = f"ERROR {r.error}"
-        elif r.flagged:
-            note = f"reference prints {r.reference_value}"
-        else:
-            note = ""
-        body.append(
-            [
-                weight_str(r.weight),
-                "(" + ",".join(str(p) for p in r.partition) + ")",
-                "?" if r.n_lambda is None else str(r.n_lambda),
-                note,
-            ]
-        )
+        note = (f"ERROR {r.error}" if r.error is not None
+                else f"reference prints {r.reference_value}" if r.flagged else "")
+        body.append([weight_str(r.weight), _shape(r.partition),
+                     "?" if r.n_lambda is None else str(r.n_lambda), note])
     widths = [max(len(row[i]) for row in [header] + body) for i in range(4)]
-    lines = []
-    for row in [header] + body:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+             for row in [header] + body]
     lines.append(f"gcd {table.gcd}")
     return "\n".join(lines) + "\n"
 
@@ -149,8 +106,12 @@ def render_table(table: GeneratorTable, fmt: str, case_id: str | None = None) ->
 
 def _cmd_c2(args) -> int:
     lam = parse_partition(args.partition)
-    method = METHOD_BY_FLAG[args.method]
-    res = cached_c2(args.n, None, lam, method, args.ceiling, _cache(args))
+    if args.method is None:  # only the default mode reads or writes the cache
+        res = cached_c2(args.n, None, lam, "auto", args.ceiling, _cache(args))
+    else:
+        method = {"enum": "enumeration", "weyl": "closed-form",
+                  "both": "both"}[args.method]
+        res = c2(args.n, lam, method, args.ceiling)
     print(res.n_lambda)
     return 0
 
@@ -177,19 +138,15 @@ def _cmd_image_index(args) -> int:
 def _cmd_verify(args) -> int:
     report = verify_case(args.case, ceiling=args.ceiling)
     match = "matches" if report.matches_expected else "DIFFERS FROM"
-    print(
-        f"{report.case_id}: image index {report.computed_index}, "
-        f"H^4 generator multiplier {report.h4_multiplier}, "
-        f"verdict {report.verdict}"
-    )
+    print(f"{report.case_id}: image index {report.computed_index}, "
+          f"H^4 generator multiplier {report.h4_multiplier}, "
+          f"verdict {report.verdict}")
     print(f"  {match} stored expectation {report.expected_gcd} ({report.source})")
     return 0 if report.matches_expected else 3
 
 
 def _cmd_table(args) -> int:
-    table = table_against_reference(
-        args.case, ceiling=args.ceiling, cache=_cache(args)
-    )
+    table = table_against_reference(args.case, args.ceiling, _cache(args))
     sys.stdout.write(render_table(table, args.format, case_id=args.case))
     table.raise_on_error()
     return 0
@@ -210,89 +167,132 @@ def _cmd_conjecture(args) -> int:
 
 # ------------------------------------------------------------------ parser
 
-def build_parser() -> argparse.ArgumentParser:
-    xdg = Path(os.environ.get("XDG_CACHE_HOME") or "~/.cache").expanduser()
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--ceiling", type=int, metavar="N",
-                        default=DEFAULT_ENUMERATION_CEILING,
-                        help="dimension bound for the cross-check and for "
-                        "enumeration")
-    common.add_argument("--cache", type=Path, metavar="PATH",
-                        default=xdg / "schern" / "results.jsonl",
-                        help="cache file location")
-    common.add_argument("--no-cache", action="store_true",
-                        help="skip the cache entirely")
-    common.add_argument("--verify-cache", action="store_true",
-                        help="recompute cached rows; disagreement exits 3")
+# Each command's handler, help line and arguments: positionals in order,
+# then its own options; every command also takes the SHARED flags.  A kind
+# reads the text (int, str, Path), lists the choices (a tuple) or marks a
+# flag that takes no value (bool).
+SHARED = {"--ceiling": int, "--cache": Path, "--no-cache": bool,
+          "--verify-cache": bool}
+FORMAT = ("text", "csv", "json")
+COMMANDS = {
+    "c2": (_cmd_c2, "index n_lambda of one representation",
+           {"n": int, "partition": str, "--method": ("enum", "weyl", "both")}),
+    "dim": (_cmd_dim, "dimension of gamma_n^lambda",
+            {"n": int, "partition": str}),
+    "generators": (_cmd_generators, "minimal generating set of "
+                   "R[SL(n)/mu_d] with indices",
+                   {"n": int, "d": int, "--format": FORMAT}),
+    "image-index": (_cmd_image_index, "gcd of n_lambda over the generating "
+                    "set", {"n": int, "d": int}),
+    "verify": (_cmd_verify, "compare a computed index with its stored "
+               "expectation", {"case": tuple(sorted(CASES))}),
+    "table": (_cmd_table, "recompute a bundled reference table and diff it",
+              {"--case": tuple(sorted(REFERENCE_TABLES)), "--format": FORMAT}),
+    "conjecture": (_cmd_conjecture, "image index of SL(ell^2)/mu_ell for an "
+                   "odd prime ell", {"ell": int}),
+}
+# The value of an absent option; an option not listed here is required.
+DEFAULTS = {"--method": None, "--format": "text", "--no-cache": False,
+            "--ceiling": DEFAULT_ENUMERATION_CEILING, "--cache": None,
+            "--verify-cache": False}
+HELP = {
+    "partition": "comma separated, e.g. 2,2,2",
+    "--method": "default: closed form, cross-checked when small",
+    "--ceiling": "dimension bound for the cross-check and for enumeration",
+    "--cache": "cache file (default $XDG_CACHE_HOME/schern/results.jsonl)",
+    "--no-cache": "skip the cache entirely",
+    "--verify-cache": "recompute cached rows; disagreement exits 3",
+}
 
-    p = argparse.ArgumentParser(
-        prog="schern",
-        description="Second Chern classes of SL(n) representations and "
-        "generating sets for representation rings of the quotients "
-        "SL(n)/mu_d.",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("c2", parents=[common],
-                        help="index n_lambda of one representation")
-    sp.add_argument("n", type=int)
-    sp.add_argument("partition", help="comma separated, e.g. 2,2,2")
-    sp.add_argument("--method", choices=["enum", "weyl", "both"],
-                    help="default: closed form, cross-checked when small")
-    sp.set_defaults(func=_cmd_c2)
+def _usage(name: str | None, full: bool = False) -> str:
+    """The usage line of a command (None: of schern), or all its help."""
+    if name is None:
+        usage = "usage: schern {" + ",".join(COMMANDS) + "} ... [-h]"
+        intro = ("Second Chern classes of SL(n) representations and generating "
+                 "sets for\nrepresentation rings of the quotients SL(n)/mu_d.")
+        rows = [(cmd, spec[1]) for cmd, spec in COMMANDS.items()]
+    else:
+        args = {**COMMANDS[name][2], **SHARED}
+        rows = [(a if kind is bool or a[0] != "-"
+                 else f"{a} {{{','.join(kind)}}}" if isinstance(kind, tuple)
+                 else f"{a} {kind.__name__.upper()}", HELP.get(a, ""))
+                for a, kind in args.items()]
+        usage = " ".join([f"usage: schern {name} [-h]", *(
+            f"[{word}]" if a in DEFAULTS else word
+            for a, (word, _) in zip(args, rows))])
+        intro = COMMANDS[name][1]
+    if not full:
+        return usage
+    width = max(len(word) for word, _ in rows) + 2
+    return "\n".join([usage, "", intro, "", *(
+        f"  {word.ljust(width)}{text}".rstrip() for word, text in rows)]) + "\n"
 
-    sp = sub.add_parser("dim", parents=[common], help="dimension of gamma_n^lambda")
-    sp.add_argument("n", type=int)
-    sp.add_argument("partition")
-    sp.set_defaults(func=_cmd_dim)
 
-    sp = sub.add_parser("generators", parents=[common],
-                        help="minimal generating set of R[SL(n)/mu_d] with indices")
-    sp.add_argument("n", type=int)
-    sp.add_argument("d", type=int)
-    sp.add_argument("--format", choices=["text", "csv", "json"], default="text")
-    sp.set_defaults(func=_cmd_generators)
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """Read argv against COMMANDS into a namespace holding ``command``,
+    ``func`` (its handler) and one attribute per argument.  With -h or
+    --help anywhere, ``func`` prints the help instead.  A malformed argv
+    prints the usage line to stderr and raises InputError."""
+    name = argv[0] if argv and argv[0] in COMMANDS else None
 
-    sp = sub.add_parser("image-index", parents=[common],
-                        help="gcd of n_lambda over the generating set")
-    sp.add_argument("n", type=int)
-    sp.add_argument("d", type=int)
-    sp.set_defaults(func=_cmd_image_index)
+    def fail(message: str):
+        print(_usage(name), file=sys.stderr)
+        raise InputError(message)
 
-    sp = sub.add_parser("verify", parents=[common],
-                        help="compare a computed index with its stored expectation")
-    sp.add_argument("case", choices=sorted(CASES))
-    sp.set_defaults(func=_cmd_verify)
-
-    sp = sub.add_parser("table", parents=[common],
-                        help="recompute a bundled reference table and diff it")
-    sp.add_argument("--case", required=True, choices=sorted(REFERENCE_TABLES))
-    sp.add_argument("--format", choices=["text", "csv", "json"], default="text")
-    sp.set_defaults(func=_cmd_table)
-
-    sp = sub.add_parser("conjecture", parents=[common],
-                        help="image index of SL(ell^2)/mu_ell for an odd prime ell")
-    sp.add_argument("ell", type=int)
-    sp.set_defaults(func=_cmd_conjecture)
-
-    return p
+    if "-h" in argv or "--help" in argv:
+        text = _usage(name, full=True)
+        return SimpleNamespace(func=lambda _: print(text, end="") or 0)
+    if name is None:
+        fail(f"expected a command ({', '.join(COMMANDS)}), got "
+             + (repr(argv[0]) if argv else "none"))
+    args = {**COMMANDS[name][2], **SHARED}
+    positionals = [a for a in args if a[0] != "-"]
+    texts, tokens = {}, iter(argv[1:])
+    for tok in tokens:
+        flag, eq, text = tok.partition("=")
+        if not tok.startswith("--"):
+            if not positionals:
+                fail(f"unrecognized argument {tok}")
+            texts[positionals.pop(0)] = tok
+        elif flag not in args:
+            fail(f"unrecognized argument {tok}")
+        elif args[flag] is bool:
+            if eq:
+                fail(f"argument {flag} takes no value, got {text!r}")
+            texts[flag] = True
+        else:
+            if not eq and (text := next(tokens, "--")).startswith("--"):
+                fail(f"argument {flag} expects a value")
+            texts[flag] = text
+    if missing := [a for a in args if a not in texts and a not in DEFAULTS]:
+        fail("the following arguments are required: " + ", ".join(missing))
+    ns = SimpleNamespace(command=name, func=COMMANDS[name][0])
+    for arg, kind in args.items():
+        value = texts.get(arg, DEFAULTS.get(arg))
+        if arg in texts and isinstance(kind, tuple) and value not in kind:
+            fail(f"argument {arg}: invalid choice {value!r} "
+                 f"(choose from {', '.join(kind)})")
+        if arg in texts and kind in (int, Path):
+            try:
+                value = kind(value)
+            except ValueError:
+                fail(f"argument {arg}: invalid int value {value!r}")
+        setattr(ns, arg.lstrip("-").replace("-", "_"), value)
+    if ns.cache is None:
+        xdg = os.environ.get("XDG_CACHE_HOME") or "~/.cache"
+        ns.cache = Path(xdg).expanduser() / "schern" / "results.jsonl"
+    return ns
 
 
 def run(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         return args.func(args)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    except (CrossCheckError, StaleCacheError) as exc:
+    except (CrossCheckError, StaleCacheError, InputError, InvariantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (PartitionError, EnumerationCeilingError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ArithmeticError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return (2 if isinstance(exc, InputError)
+                else 1 if isinstance(exc, InvariantError) else 3)
 
 
 def main() -> None:

@@ -15,7 +15,18 @@ Partition = tuple[int, ...]
 TableauContent = tuple[int, ...]
 
 
-class PartitionError(ValueError):
+class InputError(ValueError):
+    """An argument outside what the computation accepts: the caller's fault,
+    which the command line reports with exit code 2."""
+
+
+class InvariantError(ArithmeticError):
+    """An exact division that the mathematics guarantees left a remainder:
+    the engine or its data is broken, which the command line reports with
+    exit code 1."""
+
+
+class PartitionError(InputError):
     pass
 
 
@@ -63,7 +74,7 @@ def schur_dimension(n: int, lam: Partition) -> int:
     Returns 0 when lam has more than n rows.
     """
     if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+        raise InputError(f"n must be positive, got {n}")
     lam = partition(lam)
     if len(lam) > n:
         return 0
@@ -104,7 +115,7 @@ def _line_dimension(n: int, lines: Partition, by_columns: bool) -> int:
     dim, rest = divmod(num, den)
     if rest:
         lam = _conjugate(lines) if by_columns else lines
-        raise ArithmeticError(
+        raise InvariantError(
             f"hook content division is not exact for n={n} lam={lam}"
         )
     return dim
@@ -120,7 +131,7 @@ def ssyt_stream(n: int, lam: Partition) -> Iterator[TableauContent]:
     tried in increasing order), so two traversals agree element for element.
     """
     if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+        raise InputError(f"n must be positive, got {n}")
     lam = partition(lam)
     if len(lam) > n:
         return

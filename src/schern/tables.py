@@ -23,7 +23,7 @@ from .chern import (
     _closed_form_index,
     c2,
 )
-from .partitions import Partition, _line_dimension
+from .partitions import InputError, InvariantError, Partition, _line_dimension
 from .weights import (
     GroupSpec,
     Weight,
@@ -267,7 +267,7 @@ def table_against_reference(
     generating set; use :func:`generator_table` for the full minimal basis.
     """
     if case_id not in REFERENCE_TABLES:
-        raise ValueError(
+        raise InputError(
             f"unknown table {case_id!r}; known: {sorted(REFERENCE_TABLES)}"
         )
     ref = REFERENCE_TABLES[case_id]
@@ -294,11 +294,11 @@ def verify_case(
 ) -> CaseReport:
     """Compare the computed image index against a stored expectation."""
     if case_id not in CASES:
-        raise ValueError(f"unknown case {case_id!r}; known: {sorted(CASES)}")
+        raise InputError(f"unknown case {case_id!r}; known: {sorted(CASES)}")
     case = CASES[case_id]
     idx = image_index(case.spec, ceiling=ceiling)
     if idx % case.h4_multiplier:
-        raise ArithmeticError(
+        raise InvariantError(
             f"index {idx} is not a multiple of the H^4 generator "
             f"{case.h4_multiplier} for {case_id}; table data or engine broken"
         )
@@ -328,9 +328,9 @@ def explore_conjecture(ell: int) -> ConjectureReport:
     the pattern probed.
     """
     if ell == 2 or ell < 2 or any(ell % p == 0 for p in range(2, isqrt(ell) + 1)):
-        raise ValueError(f"ell must be an odd prime, got {ell}")
+        raise InputError(f"ell must be an odd prime, got {ell}")
     if ell > MAX_CONJECTURE_ELL:
-        raise ValueError(f"ell={ell} exceeds the ceiling {MAX_CONJECTURE_ELL}")
+        raise InputError(f"ell={ell} exceeds the ceiling {MAX_CONJECTURE_ELL}")
     spec = GroupSpec(ell * ell, ell)
     n = spec.n
     heights = generator_heights(spec)

@@ -16,7 +16,7 @@ from operator import index
 from typing import NamedTuple
 
 from .chern import reduce_full_columns
-from .partitions import Partition, partition
+from .partitions import InputError, Partition, partition
 
 Weight = tuple[int, ...]
 
@@ -35,11 +35,11 @@ class GroupSpec(_GroupFields):
 
     def __new__(cls, n: int, d: int) -> GroupSpec:
         if n < 2:
-            raise ValueError(f"n must be at least 2, got {n}")
+            raise InputError(f"n must be at least 2, got {n}")
         if d < 1:
-            raise ValueError(f"d must be positive, got {d}")
+            raise InputError(f"d must be positive, got {d}")
         if n % d:
-            raise ValueError(f"d must divide n, got n={n} d={d}")
+            raise InputError(f"d must divide n, got n={n} d={d}")
         return super().__new__(cls, n, d)
 
     @classmethod
@@ -57,11 +57,11 @@ def partition_of(w: Weight) -> Partition:
     try:
         sums = list(accumulate(map(index, reversed(w))))
     except TypeError:
-        raise ValueError(
+        raise InputError(
             f"weight coefficients must be integers, got {w}"
         ) from None
     if min(w, default=0) < 0:
-        raise ValueError(f"weight coefficients must be nonnegative, got {w}")
+        raise InputError(f"weight coefficients must be nonnegative, got {w}")
     del sums[:sums.count(0)]
     sums.reverse()
     return tuple(sums)

@@ -1,5 +1,4 @@
 """Exit codes, output formats, and cache behaviour of the command line."""
-import argparse
 import csv
 import io
 import json
@@ -16,9 +15,23 @@ import pytest
 import schern.chern as chern_mod
 import schern.partitions as partitions_mod
 import schern.tables as tables_mod
-from schern import __version__
-from schern.cli import build_parser, parse_partition, run
-from schern.partitions import PartitionError
+from schern import (
+    GroupSpec,
+    __version__,
+    c2,
+    c2_enumeration,
+    casimir,
+    dual_partition,
+    explore_conjecture,
+    partition_of,
+    schur_dimension,
+    ssyt_count,
+    table_against_reference,
+    verify_case,
+)
+from schern.chern import reduce_full_columns
+from schern.cli import COMMANDS, SHARED, parse_args, parse_partition, run
+from schern.partitions import InputError, InvariantError, PartitionError, partition
 
 
 @pytest.fixture(autouse=True)
@@ -455,10 +468,13 @@ def test_non_utf8_cache_line_skipped(capsys, tmp_path):
     assert out == "12345\n"  # the valid record after the bad line is served
 
 
-@pytest.mark.parametrize("where", ["directory", "under-a-file"])
+@pytest.mark.parametrize("where", ["directory", "under-a-file", "dangling-link"])
 def test_unusable_cache_path_exits_2(capsys, tmp_path, where):
     (tmp_path / "file").write_text("")
-    cache = tmp_path if where == "directory" else tmp_path / "file" / "c.jsonl"
+    # a dangling link reads as no file yet, so only the append fails
+    (tmp_path / "link").symlink_to(tmp_path / "missing")
+    cache = {"directory": tmp_path, "under-a-file": tmp_path / "file" / "c.jsonl",
+             "dangling-link": tmp_path / "link" / "c.jsonl"}[where]
     code, out, err = invoke(capsys, "c2", "8", "2,2,2", "--cache", str(cache))
     assert code == 2
     assert out == ""
@@ -529,6 +545,13 @@ def test_only_default_mode_c2_touches_the_cache(capsys, tmp_path):
     assert len(lines) == 1 and '"method":"both"' in lines[0]
 
 
+@pytest.mark.parametrize("method", ["weyl", "enum", "both"])
+def test_method_runs_never_open_the_cache(capsys, tmp_path, method):
+    # a directory as --cache would exit 2 if c2 --method read the file
+    argv = ("c2", "8", "2,1", "--method", method, "--cache", str(tmp_path))
+    assert invoke(capsys, *argv) == (0, "61\n", "")
+
+
 def test_cache_respects_group_context(capsys, tmp_path):
     # a standalone c2 record (d null) must not satisfy a d=2 table row
     cache = tmp_path / "c.jsonl"
@@ -550,14 +573,7 @@ def test_readme_configuration_table_lists_the_shared_flags():
         for line in section.splitlines() if line.startswith("|")
         for flag in re.findall(r"--[a-z][a-z-]*", line.split("|")[1])
     }
-    subparsers = next(
-        a for a in build_parser()._actions
-        if isinstance(a, argparse._SubParsersAction)
-    ).choices.values()
-    shared = set.intersection(*(
-        {o for a in sp._actions for o in a.option_strings if o.startswith("--")}
-        for sp in subparsers
-    )) - {"--help"}
+    shared = set(SHARED)  # the flags that parse_args adds to every command
     assert documented == shared
 
 
@@ -603,15 +619,20 @@ def test_start_up_imports_no_unused_heavy_modules():
     assert proc.stdout == "4\n0 []\n"
 
 
-def test_text_and_uncached_commands_do_not_import_json():
-    # json is needed only by the cache file and --format json
+def test_text_and_uncached_commands_load_no_unneeded_modules():
+    # argparse and gettext are replaced by parse_args; json only serves the
+    # cache file and --format json, csv --format csv, fcntl a cache append,
+    # fractions casimir().  Counted in a fresh interpreter, where site has
+    # loaded none of them.
     script = (
         "import sys\n"
         "import schern.cli\n"
-        "codes = [schern.cli.run(['dim', '4', '1']),\n"
+        "codes = [schern.cli.run(['dim', '8', '2,1']),\n"
+        "         schern.cli.run(['c2', '8', '2,2,2', '--no-cache']),\n"
         "         schern.cli.run(['conjecture', '3']),\n"
         "         schern.cli.run(['image-index', '8', '2', '--no-cache'])]\n"
-        "print(codes, 'json' in sys.modules)\n"
+        "unneeded = ['argparse', 'gettext', 'json', 'csv', 'fractions', 'fcntl']\n"
+        "print(codes, [m for m in unneeded if m in sys.modules])\n"
     )
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
@@ -620,7 +641,7 @@ def test_text_and_uncached_commands_do_not_import_json():
         env={**os.environ, "PYTHONPATH": str(root / "src")},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] []"
 
 
 def test_console_script_is_wired():
@@ -631,3 +652,187 @@ def test_console_script_is_wired():
     )
     assert proc.returncode == 0
     assert proc.stdout == "6\n"
+
+
+# ------------------------------------------------------------------ parser
+
+# One well-formed argv per command, each cheap to run.
+VALID = {
+    "c2": ["c2", "4", "1,1"],
+    "dim": ["dim", "4", "1,1"],
+    "generators": ["generators", "4", "2"],
+    "image-index": ["image-index", "4", "2"],
+    "verify": ["verify", "sl4-mu2"],
+    "table": ["table", "--case", "sl8-mu2"],
+    "conjecture": ["conjecture", "3"],
+}
+
+
+def test_valid_argvs_cover_every_command():
+    assert set(VALID) == set(COMMANDS)
+
+
+@pytest.mark.parametrize("cmd", sorted(VALID))
+@pytest.mark.parametrize("where", ["alone", "after-arguments"])
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_names_every_argument_and_exits_0(capsys, cmd, where, flag):
+    argv = [cmd, flag] if where == "alone" else VALID[cmd] + [flag]
+    code, out, err = invoke(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: schern {cmd} [-h]")
+    words = set(re.findall(r"^  (\S+)", out, re.M))
+    assert words == set(COMMANDS[cmd][2]) | set(SHARED)
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"]])
+def test_top_level_help_lists_the_commands(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: schern {")
+    assert set(re.findall(r"^  (\S+)", out, re.M)) == set(COMMANDS)
+
+
+def malformed(cmd):
+    """(label, argv) pairs that break the command line of cmd."""
+    valid = VALID[cmd]
+    cases = [
+        ("unknown-flag", valid + ["--bogus"]),
+        ("abbreviated-flag", valid + ["--no-c"]),  # prefixes are not expanded
+        ("extra-positional", valid + ["7"]),
+        ("missing-value", valid + ["--ceiling"]),
+        ("flag-as-value", valid + ["--cache", "--no-cache"]),
+        ("value-on-flag", valid + ["--no-cache=yes"]),
+        ("non-integer-option", valid + ["--ceiling", "x"]),
+        ("non-integer-option-eq", valid + ["--ceiling=1.5"]),
+        ("missing-positional", valid[:-1] if cmd != "table" else ["table"]),
+    ]
+    kinds = COMMANDS[cmd][2]
+    for i, arg in enumerate(a for a in kinds if not a.startswith("--")):
+        if kinds[arg] is int:
+            cases.append((f"non-integer-{arg}",
+                          valid[:1 + i] + ["x"] + valid[2 + i:]))
+        elif isinstance(kinds[arg], tuple):
+            cases.append((f"bad-choice-{arg}", valid[:1 + i] + ["nope"]))
+    for arg in (a for a in kinds if a.startswith("--")):
+        if isinstance(kinds[arg], tuple):
+            cases.append((f"bad-choice-{arg}", valid + [arg, "nope"]))
+    return cases
+
+
+MALFORMED = [(cmd, label, argv) for cmd in sorted(VALID)
+             for label, argv in malformed(cmd)]
+MALFORMED += [(None, "unknown-command", ["frobnicate"]),
+              (None, "no-command", []),
+              (None, "flag-before-command", ["--no-cache", "dim", "4", "1"])]
+
+
+@pytest.mark.parametrize("cmd,label,argv", MALFORMED,
+                         ids=[f"{c}-{label}" for c, label, _ in MALFORMED])
+def test_malformed_argv_prints_usage_and_exits_2(capsys, cmd, label, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    usage, error = err.splitlines()
+    assert usage.startswith(f"usage: schern {cmd} [-h]" if cmd else "usage: schern {")
+    assert error.startswith("error: ")
+
+
+def test_every_option_form_and_position_prints_the_same_bytes(capsys):
+    for cmd, valid in VALID.items():
+        head, tail = valid[:1], valid[1:]
+        fmt = ["--format", "json"] if "--format" in COMMANDS[cmd][2] else []
+        spaced = head + tail + ["--ceiling", "5000"] + fmt + ["--no-cache"]
+        joined = head + tail + ["--ceiling=5000"] + ["=".join(fmt)] * bool(fmt)
+        first = head + ["--no-cache", "--ceiling", "5000"] + fmt + tail
+        outputs = [invoke(capsys, *argv) for argv in
+                   (spaced, joined + ["--no-cache"], first)]
+        assert outputs[0][0] == 0 and outputs[0][1], cmd
+        assert outputs[1:] == outputs[:1] * 2, cmd
+
+
+def test_a_negative_number_is_a_positional(capsys):
+    # only "--..." and -h are options, so -3 reaches the range check
+    code, out, err = invoke(capsys, "dim", "-3", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: n must be positive, got -3\n"
+
+
+def test_benchmark_argvs_parse_to_the_argparse_namespaces(tmp_path):
+    # the namespaces that the argparse parser built, its handler aside, for
+    # the argv shapes that perfbench/run.py passes
+    default = tmp_path / "xdg" / "schern" / "results.jsonl"
+    shared = {"ceiling": 100000, "cache": default, "no_cache": False,
+              "verify_cache": False}
+    cases = [
+        (["c2", "3", "2,1", "--no-cache"],
+         {"command": "c2", "n": 3, "partition": "2,1", "method": None,
+          "no_cache": True}),
+        (["dim", "5", "1,1", "--cache", "F"],
+         {"command": "dim", "n": 5, "partition": "1,1", "cache": Path("F")}),
+        (["c2", "5", "2", "--cache", "F"],
+         {"command": "c2", "n": 5, "partition": "2", "method": None,
+          "cache": Path("F")}),
+        (["generators", "9", "3", "--format", "json", "--no-cache"],
+         {"command": "generators", "n": 9, "d": 3, "format": "json",
+          "no_cache": True}),
+        (["table", "--case", "sl8-mu2", "--format", "csv", "--no-cache"],
+         {"command": "table", "case": "sl8-mu2", "format": "csv",
+          "no_cache": True}),
+        (["verify", "sl9-mu3", "--no-cache"],
+         {"command": "verify", "case": "sl9-mu3", "no_cache": True}),
+        (["image-index", "8", "2", "--no-cache"],
+         {"command": "image-index", "n": 8, "d": 2, "no_cache": True}),
+        (["conjecture", "3"], {"command": "conjecture", "ell": 3}),
+        (["generators", "9", "3", "--format", "csv", "--cache", "F"],
+         {"command": "generators", "n": 9, "d": 3, "format": "csv",
+          "cache": Path("F")}),
+    ]
+    for argv, fields in cases:
+        ns = vars(parse_args(argv))
+        assert ns.pop("func") is COMMANDS[argv[0]][0]
+        assert ns == {**shared, **fields}, argv
+
+
+# ------------------------------------------------------------- error types
+
+@pytest.mark.parametrize("call", [
+    lambda: schur_dimension(0, ()),
+    lambda: ssyt_count(0, ()),
+    lambda: partition((1, 2)),
+    lambda: reduce_full_columns(2, (1, 1, 1)),
+    lambda: dual_partition(2, (1, 1, 1)),
+    lambda: casimir(2, (1, 1, 1)),
+    lambda: c2(4, (1,), "nope"),
+    lambda: c2(9, (3, 3, 3, 3, 3), "both"),
+    lambda: c2_enumeration(9, (3, 3, 3, 3, 3)),
+    lambda: GroupSpec(1, 1),
+    lambda: GroupSpec(4, 0),
+    lambda: GroupSpec(9, 2),
+    lambda: partition_of((1.5,)),
+    lambda: partition_of((-1,)),
+    lambda: table_against_reference("nope"),
+    lambda: verify_case("nope"),
+    lambda: explore_conjecture(9),
+    lambda: explore_conjecture(11),
+    lambda: parse_partition("2,x"),
+], ids=["dim-n", "ssyt-n", "increasing", "rows-reduce", "rows-dual",
+        "rows-casimir", "method", "both-ceiling", "enum-ceiling", "spec-n",
+        "spec-d", "spec-divide", "weight-type", "weight-sign", "table-case",
+        "verify-case", "ell-prime", "ell-ceiling", "partition-text"])
+def test_every_bad_input_raises_input_error(call):
+    with pytest.raises(InputError):
+        call()
+
+
+@pytest.mark.parametrize("exc", [ValueError, ZeroDivisionError])
+@pytest.mark.parametrize("argv", [["conjecture", "3"], ["c2", "4", "1", "--no-cache"]],
+                         ids=["conjecture", "c2"])
+def test_an_unexpected_error_inside_a_command_propagates(monkeypatch, exc, argv):
+    # only InputError and InvariantError map to exit 2 and 1; any other
+    # ValueError or ArithmeticError is a bug and keeps its traceback
+    def broken(n, heights):
+        raise exc("bug")
+
+    monkeypatch.setattr(chern_mod, "_n_casimir", broken)
+    with pytest.raises(exc, match="bug") as info:
+        run(argv)
+    assert not isinstance(info.value, (InputError, InvariantError))
