@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .chern import (
     ChernResult,
     CrossCheckError,
-    EnumerationCeilingError,
     c2,
     c2_closed_form,
     c2_enumeration,
@@ -62,7 +61,6 @@ __all__ = [
     "ChernResult",
     "ConjectureReport",
     "CrossCheckError",
-    "EnumerationCeilingError",
     "GeneratorTable",
     "GroupSpec",
     "InputError",

@@ -17,10 +17,10 @@ n_lam:
 * enumeration: stream every semistandard tableau content and read off the
   quadratic part of the splitting-principle product modulo (x1+...+xn).
 
-The front door :func:`c2` runs the closed form and, while the dimension stays
-under a configurable ceiling, recomputes the index by the sub-shape sum as a
-cross-check.  Enumeration costs time linear in the dimension; it is reached
-only by an explicit ``method="enumeration"`` and serves tests as an oracle.
+The front door :func:`c2` runs the closed form and, while the dimension is
+at most CROSS_CHECK_CEILING, recomputes the index by the sub-shape sum as a
+cross-check.  Enumeration costs time linear in the dimension; no command
+reaches it, and it serves the tests as an oracle.
 """
 from __future__ import annotations
 
@@ -41,16 +41,8 @@ from .partitions import (
 if TYPE_CHECKING:
     from fractions import Fraction
 
-DEFAULT_ENUMERATION_CEILING = 100_000
-
-METHOD_ENUMERATION = "enumeration"
-METHOD_CLOSED_FORM = "closed-form"
-METHOD_BOTH = "both"
-
-
-class EnumerationCeilingError(InputError):
-    """Dimension above the ceiling for enumeration or a demanded cross-check;
-    use the closed form instead."""
+# Dimension up to which c2 recomputes the index by the sub-shape sum.
+CROSS_CHECK_CEILING = 100_000
 
 
 class CrossCheckError(Exception):
@@ -74,6 +66,8 @@ class ChernResult(NamedTuple):
 
 def reduce_full_columns(n: int, lam: Partition) -> Partition:
     """Strip determinant factors: subtract lam_n from every part."""
+    if n < 1:
+        raise InputError(f"n must be positive, got {n}")
     lam = partition(lam)
     if len(lam) > n:
         raise InputError(f"partition {lam} has more than n={n} rows")
@@ -124,11 +118,11 @@ def c2_closed_form(n: int, lam: Partition) -> ChernResult:
     dim * (n * casimir) / (n * (n^2 - 1)); the division is always exact."""
     lam = reduce_full_columns(n, lam)
     if not lam:
-        return ChernResult(0, METHOD_CLOSED_FORM, False, 1)
+        return ChernResult(0, "closed-form", False, 1)
     heights = _conjugate(lam)
     dim = _hook_dimension(n, lam, heights)
     return ChernResult(_closed_form_index(n, heights, dim),
-                       METHOD_CLOSED_FORM, False, dim)
+                       "closed-form", False, dim)
 
 
 def _closed_form_index(n: int, heights: Partition, dim: int) -> int:
@@ -221,11 +215,7 @@ def c2_subshape(n: int, lam: Partition) -> int:
     return total
 
 
-def c2_enumeration(
-    n: int,
-    lam: Partition,
-    ceiling: int = DEFAULT_ENUMERATION_CEILING,
-) -> ChernResult:
+def c2_enumeration(n: int, lam: Partition) -> ChernResult:
     """Splitting principle over tableau contents.
 
     Each tableau contributes a Chern root with multiplicities m = content;
@@ -235,48 +225,24 @@ def c2_enumeration(
     """
     lam = reduce_full_columns(n, lam)
     dim = schur_dimension(n, lam)
-    if dim > ceiling:
-        raise EnumerationCeilingError(
-            f"dimension {dim} exceeds the enumeration ceiling {ceiling} "
-            f"for n={n} lam={lam}; use the closed form"
-        )
     if n == 1:
-        return ChernResult(0, METHOD_ENUMERATION, False, dim)
+        return ChernResult(0, "enumeration", False, dim)
     total = 0
     for c in ssyt_stream(n, lam):
         m1 = c[0]
         if m1:
             total += m1 * (m1 - c[1])
-    return ChernResult(total, METHOD_ENUMERATION, False, dim)
+    return ChernResult(total, "enumeration", False, dim)
 
 
-def c2(
-    n: int,
-    lam: Partition,
-    method: str = "auto",
-    ceiling: int = DEFAULT_ENUMERATION_CEILING,
-) -> ChernResult:
-    """Front door.  method is one of auto, closed-form, enumeration, both.
-
-    auto runs the closed form and adds the sub-shape cross-check whenever
-    the dimension is at most ``ceiling``; both demands the cross-check,
-    refuses above the ceiling, and fails loudly on disagreement.
-    """
-    if method == METHOD_CLOSED_FORM:
-        return c2_closed_form(n, lam)
-    if method == METHOD_ENUMERATION:
-        return c2_enumeration(n, lam, ceiling)
-    if method not in ("auto", METHOD_BOTH):
-        raise InputError(f"unknown method {method!r}")
+def c2(n: int, lam: Partition) -> ChernResult:
+    """Front door: the closed form, cross-checked by the sub-shape sum when
+    the dimension is at most CROSS_CHECK_CEILING; a disagreement raises
+    CrossCheckError."""
     closed = c2_closed_form(n, lam)
-    if closed.dim > ceiling:
-        if method == "auto":
-            return closed
-        raise EnumerationCeilingError(
-            f"dimension {closed.dim} exceeds the cross-check ceiling {ceiling} "
-            f"for n={n} lam={partition(lam)}; use the closed form"
-        )
+    if closed.dim > CROSS_CHECK_CEILING:
+        return closed
     checked = c2_subshape(n, lam)
     if checked != closed.n_lambda:
         raise CrossCheckError(n, partition(lam), closed.n_lambda, checked)
-    return ChernResult(closed.n_lambda, METHOD_BOTH, True, closed.dim)
+    return ChernResult(closed.n_lambda, "both", True, closed.dim)

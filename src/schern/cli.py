@@ -1,17 +1,17 @@
 """Command-line front end.
 
 The parsed flags are the only settings; the environment supplies nothing
-but the default cache location under XDG_CACHE_HOME.  Only default-mode
-c2 and table rows go through the result cache, via tables.cached_c2; dim
-and --method runs never open it.  argv is read by parse_args against the
-COMMANDS table; -h/--help prints help and exits 0.
+but the default cache location under XDG_CACHE_HOME.  c2 and table rows go
+through the result cache, via tables.cached_c2; dim never opens it.  argv
+is read by parse_args against the COMMANDS table; -h/--help prints help
+and exits 0.
 
 Exit codes: 0 success, 1 an arithmetic invariant failed (InvariantError:
 verify found an index that is not a multiple of the H^4 generator, or the
 closed form or the hook-content dimension did not divide exactly), 2 bad
 arguments or violated preconditions (InputError: a usage error from the
-parser itself, unknown case, ceiling exceeded, malformed partition,
-unusable cache path), 3 a consistency check failed (method cross-check,
+parser itself, unknown case, ell above its ceiling, malformed partition,
+unusable cache path), 3 a consistency check failed (the cross-check of c2,
 a table row whose cross-check failed, or --verify-cache disagreement).
 """
 from __future__ import annotations
@@ -23,7 +23,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from .cache import ResultCache, StaleCacheError
-from .chern import DEFAULT_ENUMERATION_CEILING, CrossCheckError, c2
+from .chern import CrossCheckError
 from .partitions import (InputError, InvariantError, Partition, PartitionError,
                          partition, schur_dimension)
 from .tables import (CASES, REFERENCE_TABLES, GeneratorTable, cached_c2,
@@ -106,13 +106,7 @@ def render_table(table: GeneratorTable, fmt: str, case_id: str | None = None) ->
 
 def _cmd_c2(args) -> int:
     lam = parse_partition(args.partition)
-    if args.method is None:  # only the default mode reads or writes the cache
-        res = cached_c2(args.n, None, lam, "auto", args.ceiling, _cache(args))
-    else:
-        method = {"enum": "enumeration", "weyl": "closed-form",
-                  "both": "both"}[args.method]
-        res = c2(args.n, lam, method, args.ceiling)
-    print(res.n_lambda)
+    print(cached_c2(args.n, None, lam, _cache(args)).n_lambda)
     return 0
 
 
@@ -123,7 +117,7 @@ def _cmd_dim(args) -> int:
 
 def _cmd_generators(args) -> int:
     spec = GroupSpec(args.n, args.d)
-    table = generator_table(spec, ceiling=args.ceiling, cache=_cache(args))
+    table = generator_table(spec, cache=_cache(args))
     sys.stdout.write(render_table(table, args.format))
     table.raise_on_error()
     return 0
@@ -131,12 +125,12 @@ def _cmd_generators(args) -> int:
 
 def _cmd_image_index(args) -> int:
     spec = GroupSpec(args.n, args.d)
-    print(image_index(spec, ceiling=args.ceiling, cache=_cache(args)))
+    print(image_index(spec, cache=_cache(args)))
     return 0
 
 
 def _cmd_verify(args) -> int:
-    report = verify_case(args.case, ceiling=args.ceiling)
+    report = verify_case(args.case)
     match = "matches" if report.matches_expected else "DIFFERS FROM"
     print(f"{report.case_id}: image index {report.computed_index}, "
           f"H^4 generator multiplier {report.h4_multiplier}, "
@@ -146,7 +140,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    table = table_against_reference(args.case, args.ceiling, _cache(args))
+    table = table_against_reference(args.case, _cache(args))
     sys.stdout.write(render_table(table, args.format, case_id=args.case))
     table.raise_on_error()
     return 0
@@ -171,12 +165,11 @@ def _cmd_conjecture(args) -> int:
 # then its own options; every command also takes the SHARED flags.  A kind
 # reads the text (int, str, Path), lists the choices (a tuple) or marks a
 # flag that takes no value (bool).
-SHARED = {"--ceiling": int, "--cache": Path, "--no-cache": bool,
-          "--verify-cache": bool}
+SHARED = {"--cache": Path, "--no-cache": bool, "--verify-cache": bool}
 FORMAT = ("text", "csv", "json")
 COMMANDS = {
     "c2": (_cmd_c2, "index n_lambda of one representation",
-           {"n": int, "partition": str, "--method": ("enum", "weyl", "both")}),
+           {"n": int, "partition": str}),
     "dim": (_cmd_dim, "dimension of gamma_n^lambda",
             {"n": int, "partition": str}),
     "generators": (_cmd_generators, "minimal generating set of "
@@ -192,13 +185,10 @@ COMMANDS = {
                    "odd prime ell", {"ell": int}),
 }
 # The value of an absent option; an option not listed here is required.
-DEFAULTS = {"--method": None, "--format": "text", "--no-cache": False,
-            "--ceiling": DEFAULT_ENUMERATION_CEILING, "--cache": None,
+DEFAULTS = {"--format": "text", "--no-cache": False, "--cache": None,
             "--verify-cache": False}
 HELP = {
     "partition": "comma separated, e.g. 2,2,2",
-    "--method": "default: closed form, cross-checked when small",
-    "--ceiling": "dimension bound for the cross-check and for enumeration",
     "--cache": "cache file (default $XDG_CACHE_HOME/schern/results.jsonl)",
     "--no-cache": "skip the cache entirely",
     "--verify-cache": "recompute cached rows; disagreement exits 3",
@@ -273,11 +263,14 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
         if arg in texts and isinstance(kind, tuple) and value not in kind:
             fail(f"argument {arg}: invalid choice {value!r} "
                  f"(choose from {', '.join(kind)})")
-        if arg in texts and kind in (int, Path):
-            try:
-                value = kind(value)
-            except ValueError:
+        if arg in texts and kind is Path:
+            value = Path(value)
+        if arg in texts and kind is int:
+            # int() alone would also take "1_0", "+8" and non-ASCII digits
+            digits = value.removeprefix("-")
+            if not (digits.isascii() and digits.isdigit()):
                 fail(f"argument {arg}: invalid int value {value!r}")
+            value = int(value)
         setattr(ns, arg.lstrip("-").replace("-", "_"), value)
     if ns.cache is None:
         xdg = os.environ.get("XDG_CACHE_HOME") or "~/.cache"

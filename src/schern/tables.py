@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple
 
 from .cache import ResultCache
 from .chern import (
-    DEFAULT_ENUMERATION_CEILING,
+    CROSS_CHECK_CEILING,
     ChernResult,
     CrossCheckError,
     _closed_form_index,
@@ -190,36 +190,28 @@ def running_gcd(values: Iterable[int]) -> int:
 
 
 def cached_c2(
-    n: int,
-    d: int | None,
-    lam: Partition,
-    method: str,
-    ceiling: int,
-    cache: ResultCache | None,
+    n: int, d: int | None, lam: Partition, cache: ResultCache | None
 ) -> ChernResult:
     """:func:`c2` through the result cache, keyed by ``(n, d, lam)``.
 
-    Only the default ``auto`` mode reads or records the cache, so the file
-    holds nothing but what that mode certifies.  A hit counts only when its
-    route is the one ``ceiling`` selects (cross-checked exactly when the
-    dimension is at most the ceiling); otherwise the value is recomputed
-    and the new route recorded.  In verify mode every value is recomputed
-    and a disagreement raises StaleCacheError.
+    A hit counts only when its route is the one :func:`c2` takes
+    (cross-checked exactly when the dimension is at most
+    CROSS_CHECK_CEILING), since a file written by an older build may hold
+    another; otherwise the value is recomputed and the new route recorded.
+    In verify mode every value is recomputed and a disagreement raises
+    StaleCacheError.
     """
-    if cache is None or method != "auto":
-        return c2(n, lam, method, ceiling)
+    if cache is None:
+        return c2(n, lam)
     res = cache.result(n, d, lam)
-    if res is None or res.cross_checked != (res.dim <= ceiling):
-        res = c2(n, lam, method, ceiling)
+    if res is None or res.cross_checked != (res.dim <= CROSS_CHECK_CEILING):
+        res = c2(n, lam)
         cache.record(n, d, lam, res)
     return res
 
 
 def _compute_table(
-    spec: GroupSpec,
-    weights: Iterable[Weight],
-    ceiling: int,
-    cache: ResultCache | None,
+    spec: GroupSpec, weights: Iterable[Weight], cache: ResultCache | None
 ) -> GeneratorTable:
     ref = _REFERENCE_BY_GROUP.get((spec.n, spec.d))
     printed = {w: v for w, _, v in ref.rows} if ref else {}
@@ -227,7 +219,7 @@ def _compute_table(
     for w in weights:
         lam = partition_of(w)
         try:
-            res = cached_c2(spec.n, spec.d, lam, "auto", ceiling, cache)
+            res = cached_c2(spec.n, spec.d, lam, cache)
         except CrossCheckError as exc:
             rows.append(TableRow(w, lam, None, False, False,
                                  printed.get(w), error=exc))
@@ -242,9 +234,7 @@ def _compute_table(
 
 
 def generator_table(
-    spec: GroupSpec,
-    ceiling: int = DEFAULT_ENUMERATION_CEILING,
-    cache: ResultCache | None = None,
+    spec: GroupSpec, cache: ResultCache | None = None
 ) -> GeneratorTable:
     """Index table over the minimal generating set of the descent monoid.
 
@@ -253,13 +243,11 @@ def generator_table(
     the row (error set, index None) without aborting the table.  Each row
     goes through :func:`cached_c2`.
     """
-    return _compute_table(spec, hilbert_basis(spec), ceiling, cache)
+    return _compute_table(spec, hilbert_basis(spec), cache)
 
 
 def table_against_reference(
-    case_id: str,
-    ceiling: int = DEFAULT_ENUMERATION_CEILING,
-    cache: ResultCache | None = None,
+    case_id: str, cache: ResultCache | None = None
 ) -> GeneratorTable:
     """Recompute exactly the rows of a bundled reference table.
 
@@ -271,32 +259,23 @@ def table_against_reference(
             f"unknown table {case_id!r}; known: {sorted(REFERENCE_TABLES)}"
         )
     ref = REFERENCE_TABLES[case_id]
-    return _compute_table(
-        ref.spec, [w for w, _, _ in ref.rows], ceiling, cache
-    )
+    return _compute_table(ref.spec, [w for w, _, _ in ref.rows], cache)
 
 
-def image_index(
-    spec: GroupSpec,
-    ceiling: int = DEFAULT_ENUMERATION_CEILING,
-    cache: ResultCache | None = None,
-) -> int:
+def image_index(spec: GroupSpec, cache: ResultCache | None = None) -> int:
     """gcd of the indices n_lam over the generating set: the image of the
     degree-2 Chern class map is this multiple of c2."""
-    table = generator_table(spec, ceiling=ceiling, cache=cache)
+    table = generator_table(spec, cache=cache)
     table.raise_on_error()
     return table.gcd
 
 
-def verify_case(
-    case_id: str,
-    ceiling: int = DEFAULT_ENUMERATION_CEILING,
-) -> CaseReport:
+def verify_case(case_id: str) -> CaseReport:
     """Compare the computed image index against a stored expectation."""
     if case_id not in CASES:
         raise InputError(f"unknown case {case_id!r}; known: {sorted(CASES)}")
     case = CASES[case_id]
-    idx = image_index(case.spec, ceiling=ceiling)
+    idx = image_index(case.spec)
     if idx % case.h4_multiplier:
         raise InvariantError(
             f"index {idx} is not a multiple of the H^4 generator "

@@ -11,7 +11,6 @@ import schern.chern as chern_mod
 from schern.chern import (
     ChernResult,
     CrossCheckError,
-    EnumerationCeilingError,
     c2,
     c2_closed_form,
     c2_enumeration,
@@ -179,10 +178,6 @@ class TestEnumeration:
         assert c2_enumeration(8, (2,)).n_lambda == 10
         assert c2_enumeration(8, (2, 2, 2, 2, 2, 2, 2)).n_lambda == 10
 
-    def test_ceiling(self):
-        with pytest.raises(EnumerationCeilingError):
-            c2_enumeration(9, (3, 3, 3, 3), ceiling=100_000)
-
     def test_rejects_too_many_rows(self):
         with pytest.raises(ValueError):
             c2_enumeration(3, (1, 1, 1, 1))
@@ -260,7 +255,7 @@ class TestSubshape:
         assert sizes and max(sizes) <= min(lam[0], len(lam))
 
     def test_wide_shapes_are_cross_checked(self):
-        # dimensions 5001 and 45451, under the default ceiling
+        # dimensions 5001 and 45451, under CROSS_CHECK_CEILING
         for n, lam in [(2, (5000,)), (3, (300,))]:
             res = c2(n, lam)
             assert res.cross_checked
@@ -295,11 +290,11 @@ class TestTruncatedQuadratic:
 
 class TestFrontDoor:
     def test_both_examples(self):
-        res = c2(8, (1, 1, 1, 1), method="both")
+        res = c2(8, (1, 1, 1, 1))
         assert res.n_lambda == 20
         assert res.method == "both"
         assert res.cross_checked
-        assert c2(9, (2, 1, 1, 1, 1, 1, 1, 1), method="both").n_lambda == 18
+        assert c2(9, (2, 1, 1, 1, 1, 1, 1, 1)).n_lambda == 18
 
     def test_auto_cross_checks_small_dimensions(self):
         res = c2(8, (2, 2, 2))
@@ -313,10 +308,6 @@ class TestFrontDoor:
         assert not res.cross_checked
         assert res.n_lambda == 116424
 
-    def test_explicit_both_respects_ceiling(self):
-        with pytest.raises(EnumerationCeilingError):
-            c2(9, (3, 3, 3, 3), method="both")
-
     def test_cross_check_runs_the_subshape_sum(self, monkeypatch):
         def no_tableaux(*args, **kwargs):
             raise AssertionError("the cross-check must not stream tableaux")
@@ -326,10 +317,6 @@ class TestFrontDoor:
         with pytest.raises(CrossCheckError) as info:
             c2(8, (2, 2, 2))
         assert (info.value.closed, info.value.subshape) == (700, 701)
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            c2(8, (1, 1), method="bogus")
 
     def test_exterior_power_identity(self):
         for n in range(2, 11):

@@ -19,16 +19,20 @@ from schern import (
     GroupSpec,
     __version__,
     c2,
+    c2_closed_form,
     c2_enumeration,
+    c2_subshape,
     casimir,
     dual_partition,
     explore_conjecture,
+    hilbert_basis,
     partition_of,
     schur_dimension,
     ssyt_count,
     table_against_reference,
     verify_case,
 )
+from schern.cache import ResultCache
 from schern.chern import reduce_full_columns
 from schern.cli import COMMANDS, SHARED, parse_args, parse_partition, run
 from schern.partitions import InputError, InvariantError, PartitionError, partition
@@ -89,11 +93,11 @@ def test_c2_prints_index(capsys):
 
 
 def test_c2_methods_agree(capsys):
-    values = set()
-    for extra in ([], ["--method", "enum"], ["--method", "weyl"], ["--method", "both"]):
-        code, out, _ = invoke(capsys, "c2", "6", "2,1", "--no-cache", *extra)
-        assert code == 0
-        values.add(out)
+    code, out, _ = invoke(capsys, "c2", "6", "2,1", "--no-cache")
+    assert code == 0
+    values = {out, f"{c2_closed_form(6, (2, 1)).n_lambda}\n",
+              f"{c2_subshape(6, (2, 1))}\n",
+              f"{c2_enumeration(6, (2, 1)).n_lambda}\n"}
     assert values == {"33\n"}
 
 
@@ -103,21 +107,19 @@ def test_c2_bad_partition_exits_2(capsys):
     assert "partition" in err
 
 
-def test_c2_both_above_ceiling_exits_2(capsys):
-    code, _, err = invoke(
-        capsys, "c2", "9", "3,3,3,3,3", "--method", "both", "--no-cache"
-    )
-    assert code == 2
-    assert "ceiling" in err
-
-
 def test_c2_ceiling_flag_overrides(capsys):
-    code, out, _ = invoke(
-        capsys, "c2", "9", "3,3,3,3,3", "--method", "both",
-        "--ceiling", "200000", "--no-cache",
-    )
+    # dimension 116424 lies above CROSS_CHECK_CEILING, so the closed
+    # form alone answers
+    code, out, _ = invoke(capsys, "c2", "9", "3,3,3,3,3", "--no-cache")
     assert code == 0
     assert out == "116424\n"
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_c2_rejects_a_non_positive_n(capsys, n):
+    code, out, err = invoke(capsys, "c2", n, "0", "--no-cache")
+    assert (code, out) == (2, "")
+    assert err == f"error: n must be positive, got {n}\n"
 
 
 def test_settings_come_from_the_command_line_only(capsys, monkeypatch, tmp_path):
@@ -128,10 +130,13 @@ def test_settings_come_from_the_command_line_only(capsys, monkeypatch, tmp_path)
     monkeypatch.setenv("SCHERN_MAX_ELL", "3")
     monkeypatch.setenv("SCHERN_CACHE", str(ignored))
     monkeypatch.setenv("SCHERN_VERIFY_CACHE", "maybe")
-    assert invoke(capsys, "c2", "4", "1,1", "--method", "both")[:2] == (0, "2\n")
+    assert invoke(capsys, "c2", "4", "1,1", "--no-cache")[:2] == (0, "2\n")
     assert invoke(capsys, "conjecture", "5")[0] == 0
     assert invoke(capsys, "c2", "4", "1,1")[:2] == (0, "2\n")
     assert not ignored.exists()
+    # the record in the default cache is cross-checked: no ceiling of 5
+    default = tmp_path / "xdg" / "schern" / "results.jsonl"
+    assert '"method":"both"' in default.read_text()
 
 
 def test_dim(capsys):
@@ -481,16 +486,22 @@ def test_unusable_cache_path_exits_2(capsys, tmp_path, where):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("ceiling", ["0", "200000"])
+@pytest.mark.parametrize("ceiling", [0, 200_000], ids=["0", "200000"])
 def test_cache_hit_from_another_ceiling_is_recomputed(capsys, tmp_path, ceiling):
-    # 27 of the 31 rows lie below the default ceiling and are cross-checked;
-    # a record warmed under another ceiling must not change that
+    # 27 of the 31 rows lie below the cross-check ceiling and are
+    # cross-checked; the records that a build with another ceiling wrote
+    # (cross-checked exactly up to that one) must not change that
     cache = tmp_path / "c.jsonl"
     argv = ("generators", "9", "3", "--format", "json")
     clean = invoke(capsys, *argv, "--no-cache")
     assert clean[1].count('"cross_checked": true') == 27
-    invoke(capsys, "image-index", "9", "3", "--cache", str(cache),
-           "--ceiling", ceiling)
+    planted = ResultCache(cache)
+    for lam in map(partition_of, hilbert_basis(GroupSpec(9, 3))):
+        res = c2_closed_form(9, lam)
+        if res.dim <= ceiling:
+            res = res._replace(method="both", cross_checked=True)
+        planted.put(9, 3, lam, res)
+    assert cache.read_text().count('"method":"both"') != 27
     assert invoke(capsys, *argv, "--cache", str(cache)) == clean
     assert invoke(capsys, *argv, "--cache", str(cache)) == clean
 
@@ -534,22 +545,13 @@ def test_torn_last_line_does_not_swallow_an_append(capsys, tmp_path):
 
 
 def test_only_default_mode_c2_touches_the_cache(capsys, tmp_path):
-    # dim and an explicit --method never certify a record for default mode
+    # dim never certifies a record for c2
     cache = tmp_path / "c.jsonl"
     assert invoke(capsys, "dim", "8", "2,2,2", "--cache", str(cache))[:2] == (0, "1176\n")
-    assert invoke(capsys, "c2", "8", "2,1", "--method", "weyl",
-                  "--cache", str(cache))[:2] == (0, "61\n")
     assert not cache.exists() or cache.read_text() == ""
     assert invoke(capsys, "c2", "8", "2,1", "--cache", str(cache))[:2] == (0, "61\n")
     lines = cache.read_text().splitlines()
     assert len(lines) == 1 and '"method":"both"' in lines[0]
-
-
-@pytest.mark.parametrize("method", ["weyl", "enum", "both"])
-def test_method_runs_never_open_the_cache(capsys, tmp_path, method):
-    # a directory as --cache would exit 2 if c2 --method read the file
-    argv = ("c2", "8", "2,1", "--method", method, "--cache", str(tmp_path))
-    assert invoke(capsys, *argv) == (0, "61\n", "")
 
 
 def test_cache_respects_group_context(capsys, tmp_path):
@@ -699,18 +701,20 @@ def malformed(cmd):
         ("unknown-flag", valid + ["--bogus"]),
         ("abbreviated-flag", valid + ["--no-c"]),  # prefixes are not expanded
         ("extra-positional", valid + ["7"]),
-        ("missing-value", valid + ["--ceiling"]),
+        ("missing-value", valid + ["--cache"]),
         ("flag-as-value", valid + ["--cache", "--no-cache"]),
         ("value-on-flag", valid + ["--no-cache=yes"]),
-        ("non-integer-option", valid + ["--ceiling", "x"]),
-        ("non-integer-option-eq", valid + ["--ceiling=1.5"]),
         ("missing-positional", valid[:-1] if cmd != "table" else ["table"]),
     ]
     kinds = COMMANDS[cmd][2]
     for i, arg in enumerate(a for a in kinds if not a.startswith("--")):
         if kinds[arg] is int:
-            cases.append((f"non-integer-{arg}",
-                          valid[:1 + i] + ["x"] + valid[2 + i:]))
+            # int() alone reads "1_0" as 10 and both "\uff18" and "+8" as 8
+            cases += [(f"non-integer-{arg}{label}",
+                       valid[:1 + i] + [text] + valid[2 + i:])
+                      for label, text in [("", "x"), ("-underscore", "1_0"),
+                                          ("-fullwidth-digit", "\uff18"),
+                                          ("-plus-sign", "+8")]]
         elif isinstance(kinds[arg], tuple):
             cases.append((f"bad-choice-{arg}", valid[:1 + i] + ["nope"]))
     for arg in (a for a in kinds if a.startswith("--")):
@@ -736,13 +740,14 @@ def test_malformed_argv_prints_usage_and_exits_2(capsys, cmd, label, argv):
     assert error.startswith("error: ")
 
 
-def test_every_option_form_and_position_prints_the_same_bytes(capsys):
+def test_every_option_form_and_position_prints_the_same_bytes(capsys, tmp_path):
+    path = str(tmp_path / "c.jsonl")
     for cmd, valid in VALID.items():
         head, tail = valid[:1], valid[1:]
         fmt = ["--format", "json"] if "--format" in COMMANDS[cmd][2] else []
-        spaced = head + tail + ["--ceiling", "5000"] + fmt + ["--no-cache"]
-        joined = head + tail + ["--ceiling=5000"] + ["=".join(fmt)] * bool(fmt)
-        first = head + ["--no-cache", "--ceiling", "5000"] + fmt + tail
+        spaced = head + tail + ["--cache", path] + fmt + ["--no-cache"]
+        joined = head + tail + [f"--cache={path}"] + ["=".join(fmt)] * bool(fmt)
+        first = head + ["--no-cache", "--cache", path] + fmt + tail
         outputs = [invoke(capsys, *argv) for argv in
                    (spaced, joined + ["--no-cache"], first)]
         assert outputs[0][0] == 0 and outputs[0][1], cmd
@@ -760,17 +765,14 @@ def test_benchmark_argvs_parse_to_the_argparse_namespaces(tmp_path):
     # the namespaces that the argparse parser built, its handler aside, for
     # the argv shapes that perfbench/run.py passes
     default = tmp_path / "xdg" / "schern" / "results.jsonl"
-    shared = {"ceiling": 100000, "cache": default, "no_cache": False,
-              "verify_cache": False}
+    shared = {"cache": default, "no_cache": False, "verify_cache": False}
     cases = [
         (["c2", "3", "2,1", "--no-cache"],
-         {"command": "c2", "n": 3, "partition": "2,1", "method": None,
-          "no_cache": True}),
+         {"command": "c2", "n": 3, "partition": "2,1", "no_cache": True}),
         (["dim", "5", "1,1", "--cache", "F"],
          {"command": "dim", "n": 5, "partition": "1,1", "cache": Path("F")}),
         (["c2", "5", "2", "--cache", "F"],
-         {"command": "c2", "n": 5, "partition": "2", "method": None,
-          "cache": Path("F")}),
+         {"command": "c2", "n": 5, "partition": "2", "cache": Path("F")}),
         (["generators", "9", "3", "--format", "json", "--no-cache"],
          {"command": "generators", "n": 9, "d": 3, "format": "json",
           "no_cache": True}),
@@ -801,9 +803,8 @@ def test_benchmark_argvs_parse_to_the_argparse_namespaces(tmp_path):
     lambda: reduce_full_columns(2, (1, 1, 1)),
     lambda: dual_partition(2, (1, 1, 1)),
     lambda: casimir(2, (1, 1, 1)),
-    lambda: c2(4, (1,), "nope"),
-    lambda: c2(9, (3, 3, 3, 3, 3), "both"),
-    lambda: c2_enumeration(9, (3, 3, 3, 3, 3)),
+    lambda: c2(0, ()),
+    lambda: c2_subshape(0, ()),
     lambda: GroupSpec(1, 1),
     lambda: GroupSpec(4, 0),
     lambda: GroupSpec(9, 2),
@@ -815,7 +816,7 @@ def test_benchmark_argvs_parse_to_the_argparse_namespaces(tmp_path):
     lambda: explore_conjecture(11),
     lambda: parse_partition("2,x"),
 ], ids=["dim-n", "ssyt-n", "increasing", "rows-reduce", "rows-dual",
-        "rows-casimir", "method", "both-ceiling", "enum-ceiling", "spec-n",
+        "rows-casimir", "c2-n", "subshape-n", "spec-n",
         "spec-d", "spec-divide", "weight-type", "weight-sign", "table-case",
         "verify-case", "ell-prime", "ell-ceiling", "partition-text"])
 def test_every_bad_input_raises_input_error(call):

@@ -10,7 +10,12 @@ import schern.partitions as partitions_mod
 import schern.tables as tables_mod
 from monoid_oracle import monoid_members_up_to
 from schern.cache import ResultCache
-from schern.chern import ChernResult, CrossCheckError, c2_closed_form
+from schern.chern import (
+    CROSS_CHECK_CEILING,
+    ChernResult,
+    CrossCheckError,
+    c2_closed_form,
+)
 from schern.tables import (
     CASES,
     REFERENCE_TABLES,
@@ -77,7 +82,7 @@ class TestTableAgainstReference:
         t = table_against_reference("sl9-mu3")
         for r in t.rows:
             from schern.partitions import schur_dimension
-            expect = schur_dimension(9, r.partition) <= 100_000
+            expect = schur_dimension(9, r.partition) <= CROSS_CHECK_CEILING
             assert r.cross_checked == expect, r
 
     def test_unknown_case(self):
@@ -133,10 +138,10 @@ class TestGeneratorTable:
     def test_cross_check_failure_marks_row_without_aborting(self, monkeypatch):
         real = tables_mod.c2
 
-        def broken(n, lam, method="auto", ceiling=0):
+        def broken(n, lam):
             if lam == (1, 1):
                 raise CrossCheckError(n, lam, 4, 5)
-            return real(n, lam, method=method, ceiling=ceiling)
+            return real(n, lam)
 
         monkeypatch.setattr(tables_mod, "c2", broken)
         t = generator_table(GroupSpec(4, 2))
@@ -153,10 +158,10 @@ class TestImageIndex:
         real = tables_mod.c2
         original = CrossCheckError(4, (1, 1), 4, 5)
 
-        def broken(n, lam, method="auto", ceiling=0):
+        def broken(n, lam):
             if lam == (1, 1):
                 raise original
-            return real(n, lam, method=method, ceiling=ceiling)
+            return real(n, lam)
 
         monkeypatch.setattr(tables_mod, "c2", broken)
         with pytest.raises(CrossCheckError) as info:
@@ -227,7 +232,7 @@ class TestVerifyCase:
 
     @pytest.mark.parametrize("case_id,index", [("pgl6", 12), ("pgl7", 7)])
     def test_larger_projective_cases_closed_form(self, case_id, index):
-        rep = verify_case(case_id, ceiling=0)
+        rep = verify_case(case_id)
         assert rep.computed_index == index
         assert rep.verdict == "holds"
 

@@ -48,11 +48,9 @@ def test_package_source_reads_only_xdg_cache_home_from_the_environment():
     assert allowed == 1
 
 
-def test_perfbench_tracer_wraps_every_target_and_restores_it():
-    # The tracer looks each wrapped name up with getattr, so a rename in the
-    # package would break only a traced benchmark run; catch it here.
+def _load_tracer():
+    """perfbench/tracer.py, loaded by path, with every schern module loaded."""
     import importlib.util
-    import sys
 
     import schern.cli  # noqa: F401  (loads every schern module)
 
@@ -60,6 +58,15 @@ def test_perfbench_tracer_wraps_every_target_and_restores_it():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_perfbench_tracer_wraps_every_target_and_restores_it():
+    # The tracer looks each wrapped name up with getattr, so a rename in the
+    # package would break only a traced benchmark run; catch it here.
+    import sys
+
+    tracer = _load_tracer()
 
     functions = [(m, a) for m, a, _ in tracer.SPANS + tracer.COUNTERS]
     missing = [f"{m}.{a}" for m, a in functions if not hasattr(sys.modules[m], a)]
@@ -89,3 +96,21 @@ def test_perfbench_tracer_wraps_every_target_and_restores_it():
         changed = [k for k, v in vars(mod).items() if names.get(k, v) is not v]
         assert changed == [], mod.__name__
     assert all(vars(c)[a] is f for (c, a), f in original_methods.items())
+
+
+def test_perfbench_tracer_counts_the_rows_and_skips_of_the_front_door(capsys):
+    # The tracer reads a third positional argument of chern.c2 as a method
+    # and counts a ceiling skip only without one, so c2 must keep taking
+    # exactly (n, lam) for a traced run to count its skips.
+    from schern import cli
+
+    t = _load_tracer().Tracer()
+    t.install()
+    try:
+        assert cli.run(["image-index", "9", "3", "--no-cache"]) == 0
+    finally:
+        t.uninstall()
+    assert capsys.readouterr().out == "3\n"
+    assert t.counts["tables.rows"] == 31
+    assert t.counts["tables.cross_checked_rows"] == 27
+    assert t.counts["chern.ceiling_skips"] == 4
