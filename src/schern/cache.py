@@ -6,8 +6,6 @@ writers interleave whole lines.  Records carry the package version and
 are ignored on version mismatch.  A path that cannot be read or appended
 to raises InputError, as a bad --cache argument.
 """
-from __future__ import annotations
-
 from pathlib import Path
 
 from . import __version__

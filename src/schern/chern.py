@@ -22,8 +22,6 @@ at most CROSS_CHECK_CEILING, recomputes the index by the sub-shape sum as a
 cross-check.  Enumeration costs time linear in the dimension; no command
 reaches it, and it serves the tests as an oracle.
 """
-from __future__ import annotations
-
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -64,13 +62,20 @@ class ChernResult(NamedTuple):
     dim: int
 
 
-def reduce_full_columns(n: int, lam: Partition) -> Partition:
-    """Strip determinant factors: subtract lam_n from every part."""
+def _sl_shape(n: int, lam: Partition) -> Partition:
+    """Canonical lam, checked to be a highest weight of SL(n): n positive
+    and at most n rows."""
     if n < 1:
         raise InputError(f"n must be positive, got {n}")
     lam = partition(lam)
     if len(lam) > n:
         raise InputError(f"partition {lam} has more than n={n} rows")
+    return lam
+
+
+def reduce_full_columns(n: int, lam: Partition) -> Partition:
+    """Strip determinant factors: subtract lam_n from every part."""
+    lam = _sl_shape(n, lam)
     if len(lam) == n and lam[-1] > 0:
         lam = partition(p - lam[-1] for p in lam)
     return lam
@@ -78,9 +83,7 @@ def reduce_full_columns(n: int, lam: Partition) -> Partition:
 
 def dual_partition(n: int, lam: Partition) -> Partition:
     """Highest weight of the dual: complement of lam in a lam_1 x n box."""
-    lam = partition(lam)
-    if len(lam) > n:
-        raise InputError(f"partition {lam} has more than n={n} rows")
+    lam = _sl_shape(n, lam)
     if not lam:
         return ()
     padded = lam + (0,) * (n - len(lam))
@@ -102,14 +105,12 @@ def _n_casimir(n: int, heights: Partition) -> int:
     return n * total - size * size
 
 
-def casimir(n: int, lam: Partition) -> Fraction:
+def casimir(n: int, lam: Partition) -> "Fraction":
     """Casimir eigenvalue (lam, lam + 2 rho) in the normalization where the
     defining representation of SL(n) has eigenvalue (n^2 - 1) / n."""
     from fractions import Fraction
 
-    lam = partition(lam)
-    if len(lam) > n:
-        raise InputError(f"partition {lam} has more than n={n} rows")
+    lam = _sl_shape(n, lam)
     return Fraction(_n_casimir(n, _conjugate(lam)), n)
 
 

@@ -5,8 +5,6 @@ partition is ().  The public functions accept any part sequence and validate
 it once through :func:`partition`, which strips trailing zeros; the private
 helpers behind them trust that canonical form and do not check it again.
 """
-from __future__ import annotations
-
 import math
 from collections.abc import Iterable, Iterator
 from operator import index, lt

@@ -10,8 +10,6 @@ Bundled reference tables ship as plain data; :func:`generator_table`
 recomputes every row and flags disagreements instead of silently trusting
 either side.
 """
-from __future__ import annotations
-
 from math import gcd, isqrt
 from typing import Iterable, NamedTuple
 

@@ -9,8 +9,6 @@ exactly when |lam| is divisible by d.  The dominant weights that descend form
 a monoid under addition; :func:`hilbert_basis` returns its unique minimal
 generating set.
 """
-from __future__ import annotations
-
 from itertools import accumulate, product
 from operator import index
 from typing import NamedTuple
@@ -33,7 +31,7 @@ class GroupSpec(_GroupFields):
 
     __slots__ = ()
 
-    def __new__(cls, n: int, d: int) -> GroupSpec:
+    def __new__(cls, n: int, d: int) -> "GroupSpec":
         if n < 2:
             raise InputError(f"n must be at least 2, got {n}")
         if d < 1:
@@ -43,7 +41,7 @@ class GroupSpec(_GroupFields):
         return super().__new__(cls, n, d)
 
     @classmethod
-    def _make(cls, iterable) -> GroupSpec:
+    def _make(cls, iterable) -> "GroupSpec":
         return cls(*iterable)
 
 

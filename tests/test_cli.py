@@ -1,5 +1,6 @@
 """Exit codes, output formats, and cache behaviour of the command line."""
 import csv
+import gc
 import io
 import json
 import os
@@ -34,7 +35,7 @@ from schern import (
 )
 from schern.cache import ResultCache
 from schern.chern import reduce_full_columns
-from schern.cli import COMMANDS, SHARED, parse_args, parse_partition, run
+from schern.cli import COMMANDS, SHARED, main, parse_args, parse_partition, run
 from schern.partitions import InputError, InvariantError, PartitionError, partition
 
 
@@ -624,16 +625,29 @@ def test_start_up_imports_no_unused_heavy_modules():
 def test_text_and_uncached_commands_load_no_unneeded_modules():
     # argparse and gettext are replaced by parse_args; json only serves the
     # cache file and --format json, csv --format csv, fcntl a cache append,
-    # fractions casimir().  Counted in a fresh interpreter, where site has
-    # loaded none of them.
+    # fractions casimir(), and __future__ postponed annotations, which are
+    # gone.  Counted in a fresh interpreter, where site has loaded none of
+    # them.  A postponed (string) annotation on a NamedTuple field would
+    # also cost one compile() at import, for the ForwardRef that typing
+    # wraps it in, so every field annotation must be a real type.
     script = (
-        "import sys\n"
+        "import sys, typing\n"
         "import schern.cli\n"
         "codes = [schern.cli.run(['dim', '8', '2,1']),\n"
         "         schern.cli.run(['c2', '8', '2,2,2', '--no-cache']),\n"
         "         schern.cli.run(['conjecture', '3']),\n"
         "         schern.cli.run(['image-index', '8', '2', '--no-cache'])]\n"
-        "unneeded = ['argparse', 'gettext', 'json', 'csv', 'fractions', 'fcntl']\n"
+        "unneeded = ['argparse', 'gettext', 'json', 'csv', 'fractions', 'fcntl',\n"
+        "            '__future__']\n"
+        "fields = {f'{cls.__name__}.{name}': hint\n"
+        "          for mod in list(sys.modules.values())\n"
+        "          if mod.__name__.startswith('schern')\n"
+        "          for cls in vars(mod).values()\n"
+        "          if isinstance(cls, type) and issubclass(cls, tuple)\n"
+        "          and hasattr(cls, '_fields')\n"
+        "          for name, hint in cls.__annotations__.items()}\n"
+        "print(len(fields) > 20, [f for f, hint in fields.items()\n"
+        "                         if isinstance(hint, (str, typing.ForwardRef))])\n"
         "print(codes, [m for m in unneeded if m in sys.modules])\n"
     )
     root = Path(__file__).resolve().parents[1]
@@ -643,7 +657,25 @@ def test_text_and_uncached_commands_load_no_unneeded_modules():
         env={**os.environ, "PYTHONPATH": str(root / "src")},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] []"
+    assert proc.stdout.splitlines()[-2:] == ["True []", "[0, 0, 0, 0] []"]
+
+
+def test_main_freezes_the_collector_and_run_does_not(monkeypatch, capsys):
+    # the start-up heap lives as long as the process, so main() moves it to
+    # the permanent generation; run() is what the tests and the in-process
+    # benchmark call, and it leaves the collector as it found it
+    before = gc.get_freeze_count()
+    assert run(["dim", "4", "1"]) == 0
+    assert gc.get_freeze_count() == before
+    monkeypatch.setattr(sys, "argv", ["schern", "dim", "4", "1"])
+    try:
+        with pytest.raises(SystemExit) as info:
+            main()
+        assert info.value.code == 0
+        assert gc.get_freeze_count() > before
+    finally:
+        gc.unfreeze()
+    assert capsys.readouterr().out == "4\n4\n"
 
 
 def test_console_script_is_wired():
@@ -803,6 +835,8 @@ def test_benchmark_argvs_parse_to_the_argparse_namespaces(tmp_path):
     lambda: reduce_full_columns(2, (1, 1, 1)),
     lambda: dual_partition(2, (1, 1, 1)),
     lambda: casimir(2, (1, 1, 1)),
+    lambda: casimir(0, ()),
+    lambda: dual_partition(0, ()),
     lambda: c2(0, ()),
     lambda: c2_subshape(0, ()),
     lambda: GroupSpec(1, 1),
@@ -816,11 +850,20 @@ def test_benchmark_argvs_parse_to_the_argparse_namespaces(tmp_path):
     lambda: explore_conjecture(11),
     lambda: parse_partition("2,x"),
 ], ids=["dim-n", "ssyt-n", "increasing", "rows-reduce", "rows-dual",
-        "rows-casimir", "c2-n", "subshape-n", "spec-n",
+        "rows-casimir", "casimir-n", "dual-n", "c2-n", "subshape-n", "spec-n",
         "spec-d", "spec-divide", "weight-type", "weight-sign", "table-case",
         "verify-case", "ell-prime", "ell-ceiling", "partition-text"])
 def test_every_bad_input_raises_input_error(call):
     with pytest.raises(InputError):
+        call()
+
+
+@pytest.mark.parametrize("call", [lambda: casimir(0, ()),
+                                  lambda: casimir(-1, ()),
+                                  lambda: dual_partition(0, ()),
+                                  lambda: dual_partition(-1, (1,))])
+def test_nonpositive_n_is_named_in_the_error(call):
+    with pytest.raises(InputError, match="^n must be positive, got -?[01]$"):
         call()
 
 
