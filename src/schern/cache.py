@@ -47,14 +47,12 @@ def _decode(line: bytes) -> tuple[CacheKey, dict] | None:
 class ResultCache:
     """In-memory view of one cache file; later lines win on duplicate keys.
 
-    With ``verify`` set, :meth:`result` misses on purpose so that every
-    value is recomputed, and :meth:`record` raises StaleCacheError when a
-    recomputed value disagrees with the file.
+    The cache stores records and trusts none: tables.cached_c2 decides
+    whether a record may be served.
     """
 
-    def __init__(self, path: Path, verify: bool = False):
+    def __init__(self, path: Path):
         self.path = path
-        self.verify = verify
         self._data: dict[CacheKey, dict] = {}
         try:
             blob = path.read_bytes()
@@ -68,28 +66,6 @@ class ResultCache:
 
     def get(self, n: int, d: int | None, lam: Partition) -> dict | None:
         return self._data.get(_key(n, d, lam))
-
-    def result(self, n: int, d: int | None, lam: Partition) -> ChernResult | None:
-        if self.verify:
-            return None
-        rec = self.get(n, d, lam)
-        if rec is None:
-            return None
-        return ChernResult(
-            n_lambda=rec["n_lambda"],
-            method=rec["method"],
-            cross_checked=rec["method"] == "both",
-            dim=rec["dim"],
-        )
-
-    def record(self, n: int, d: int | None, lam: Partition, res: ChernResult) -> None:
-        """Append a freshly computed result unless the file already holds it
-        by the same route."""
-        old = self.get(n, d, lam)
-        if old is not None and old["n_lambda"] != res.n_lambda:
-            raise StaleCacheError(n, d, lam, old["n_lambda"], res.n_lambda)
-        if old is None or old["method"] != res.method:
-            self.put(n, d, lam, res)
 
     def put(self, n: int, d: int | None, lam: Partition, res: ChernResult) -> None:
         rec = {
@@ -127,16 +103,4 @@ class ResultCache:
                 fcntl.flock(fh, fcntl.LOCK_UN)
 
 
-class StaleCacheError(Exception):
-    """A cached value disagrees with a fresh computation."""
-
-    def __init__(self, n: int, d: int | None, lam: Partition, cached: int, fresh: int):
-        self.n, self.d, self.lam = n, d, lam
-        self.cached, self.fresh = cached, fresh
-        super().__init__(
-            f"cache disagrees for n={n} d={d} partition={lam}: "
-            f"cached {cached}, recomputed {fresh}"
-        )
-
-
-__all__ = ["ResultCache", "StaleCacheError"]
+__all__ = ["ResultCache"]

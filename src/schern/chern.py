@@ -201,8 +201,10 @@ def c2_subshape(n: int, lam: Partition) -> int:
     m = n - 2
     by_columns = len(heights) <= len(lam)
     if by_columns:
-        # e_k(1^m) = C(m, k); e_0 = 1 also when m = 0, and e_k = 0 past m
-        outer, entry = heights, [math.comb(m, k) for k in range(m + 1)]
+        # e_k(1^m) = C(m, k); e_0 = 1 also when m = 0, and e_k = 0 past m;
+        # the determinant reads no k past heights[0] + len(heights)
+        top = min(m, heights[0] + len(heights))
+        outer, entry = heights, [math.comb(m, k) for k in range(top + 1)]
     else:
         # h_k(1^m) = C(m + k - 1, k); h_0 = 1 also when m = 0
         top = lam[0] + len(lam)

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 The parsed flags are the only settings; the environment supplies nothing
-but the default cache location under XDG_CACHE_HOME.  c2 and table rows go
-through the result cache, via tables.cached_c2; dim never opens it.  argv
-is read by parse_args against the COMMANDS table; -h/--help prints help
-and exits 0.
+but the default cache location under XDG_CACHE_HOME (~/.cache when that
+is unset or relative).  c2 and table rows go through the result cache, via
+tables.cached_c2, which serves a record only when the closed form
+reproduces it; dim never opens it.  argv is read by parse_args against the
+COMMANDS table; -h/--help prints help and exits 0.
 
 Exit codes: 0 success, 1 an arithmetic invariant failed (InvariantError:
 verify found an index that is not a multiple of the H^4 generator, or the
@@ -12,7 +13,7 @@ closed form or the hook-content dimension did not divide exactly), 2 bad
 arguments or violated preconditions (InputError: a usage error from the
 parser itself, unknown case, ell above its ceiling, malformed partition,
 unusable cache path), 3 a consistency check failed (the cross-check of c2,
-a table row whose cross-check failed, or --verify-cache disagreement).
+or a table row whose cross-check failed).
 """
 import gc
 import io
@@ -21,7 +22,7 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-from .cache import ResultCache, StaleCacheError
+from .cache import ResultCache
 from .chern import CrossCheckError
 from .partitions import (InputError, InvariantError, Partition, PartitionError,
                          partition, schur_dimension)
@@ -47,7 +48,7 @@ def parse_partition(text: str) -> Partition:
 
 
 def _cache(args) -> ResultCache | None:
-    return None if args.no_cache else ResultCache(args.cache, args.verify_cache)
+    return None if args.no_cache else ResultCache(args.cache)
 
 
 # ---------------------------------------------------------------- rendering
@@ -164,7 +165,7 @@ def _cmd_conjecture(args) -> int:
 # then its own options; every command also takes the SHARED flags.  A kind
 # reads the text (int, str, Path), lists the choices (a tuple) or marks a
 # flag that takes no value (bool).
-SHARED = {"--cache": Path, "--no-cache": bool, "--verify-cache": bool}
+SHARED = {"--cache": Path, "--no-cache": bool}
 FORMAT = ("text", "csv", "json")
 COMMANDS = {
     "c2": (_cmd_c2, "index n_lambda of one representation",
@@ -184,13 +185,11 @@ COMMANDS = {
                    "odd prime ell", {"ell": int}),
 }
 # The value of an absent option; an option not listed here is required.
-DEFAULTS = {"--format": "text", "--no-cache": False, "--cache": None,
-            "--verify-cache": False}
+DEFAULTS = {"--format": "text", "--no-cache": False, "--cache": None}
 HELP = {
     "partition": "comma separated, e.g. 2,2,2",
     "--cache": "cache file (default $XDG_CACHE_HOME/schern/results.jsonl)",
     "--no-cache": "skip the cache entirely",
-    "--verify-cache": "recompute cached rows; disagreement exits 3",
 }
 
 
@@ -272,8 +271,10 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
             value = int(value)
         setattr(ns, arg.lstrip("-").replace("-", "_"), value)
     if ns.cache is None:
-        xdg = os.environ.get("XDG_CACHE_HOME") or "~/.cache"
-        ns.cache = Path(xdg).expanduser() / "schern" / "results.jsonl"
+        # the XDG spec makes a relative XDG_CACHE_HOME invalid
+        xdg = os.environ.get("XDG_CACHE_HOME") or ""
+        base = Path(xdg) if os.path.isabs(xdg) else Path.home() / ".cache"
+        ns.cache = base / "schern" / "results.jsonl"
     return ns
 
 
@@ -281,7 +282,7 @@ def run(argv: list[str] | None = None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         return args.func(args)
-    except (CrossCheckError, StaleCacheError, InputError, InvariantError) as exc:
+    except (CrossCheckError, InputError, InvariantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return (2 if isinstance(exc, InputError)
                 else 1 if isinstance(exc, InvariantError) else 3)

@@ -20,6 +20,7 @@ from .chern import (
     CrossCheckError,
     _closed_form_index,
     c2,
+    c2_closed_form,
 )
 from .partitions import InputError, InvariantError, Partition, _line_dimension
 from .weights import (
@@ -192,19 +193,26 @@ def cached_c2(
 ) -> ChernResult:
     """:func:`c2` through the result cache, keyed by ``(n, d, lam)``.
 
-    A hit counts only when its route is the one :func:`c2` takes
-    (cross-checked exactly when the dimension is at most
-    CROSS_CHECK_CEILING), since a file written by an older build may hold
-    another; otherwise the value is recomputed and the new route recorded.
-    In verify mode every value is recomputed and a disagreement raises
-    StaleCacheError.
+    A record is served only when the closed form reproduces its index and
+    dimension and its route is the one :func:`c2` takes (cross-checked
+    exactly when the dimension is at most CROSS_CHECK_CEILING).  Any other
+    record, poisoned or written by another build, is recomputed by
+    :func:`c2` and appended, and the later line wins.  A hit thus saves
+    only the sub-shape sum, and never prints a value the closed form
+    disagrees with.
     """
     if cache is None:
         return c2(n, lam)
-    res = cache.result(n, d, lam)
-    if res is None or res.cross_checked != (res.dim <= CROSS_CHECK_CEILING):
-        res = c2(n, lam)
-        cache.record(n, d, lam, res)
+    rec = cache.get(n, d, lam)
+    if rec is not None:
+        res = c2_closed_form(n, lam)
+        if res.dim <= CROSS_CHECK_CEILING:
+            res = res._replace(method="both", cross_checked=True)
+        stored = rec["n_lambda"], rec["dim"], rec["method"]
+        if stored == (res.n_lambda, res.dim, res.method):
+            return res
+    res = c2(n, lam)
+    cache.put(n, d, lam, res)
     return res
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -253,6 +254,19 @@ class TestSubshape:
         monkeypatch.setattr(chern_mod, "_bareiss_determinant", spy)
         assert c2_subshape(n, lam) == c2_closed_form(n, lam).n_lambda
         assert sizes and max(sizes) <= min(lam[0], len(lam))
+
+    def test_tall_shapes_take_only_the_binomials_they_read(self, monkeypatch):
+        # the column form reads e_k only for k < lam_1 + len(lam'), not all
+        # n - 1 of them: c2 n 1 used to take seconds at n = 5,000
+        # (a stand-in binomial keeps the old 19,999 calls fast)
+        calls = []
+        monkeypatch.setattr(chern_mod, "math", SimpleNamespace(
+            comb=lambda a, b: calls.append((a, b)) or 1))
+        c2_subshape(20000, (1,))
+        assert len(calls) < 10
+
+    def test_defining_representation_of_a_large_group_is_cross_checked(self):
+        assert c2(100000, (1,)) == ChernResult(1, "both", True, 100000)
 
     def test_wide_shapes_are_cross_checked(self):
         # dimensions 5001 and 45451, under CROSS_CHECK_CEILING

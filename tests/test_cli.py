@@ -140,6 +140,19 @@ def test_settings_come_from_the_command_line_only(capsys, monkeypatch, tmp_path)
     assert '"method":"both"' in default.read_text()
 
 
+@pytest.mark.parametrize("xdg", ["relcache", "", None], ids=["relative", "empty", "unset"])
+def test_default_cache_falls_back_to_home_unless_xdg_is_absolute(monkeypatch, tmp_path, xdg):
+    # the XDG Base Directory spec makes a relative XDG_CACHE_HOME invalid,
+    # so it must not put a cache under the working directory
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    if xdg is None:
+        monkeypatch.delenv("XDG_CACHE_HOME")
+    else:
+        monkeypatch.setenv("XDG_CACHE_HOME", xdg)
+    default = tmp_path / "home" / ".cache" / "schern" / "results.jsonl"
+    assert parse_args(["c2", "4", "1"]).cache == default
+
+
 def test_dim(capsys):
     code, out, _ = invoke(capsys, "dim", "9", "3,3,3,3,3", "--no-cache")
     assert code == 0 and out == "116424\n"
@@ -392,54 +405,67 @@ def test_cache_round_trip(capsys, tmp_path):
     assert cache.read_bytes() == blob  # rebuild is byte-identical
 
 
-def test_cache_hit_short_circuits_c2(capsys, tmp_path):
+def test_cache_hit_short_circuits_c2(capsys, tmp_path, monkeypatch):
+    # a record that the closed form reproduces is served: no sub-shape sum
+    # runs and nothing is appended
+    cache = tmp_path / "c.jsonl"
+    argvs = [("c2", "8", "2,2,2"), ("generators", "9", "3", "--format", "json")]
+    clean = [invoke(capsys, *argv, "--no-cache") for argv in argvs]
+    assert [invoke(capsys, *argv, "--cache", str(cache)) for argv in argvs] == clean
+    warm = cache.read_bytes()
+
+    def no_subshape(n, lam):
+        raise AssertionError("a served hit must not run the sub-shape sum")
+
+    monkeypatch.setattr(chern_mod, "c2_subshape", no_subshape)
+    assert [invoke(capsys, *argv, "--cache", str(cache)) for argv in argvs] == clean
+    assert cache.read_bytes() == warm
+
+
+def test_planted_cache_value_is_recomputed(capsys, tmp_path):
     cache = tmp_path / "c.jsonl"
     rec = {
         "n": 8, "d": None, "partition": [2, 2, 2], "n_lambda": 12345,
-        "dim": 2352, "method": "both", "version": "0.1.0",
+        "dim": 1176, "method": "both", "version": __version__,
     }
     cache.write_text(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
     code, out, _ = invoke(capsys, "c2", "8", "2,2,2", "--cache", str(cache))
-    assert code == 0
-    assert out == "12345\n"  # trusted verbatim without --verify-cache
-
-
-def test_verify_cache_detects_poison(capsys, tmp_path):
-    cache = tmp_path / "c.jsonl"
-    invoke(capsys, "c2", "8", "2,2,2", "--cache", str(cache))
-    line = json.loads(cache.read_text())
-    line["n_lambda"] = 999
-    cache.write_text(json.dumps(line, sort_keys=True, separators=(",", ":")) + "\n")
-    code, _, err = invoke(
-        capsys, "c2", "8", "2,2,2", "--cache", str(cache), "--verify-cache"
-    )
-    assert code == 3
-    assert "cache disagrees" in err
-
-
-def test_verify_cache_clean_passes(capsys, tmp_path):
-    cache = tmp_path / "c.jsonl"
-    invoke(capsys, "generators", "8", "2", "--cache", str(cache))
-    code, out, _ = invoke(
-        capsys, "generators", "8", "2", "--cache", str(cache), "--verify-cache"
-    )
-    assert code == 0
-    assert out.rstrip().splitlines()[-1] == "gcd 2"
-
-
-def test_poisoned_table_row_detected(capsys, tmp_path):
-    cache = tmp_path / "c.jsonl"
-    invoke(capsys, "image-index", "8", "2", "--cache", str(cache))
+    assert (code, out) == (0, "700\n")
     lines = cache.read_text().splitlines()
-    rec = json.loads(lines[0])
-    rec["n_lambda"] += 1
-    lines[0] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    assert len(lines) == 2 and '"n_lambda":700' in lines[1]
+
+
+POISON = {"n_lambda": lambda v: v + 1, "dim": lambda v: v * 2,
+          "method": {"both": "closed-form", "closed-form": "both"}.get}
+
+
+@pytest.mark.parametrize("field", sorted(POISON))
+@pytest.mark.parametrize("argv,partition", [
+    (("c2", "8", "2,2,2"), [2, 2, 2]),
+    # (3^8) carries the index 66 that makes the gcd 3, not 1
+    (("image-index", "9", "3"), [3] * 8),
+], ids=["c2", "table-row"])
+def test_poisoned_cache_record_is_recomputed(capsys, tmp_path, argv, partition, field):
+    # a record whose index, dimension or route the closed form does not
+    # reproduce is never printed: it is recomputed and the fresh line wins
+    cache = tmp_path / "c.jsonl"
+    clean = invoke(capsys, *argv, "--no-cache")
+    assert clean[0] == 0
+    invoke(capsys, *argv, "--cache", str(cache))
+    lines = cache.read_text().splitlines()
+    [i] = [i for i, line in enumerate(lines)
+           if json.loads(line)["partition"] == partition]
+    rec = json.loads(lines[i])
+    rec[field] = POISON[field](rec[field])
+    lines[i] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
     cache.write_text("\n".join(lines) + "\n")
-    code, _, err = invoke(
-        capsys, "image-index", "8", "2", "--cache", str(cache), "--verify-cache"
-    )
-    assert code == 3
-    assert "cache disagrees" in err
+    poisoned = cache.read_text()
+    assert invoke(capsys, *argv, "--cache", str(cache)) == clean
+    appended = cache.read_text().removeprefix(poisoned).splitlines()
+    assert len(appended) == 1 and json.loads(appended[0])["partition"] == partition
+    healed = cache.read_bytes()
+    assert invoke(capsys, *argv, "--cache", str(cache)) == clean
+    assert cache.read_bytes() == healed
 
 
 def test_stale_version_records_ignored(capsys, tmp_path):
@@ -465,13 +491,14 @@ def test_corrupt_cache_lines_skipped(capsys, tmp_path):
 def test_non_utf8_cache_line_skipped(capsys, tmp_path):
     cache = tmp_path / "c.jsonl"
     rec = {
-        "n": 8, "d": None, "partition": [2, 2, 2], "n_lambda": 12345,
-        "dim": 2352, "method": "both", "version": __version__,
+        "n": 8, "d": None, "partition": [2, 2, 2], "n_lambda": 700,
+        "dim": 1176, "method": "both", "version": __version__,
     }
     cache.write_bytes(b"\xff\n" + json.dumps(rec, sort_keys=True).encode() + b"\n")
+    planted = cache.read_bytes()
     code, out, _ = invoke(capsys, "c2", "8", "2,2,2", "--cache", str(cache))
-    assert code == 0
-    assert out == "12345\n"  # the valid record after the bad line is served
+    assert (code, out) == (0, "700\n")
+    assert cache.read_bytes() == planted  # the record after the bad line is served
 
 
 @pytest.mark.parametrize("where", ["directory", "under-a-file", "dangling-link"])
@@ -736,6 +763,7 @@ def malformed(cmd):
         ("missing-value", valid + ["--cache"]),
         ("flag-as-value", valid + ["--cache", "--no-cache"]),
         ("value-on-flag", valid + ["--no-cache=yes"]),
+        ("removed-flag", valid + ["--verify-cache"]),  # a record is always checked
         ("missing-positional", valid[:-1] if cmd != "table" else ["table"]),
     ]
     kinds = COMMANDS[cmd][2]
@@ -797,7 +825,7 @@ def test_benchmark_argvs_parse_to_the_argparse_namespaces(tmp_path):
     # the namespaces that the argparse parser built, its handler aside, for
     # the argv shapes that perfbench/run.py passes
     default = tmp_path / "xdg" / "schern" / "results.jsonl"
-    shared = {"cache": default, "no_cache": False, "verify_cache": False}
+    shared = {"cache": default, "no_cache": False}
     cases = [
         (["c2", "3", "2,1", "--no-cache"],
          {"command": "c2", "n": 3, "partition": "2,1", "no_cache": True}),

@@ -121,18 +121,29 @@ class TestGeneratorTable:
         t = generator_table(GroupSpec(6, 3))
         assert [r.weight for r in t.rows] == sorted(r.weight for r in t.rows)
 
-    def test_lookup_hook_short_circuits_and_record_hook_fires(self, tmp_path):
-        # a cache hit stands in for c2; every other row is appended
+    def test_lookup_hook_short_circuits_and_record_hook_fires(
+            self, tmp_path, monkeypatch):
+        # a record that the closed form reproduces stands in for c2; a
+        # canned one it does not is recomputed, and every other row appended
         spec = GroupSpec(4, 2)
         path = tmp_path / "c.jsonl"
-        canned = ChernResult(999, "both", True, 1)
-        ResultCache(path).put(4, 2, (1, 1), canned)
+        planted = ResultCache(path)
+        planted.put(4, 2, (1, 1), ChernResult(2, "both", True, 6))
+        planted.put(4, 2, (2,), ChernResult(999, "both", True, 10))
+        real = tables_mod.c2
 
+        def c2_not_on_a_hit(n, lam):
+            if lam == (1, 1):
+                raise AssertionError("the hit must be served")
+            return real(n, lam)
+
+        monkeypatch.setattr(tables_mod, "c2", c2_not_on_a_hit)
         t = generator_table(spec, cache=ResultCache(path))
         byw = {r.partition: r for r in t.rows}
-        assert byw[(1, 1)].n_lambda == 999
-        seen = [json.loads(line) for line in path.read_text().splitlines()[1:]]
+        assert (byw[(1, 1)].n_lambda, byw[(2,)].n_lambda) == (2, 6)
+        seen = [json.loads(line) for line in path.read_text().splitlines()[2:]]
         assert [1, 1] not in [rec["partition"] for rec in seen]
+        assert [rec["n_lambda"] for rec in seen if rec["partition"] == [2]] == [6]
         assert len(seen) == len(t.rows) - 1
 
     def test_cross_check_failure_marks_row_without_aborting(self, monkeypatch):
