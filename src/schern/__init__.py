@@ -17,18 +17,14 @@ from .chern import (
     c2_closed_form,
     c2_enumeration,
     c2_subshape,
-    casimir,
-    dual_partition,
 )
 from .partitions import (
     InputError,
     InvariantError,
     Partition,
     PartitionError,
-    conjugate,
     partition,
     schur_dimension,
-    ssyt_count,
     ssyt_stream,
 )
 from .tables import (
@@ -47,11 +43,9 @@ from .tables import (
 from .weights import (
     GroupSpec,
     Weight,
-    dual_weight,
     hilbert_basis,
     is_monoid_irreducible,
     partition_of,
-    weight_of,
     weight_str,
 )
 
@@ -74,10 +68,6 @@ __all__ = [
     "c2_closed_form",
     "c2_enumeration",
     "c2_subshape",
-    "casimir",
-    "conjugate",
-    "dual_partition",
-    "dual_weight",
     "explore_conjecture",
     "generator_table",
     "hilbert_basis",
@@ -86,11 +76,9 @@ __all__ = [
     "partition",
     "partition_of",
     "schur_dimension",
-    "ssyt_count",
     "ssyt_stream",
     "table_against_reference",
     "verify_case",
-    "weight_of",
     "weight_str",
     "__version__",
 ]

@@ -20,10 +20,11 @@ n_lam:
 The front door :func:`c2` runs the closed form and, while the dimension is
 at most CROSS_CHECK_CEILING, recomputes the index by the sub-shape sum as a
 cross-check.  Enumeration costs time linear in the dimension; no command
-reaches it, and it serves the tests as an oracle.
+reaches it, and it serves the tests as an oracle.  No route leaves the
+integers: the closed form divides n times the Casimir eigenvalue exactly.
 """
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .partitions import (
     InputError,
@@ -35,9 +36,6 @@ from .partitions import (
     schur_dimension,
     ssyt_stream,
 )
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 # Dimension up to which c2 recomputes the index by the sub-shape sum.
 CROSS_CHECK_CEILING = 100_000
@@ -62,32 +60,17 @@ class ChernResult(NamedTuple):
     dim: int
 
 
-def _sl_shape(n: int, lam: Partition) -> Partition:
-    """Canonical lam, checked to be a highest weight of SL(n): n positive
-    and at most n rows."""
+def reduce_full_columns(n: int, lam: Partition) -> Partition:
+    """Canonical lam, checked to be an SL(n) highest weight (n positive, at
+    most n rows), less its determinant factors: lam_n off every part."""
     if n < 1:
         raise InputError(f"n must be positive, got {n}")
     lam = partition(lam)
     if len(lam) > n:
         raise InputError(f"partition {lam} has more than n={n} rows")
-    return lam
-
-
-def reduce_full_columns(n: int, lam: Partition) -> Partition:
-    """Strip determinant factors: subtract lam_n from every part."""
-    lam = _sl_shape(n, lam)
     if len(lam) == n and lam[-1] > 0:
         lam = partition(p - lam[-1] for p in lam)
     return lam
-
-
-def dual_partition(n: int, lam: Partition) -> Partition:
-    """Highest weight of the dual: complement of lam in a lam_1 x n box."""
-    lam = _sl_shape(n, lam)
-    if not lam:
-        return ()
-    padded = lam + (0,) * (n - len(lam))
-    return partition(lam[0] - p for p in reversed(padded))
 
 
 def _n_casimir(n: int, heights: Partition) -> int:
@@ -103,15 +86,6 @@ def _n_casimir(n: int, heights: Partition) -> int:
     for j, c in enumerate(heights, start=1):
         total += c * (2 * j - 2 - c)
     return n * total - size * size
-
-
-def casimir(n: int, lam: Partition) -> "Fraction":
-    """Casimir eigenvalue (lam, lam + 2 rho) in the normalization where the
-    defining representation of SL(n) has eigenvalue (n^2 - 1) / n."""
-    from fractions import Fraction
-
-    lam = _sl_shape(n, lam)
-    return Fraction(_n_casimir(n, _conjugate(lam)), n)
 
 
 def c2_closed_form(n: int, lam: Partition) -> ChernResult:
@@ -228,8 +202,6 @@ def c2_enumeration(n: int, lam: Partition) -> ChernResult:
     """
     lam = reduce_full_columns(n, lam)
     dim = schur_dimension(n, lam)
-    if n == 1:
-        return ChernResult(0, "enumeration", False, dim)
     total = 0
     for c in ssyt_stream(n, lam):
         m1 = c[0]

@@ -279,6 +279,10 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
 
 
 def run(argv: list[str] | None = None) -> int:
+    # dim 10001 10000 has 6019 digits; int and str stop at 4300 by default
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         return args.func(args)
@@ -286,6 +290,9 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return (2 if isinstance(exc, InputError)
                 else 1 if isinstance(exc, InvariantError) else 3)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def main() -> None:

@@ -49,11 +49,6 @@ def partition(parts: Iterable[int]) -> Partition:
     return out
 
 
-def conjugate(lam: Partition) -> Partition:
-    """Transpose the Young diagram: column lengths become row lengths."""
-    return _conjugate(partition(lam))
-
-
 def _conjugate(lam: Partition) -> Partition:
     """Column heights of a canonical partition.  One pointer walks up from
     the bottom row, so the rows are passed once in all, not once per column."""
@@ -164,8 +159,3 @@ def ssyt_stream(n: int, lam: Partition) -> Iterator[TableauContent]:
             counts[v - 1] -= 1
 
     yield from fill(0, 0)
-
-
-def ssyt_count(n: int, lam: Partition) -> int:
-    """Count the tableau stream.  Diagnostic: must agree with schur_dimension."""
-    return sum(1 for _ in ssyt_stream(n, lam))

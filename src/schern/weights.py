@@ -13,8 +13,7 @@ from itertools import accumulate, product
 from operator import index
 from typing import NamedTuple
 
-from .chern import reduce_full_columns
-from .partitions import InputError, Partition, partition
+from .partitions import InputError, Partition
 
 Weight = tuple[int, ...]
 
@@ -65,22 +64,6 @@ def partition_of(w: Weight) -> Partition:
     return tuple(sums)
 
 
-def weight_of(lam: Partition, n: int) -> Weight:
-    """Inverse of partition_of: a_j = lam_j - lam_(j+1).
-
-    A partition with n rows is first reduced by its full column (subtract
-    lam_n from every part); more than n rows is rejected.
-    """
-    lam = reduce_full_columns(n, lam)
-    padded = lam + (0,) * (n - len(lam))
-    return tuple(padded[j] - padded[j + 1] for j in range(n - 1))
-
-
-def weight_size(w: Weight) -> int:
-    """|partition_of(w)| = sum of i * a_i."""
-    return sum(i * a for i, a in enumerate(w, start=1))
-
-
 def weight_str(w: Weight) -> str:
     terms = []
     for i, a in enumerate(w, start=1):
@@ -89,17 +72,6 @@ def weight_str(w: Weight) -> str:
         elif a > 1:
             terms.append(f"{a}a{i}")
     return "+".join(terms) if terms else "0"
-
-
-def dual_weight(w: Weight) -> Weight:
-    """Highest weight of the dual representation: reversed coefficients."""
-    return tuple(reversed(w))
-
-
-def descends(lam: Partition, spec: GroupSpec) -> bool:
-    """True when the irreducible of highest weight lam is a representation
-    of SL(n)/mu_d, i.e. when |lam| is divisible by d."""
-    return sum(partition(lam)) % spec.d == 0
 
 
 def is_monoid_irreducible(w: Weight, d: int) -> bool:

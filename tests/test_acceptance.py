@@ -15,19 +15,18 @@ from functools import lru_cache
 
 import pytest
 
+from oracles import casimir, dual_partition, ssyt_count
 from schern import (
     REFERENCE_TABLES,
     GroupSpec,
     c2,
     c2_closed_form,
     c2_enumeration,
-    dual_partition,
     explore_conjecture,
     generator_table,
     hilbert_basis,
     is_monoid_irreducible,
     schur_dimension,
-    ssyt_count,
     table_against_reference,
 )
 from schern.cli import run
@@ -202,7 +201,5 @@ def test_prime_five_scan_completes_and_reports():
 # guard: the values above assume this exact arithmetic backbone ------------
 
 def test_fraction_backbone_suffers_no_rounding():
-    from schern import casimir
-
     assert casimir(8, (2,)) == Fraction(35, 2)
     assert casimir(9, (3, 3, 3, 3, 3)) == 80

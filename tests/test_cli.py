@@ -3,6 +3,7 @@ import csv
 import gc
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -16,6 +17,7 @@ import pytest
 import schern.chern as chern_mod
 import schern.partitions as partitions_mod
 import schern.tables as tables_mod
+from oracles import casimir, dual_partition, ssyt_count
 from schern import (
     GroupSpec,
     __version__,
@@ -23,13 +25,10 @@ from schern import (
     c2_closed_form,
     c2_enumeration,
     c2_subshape,
-    casimir,
-    dual_partition,
     explore_conjecture,
     hilbert_basis,
     partition_of,
     schur_dimension,
-    ssyt_count,
     table_against_reference,
     verify_case,
 )
@@ -121,6 +120,40 @@ def test_c2_rejects_a_non_positive_n(capsys, n):
     code, out, err = invoke(capsys, "c2", n, "0", "--no-cache")
     assert (code, out) == (2, "")
     assert err == f"error: n must be positive, got {n}\n"
+
+
+def _decimal(value: int) -> str:
+    """str(value) at any length, in chunks of 1000 digits, each below the
+    limit that Python (3.10.7 and later) puts on int and str conversion."""
+    high, low = divmod(value, 10**1000)
+    return _decimal(high) + str(low).zfill(1000) if high else str(low)
+
+
+@pytest.mark.parametrize("argv,value", [
+    (["dim", "10001", "10000"], math.comb(20000, 10000)),
+    (["c2", "10001", "10000", "--no-cache"],
+     c2_closed_form(10001, (10000,)).n_lambda),
+], ids=["dim", "c2"])
+def test_integers_past_the_conversion_limit_print_in_full(capsys, argv, value):
+    # C(20000, 10000) has 6,019 digits, more than the 4,300 that str() takes
+    # by default; run() lifts the limit for the command and then restores it
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    digits = _decimal(value)
+    assert len(digits) >= 6019
+    assert invoke(capsys, *argv) == (0, digits + "\n", "")
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_a_cached_index_past_the_conversion_limit_is_served(capsys, tmp_path):
+    # json.dumps and json.loads share the limit: the record is written, then
+    # read back and served, so the second run appends nothing
+    cache = tmp_path / "F"
+    argv = ["c2", "10001", "10000", "--cache", str(cache)]
+    first = invoke(capsys, *argv)
+    assert first[0] == 0 and len(first[1]) > 6019
+    assert cache.read_bytes().count(b"\n") == 1
+    assert invoke(capsys, *argv) == first
+    assert cache.read_bytes().count(b"\n") == 1
 
 
 def test_settings_come_from_the_command_line_only(capsys, monkeypatch, tmp_path):
@@ -299,6 +332,36 @@ def test_verify_differing_expectation_exits_3(capsys, monkeypatch):
     assert "DIFFERS FROM stored expectation 4" in out
 
 
+@pytest.mark.parametrize("case,bundled,full,gcd", [
+    ("sl8-mu2", 13, 13, 2), ("sl9-mu3", 23, 31, 3),
+])
+def test_each_reference_table_and_its_full_generating_set(
+    capsys, case, bundled, full, gcd
+):
+    # the bundled rows recomputed, then the full minimal generating set:
+    # sl9-mu3 has 8 generators beyond its bundled table
+    code, out, _ = invoke(capsys, "table", "--case", case, "--format", "json",
+                          "--no-cache")
+    assert code == 0
+    table = json.loads(out)
+    assert (len(table["rows"]), table["gcd"]) == (bundled, gcd)
+    n, d = table["n"], table["d"]
+    code, out, _ = invoke(capsys, "generators", str(n), str(d),
+                          "--format", "json", "--no-cache")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert (len(rows), json.loads(out)["gcd"]) == (full, gcd)
+    assert sum("reference" not in r for r in rows) == full - bundled
+
+
+def test_verify_every_case_matches_its_stored_expectation(capsys):
+    for case in sorted(tables_mod.CASES):
+        code, out, _ = invoke(capsys, "verify", case)
+        assert code == 0, case
+        assert "  matches stored expectation " in out, case
+        assert "DIFFERS" not in out, case
+
+
 def test_verify_unknown_case_exits_2(capsys):
     assert invoke(capsys, "verify", "nosuch", "--no-cache")[0] == 2
 
@@ -312,6 +375,21 @@ def test_conjecture_3(capsys):
     assert "image index: 3" in out
     assert "index equals ell: yes" in out
     assert "duality invariant: yes" in out
+
+
+@pytest.mark.parametrize("ell,n,generators", [(3, 9, 31), (5, 25, 1558)])
+def test_conjecture_prints_every_line(capsys, ell, n, generators):
+    code, out, _ = invoke(capsys, "conjecture", str(ell))
+    assert code == 0
+    assert out == (
+        f"ell: {ell}\n"
+        f"group: SL({n})/mu_{ell}\n"
+        f"generators: {generators}\n"
+        f"image index: {ell}\n"
+        "index equals ell: yes\n"
+        "all rows divisible by ell: yes\n"
+        "duality invariant: yes\n"
+    )
 
 
 def test_conjecture_7(capsys):
@@ -651,8 +729,8 @@ def test_start_up_imports_no_unused_heavy_modules():
 
 def test_text_and_uncached_commands_load_no_unneeded_modules():
     # argparse and gettext are replaced by parse_args; json only serves the
-    # cache file and --format json, csv --format csv, fcntl a cache append,
-    # fractions casimir(), and __future__ postponed annotations, which are
+    # cache file and --format json, csv --format csv, fcntl a cache append;
+    # no module uses fractions, nor __future__ postponed annotations, which are
     # gone.  Counted in a fresh interpreter, where site has loaded none of
     # them.  A postponed (string) annotation on a NamedTuple field would
     # also cost one compile() at import, for the ForwardRef that typing
@@ -706,10 +784,12 @@ def test_main_freezes_the_collector_and_run_does_not(monkeypatch, capsys):
 
 
 def test_console_script_is_wired():
+    root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-m", "schern.cli", "c2", "6", "1,1,1", "--no-cache"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
     )
     assert proc.returncode == 0
     assert proc.stdout == "6\n"

@@ -8,7 +8,7 @@ import pytest
 
 import schern.partitions as partitions_mod
 import schern.tables as tables_mod
-from monoid_oracle import monoid_members_up_to
+from oracles import descends, dual_weight, monoid_members_up_to
 from schern.cache import ResultCache
 from schern.chern import (
     CROSS_CHECK_CEILING,
@@ -26,13 +26,7 @@ from schern.tables import (
     table_against_reference,
     verify_case,
 )
-from schern.weights import (
-    GroupSpec,
-    descends,
-    dual_weight,
-    hilbert_basis,
-    partition_of,
-)
+from schern.weights import GroupSpec, hilbert_basis, partition_of
 
 
 class TestReferenceData:

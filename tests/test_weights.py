@@ -7,18 +7,23 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from monoid_oracle import greedy_decomposition, monoid_members_up_to, scan_basis
-from schern.partitions import conjugate, partition
-from schern.weights import (
-    GroupSpec,
+from oracles import (
+    conjugate,
     descends,
     dual_weight,
+    greedy_decomposition,
+    monoid_members_up_to,
+    scan_basis,
+    weight_of,
+    weight_size,
+)
+from schern.partitions import partition
+from schern.weights import (
+    GroupSpec,
     generator_heights,
     hilbert_basis,
     is_monoid_irreducible,
     partition_of,
-    weight_of,
-    weight_size,
     weight_str,
 )
 
