@@ -1,25 +1,22 @@
-"""Append-only result cache.
+"""Append-only cache of sub-shape sums.
 
-One JSON object per line, keys sorted, no timestamps, so identical runs
-produce byte-identical files.  Appends take an advisory lock; concurrent
-writers interleave whole lines.  Records carry the package version and
-are ignored on version mismatch.  A path that cannot be read or appended
-to raises InputError, as a bad --cache argument.
+A record holds the one fact a hit saves: the sub-shape sum of (n, lam),
+stored only for an index that chern.c2 cross-checked.  One JSON object per
+line, keys sorted, no timestamps, so identical runs produce byte-identical
+files.  Appends take an advisory lock; concurrent writers interleave whole
+lines.  Records carry the package version and are ignored on version
+mismatch, as are lines without a "subshape" key.  A path that cannot be
+read or appended to raises InputError, as a bad --cache argument.
 """
 from pathlib import Path
 
 from . import __version__
-from .chern import ChernResult
 from .partitions import InputError, Partition
 
-CacheKey = tuple[int, int | None, Partition]
+CacheKey = tuple[int, Partition]
 
 
-def _key(n: int, d: int | None, lam: Partition) -> CacheKey:
-    return (n, d, tuple(lam))
-
-
-def _decode(line: bytes) -> tuple[CacheKey, dict] | None:
+def _decode(line: bytes) -> tuple[CacheKey, int] | None:
     import json  # only a cache file needs it; keep it off every start-up
 
     try:
@@ -28,32 +25,28 @@ def _decode(line: bytes) -> tuple[CacheKey, dict] | None:
         return None
     if not isinstance(rec, dict) or rec.get("version") != __version__:
         return None
-    try:
-        n, d, lam, method = rec["n"], rec["d"], rec["partition"], rec["method"]
-        values = [n, rec["n_lambda"], rec["dim"]]
-    except KeyError:
-        return None
+    n, lam, subshape = rec.get("n"), rec.get("partition"), rec.get("subshape")
     # exact types only: True == 1, 2.0 == 2 and "11" iterates to (1, 1), so
-    # any coercion would let a foreign line alias a real key
-    if type(lam) is not list or type(method) is not str:
+    # any coercion would let a foreign line alias a real key; a missing key
+    # reads as None and fails too
+    if type(lam) is not list:
         return None
-    if any(type(v) is not int for v in values + lam):
+    if any(type(v) is not int for v in [n, subshape, *lam]):
         return None
-    if d is not None and (type(d) is not int or d < 1):
-        return None
-    return _key(n, d, tuple(lam)), rec
+    return (n, tuple(lam)), subshape
 
 
 class ResultCache:
-    """In-memory view of one cache file; later lines win on duplicate keys.
+    """In-memory view of one cache file: the recorded sub-shape sum of each
+    (n, lam); later lines win on duplicate keys.
 
-    The cache stores records and trusts none: tables.cached_c2 decides
-    whether a record may be served.
+    The cache trusts no record: chern.c2 lets a sum stand in for the
+    sub-shape sum only when it equals the closed form.
     """
 
     def __init__(self, path: Path):
         self.path = path
-        self._data: dict[CacheKey, dict] = {}
+        self._data: dict[CacheKey, int] = {}
         try:
             blob = path.read_bytes()
         except FileNotFoundError:
@@ -64,20 +57,13 @@ class ResultCache:
             if decoded := _decode(line):
                 self._data[decoded[0]] = decoded[1]
 
-    def get(self, n: int, d: int | None, lam: Partition) -> dict | None:
-        return self._data.get(_key(n, d, lam))
+    def get(self, n: int, lam: Partition) -> int | None:
+        return self._data.get((n, tuple(lam)))
 
-    def put(self, n: int, d: int | None, lam: Partition, res: ChernResult) -> None:
-        rec = {
-            "n": n,
-            "d": d,
-            "partition": list(lam),
-            "n_lambda": res.n_lambda,
-            "dim": res.dim,
-            "method": res.method,
-            "version": __version__,
-        }
-        self._data[_key(n, d, lam)] = rec
+    def put(self, n: int, lam: Partition, subshape: int) -> None:
+        rec = {"n": n, "partition": list(lam), "subshape": subshape,
+               "version": __version__}
+        self._data[(n, tuple(lam))] = subshape
         try:
             self._append(rec)
         except OSError as exc:  # a parent that is a file, a full disk, ...

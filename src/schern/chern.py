@@ -19,9 +19,10 @@ n_lam:
 
 The front door :func:`c2` runs the closed form and, while the dimension is
 at most CROSS_CHECK_CEILING, recomputes the index by the sub-shape sum as a
-cross-check.  Enumeration costs time linear in the dimension; no command
-reaches it, and it serves the tests as an oracle.  No route leaves the
-integers: the closed form divides n times the Casimir eigenvalue exactly.
+cross-check; it alone decides whether an index was cross-checked.
+Enumeration costs time linear in the dimension; no command reaches it, and
+it serves the tests as an oracle.  No route leaves the integers: the
+closed form divides n times the Casimir eigenvalue exactly.
 """
 import math
 from typing import NamedTuple
@@ -32,6 +33,7 @@ from .partitions import (
     Partition,
     _conjugate,
     _hook_dimension,
+    _line_dimension,
     partition,
     schur_dimension,
     ssyt_stream,
@@ -55,7 +57,6 @@ class CrossCheckError(Exception):
 
 class ChernResult(NamedTuple):
     n_lambda: int
-    method: str
     cross_checked: bool
     dim: int
 
@@ -93,15 +94,20 @@ def c2_closed_form(n: int, lam: Partition) -> ChernResult:
     dim * (n * casimir) / (n * (n^2 - 1)); the division is always exact."""
     lam = reduce_full_columns(n, lam)
     if not lam:
-        return ChernResult(0, "closed-form", False, 1)
+        return ChernResult(0, False, 1)
     heights = _conjugate(lam)
     dim = _hook_dimension(n, lam, heights)
-    return ChernResult(_closed_form_index(n, heights, dim),
-                       "closed-form", False, dim)
+    return ChernResult(closed_form_index(n, heights, dim), False, dim)
 
 
-def _closed_form_index(n: int, heights: Partition, dim: int) -> int:
-    """n_lam of the nonempty shape with these column heights (each < n)."""
+def closed_form_index(n: int, heights: Partition, dim: int | None = None) -> int:
+    """n_lam of the nonempty shape with these column heights (each < n).
+
+    ``dim`` is its dimension; when omitted it is taken column by column,
+    which is cheap for the few columns of a generator.
+    """
+    if dim is None:
+        dim = _line_dimension(n, heights, True)
     num, den = dim * _n_casimir(n, heights), n * (n * n - 1)
     value, rest = divmod(num, den)
     if rest:
@@ -207,17 +213,22 @@ def c2_enumeration(n: int, lam: Partition) -> ChernResult:
         m1 = c[0]
         if m1:
             total += m1 * (m1 - c[1])
-    return ChernResult(total, "enumeration", False, dim)
+    return ChernResult(total, False, dim)
 
 
-def c2(n: int, lam: Partition) -> ChernResult:
+def c2(n: int, lam: Partition, *, subshape: int | None = None) -> ChernResult:
     """Front door: the closed form, cross-checked by the sub-shape sum when
     the dimension is at most CROSS_CHECK_CEILING; a disagreement raises
-    CrossCheckError."""
+    CrossCheckError.
+
+    ``subshape`` is a sum recorded earlier for (n, lam).  It stands in for
+    the sub-shape sum only when the dimension is at most the ceiling and it
+    equals the closed form; any other value is ignored and the sum runs.
+    """
     closed = c2_closed_form(n, lam)
     if closed.dim > CROSS_CHECK_CEILING:
         return closed
-    checked = c2_subshape(n, lam)
+    checked = subshape if subshape == closed.n_lambda else c2_subshape(n, lam)
     if checked != closed.n_lambda:
         raise CrossCheckError(n, partition(lam), closed.n_lambda, checked)
-    return ChernResult(closed.n_lambda, "both", True, closed.dim)
+    return ChernResult(closed.n_lambda, True, closed.dim)

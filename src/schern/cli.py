@@ -3,9 +3,11 @@
 The parsed flags are the only settings; the environment supplies nothing
 but the default cache location under XDG_CACHE_HOME (~/.cache when that
 is unset or relative).  c2 and table rows go through the result cache, via
-tables.cached_c2, which serves a record only when the closed form
-reproduces it; dim never opens it.  argv is read by parse_args against the
-COMMANDS table; -h/--help prints help and exits 0.
+tables.cached_c2, which hands chern.c2 the recorded sub-shape sum; c2 lets
+it stand in only when it equals the closed form.  dim, verify and
+conjecture accept the cache flags and never open the cache.  argv is read
+by parse_args against the COMMANDS table; -h/--help prints help and exits
+0.
 
 Exit codes: 0 success, 1 an arithmetic invariant failed (InvariantError:
 verify found an index that is not a multiple of the H^4 generator, or the
@@ -106,7 +108,7 @@ def render_table(table: GeneratorTable, fmt: str, case_id: str | None = None) ->
 
 def _cmd_c2(args) -> int:
     lam = parse_partition(args.partition)
-    print(cached_c2(args.n, None, lam, _cache(args)).n_lambda)
+    print(cached_c2(args.n, lam, _cache(args)).n_lambda)
     return 0
 
 

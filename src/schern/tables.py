@@ -14,15 +14,8 @@ from math import gcd, isqrt
 from typing import Iterable, NamedTuple
 
 from .cache import ResultCache
-from .chern import (
-    CROSS_CHECK_CEILING,
-    ChernResult,
-    CrossCheckError,
-    _closed_form_index,
-    c2,
-    c2_closed_form,
-)
-from .partitions import InputError, InvariantError, Partition, _line_dimension
+from .chern import ChernResult, CrossCheckError, c2, closed_form_index
+from .partitions import InputError, InvariantError, Partition
 from .weights import (
     GroupSpec,
     Weight,
@@ -188,31 +181,15 @@ def running_gcd(values: Iterable[int]) -> int:
     return out
 
 
-def cached_c2(
-    n: int, d: int | None, lam: Partition, cache: ResultCache | None
-) -> ChernResult:
-    """:func:`c2` through the result cache, keyed by ``(n, d, lam)``.
-
-    A record is served only when the closed form reproduces its index and
-    dimension and its route is the one :func:`c2` takes (cross-checked
-    exactly when the dimension is at most CROSS_CHECK_CEILING).  Any other
-    record, poisoned or written by another build, is recomputed by
-    :func:`c2` and appended, and the later line wins.  A hit thus saves
-    only the sub-shape sum, and never prints a value the closed form
-    disagrees with.
+def cached_c2(n: int, lam: Partition, cache: ResultCache | None) -> ChernResult:
+    """:func:`c2`, handed the sub-shape sum that ``cache`` records for
+    ``(n, lam)``; c2 decides whether that record may stand in.  A sum that
+    ran and differs from the record is appended, and the later line wins.
     """
-    if cache is None:
-        return c2(n, lam)
-    rec = cache.get(n, d, lam)
-    if rec is not None:
-        res = c2_closed_form(n, lam)
-        if res.dim <= CROSS_CHECK_CEILING:
-            res = res._replace(method="both", cross_checked=True)
-        stored = rec["n_lambda"], rec["dim"], rec["method"]
-        if stored == (res.n_lambda, res.dim, res.method):
-            return res
-    res = c2(n, lam)
-    cache.put(n, d, lam, res)
+    known = cache.get(n, lam) if cache is not None else None
+    res = c2(n, lam, subshape=known)
+    if cache is not None and res.cross_checked and res.n_lambda != known:
+        cache.put(n, lam, res.n_lambda)
     return res
 
 
@@ -225,7 +202,7 @@ def _compute_table(
     for w in weights:
         lam = partition_of(w)
         try:
-            res = cached_c2(spec.n, spec.d, lam, cache)
+            res = cached_c2(spec.n, lam, cache)
         except CrossCheckError as exc:
             rows.append(TableRow(w, lam, None, False, False,
                                  printed.get(w), error=exc))
@@ -319,7 +296,7 @@ def explore_conjecture(ell: int) -> ConjectureReport:
     spec = GroupSpec(ell * ell, ell)
     n = spec.n
     heights = generator_heights(spec)
-    values = [_closed_form_index(n, h, _line_dimension(n, h, True)) for h in heights]
+    values = [closed_form_index(n, h) for h in heights]
     index_of = dict(zip(heights, values))  # duals, n - h reversed, are too
     duality_ok = all(index_of.get(tuple(n - c for c in reversed(h))) == v
                      for h, v in zip(heights, values))

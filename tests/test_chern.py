@@ -138,7 +138,7 @@ class TestClosedForm:
 
     def test_result_metadata(self):
         res = c2_closed_form(6, (2, 1))
-        assert res.method == "closed-form"
+        assert res._fields == ("n_lambda", "cross_checked", "dim")
         assert not res.cross_checked
         assert res.dim == 70
 
@@ -146,7 +146,7 @@ class TestClosedForm:
         res = c2_closed_form(6, (2, 1))
         with pytest.raises(AttributeError):
             res.n_lambda = 34
-        same = ChernResult(33, "closed-form", False, 70)
+        same = ChernResult(33, False, 70)
         assert res == same and hash(res) == hash(same)
         assert res != same._replace(cross_checked=True)
 
@@ -265,7 +265,7 @@ class TestSubshape:
         assert len(calls) < 10
 
     def test_defining_representation_of_a_large_group_is_cross_checked(self):
-        assert c2(100000, (1,)) == ChernResult(1, "both", True, 100000)
+        assert c2(100000, (1,)) == ChernResult(1, True, 100000)
 
     def test_wide_shapes_are_cross_checked(self):
         # dimensions 5001 and 45451, under CROSS_CHECK_CEILING
@@ -305,19 +305,16 @@ class TestFrontDoor:
     def test_both_examples(self):
         res = c2(8, (1, 1, 1, 1))
         assert res.n_lambda == 20
-        assert res.method == "both"
         assert res.cross_checked
         assert c2(9, (2, 1, 1, 1, 1, 1, 1, 1)).n_lambda == 18
 
     def test_auto_cross_checks_small_dimensions(self):
         res = c2(8, (2, 2, 2))
-        assert res.method == "both"
         assert res.cross_checked
         assert res.n_lambda == 700
 
     def test_auto_skips_cross_check_above_ceiling(self):
         res = c2(9, (3, 3, 3, 3))
-        assert res.method == "closed-form"
         assert not res.cross_checked
         assert res.n_lambda == 116424
 
@@ -330,6 +327,35 @@ class TestFrontDoor:
         with pytest.raises(CrossCheckError) as info:
             c2(8, (2, 2, 2))
         assert (info.value.closed, info.value.subshape) == (700, 701)
+
+    def test_a_recorded_sum_stands_in_only_when_it_equals_the_closed_form(
+            self, monkeypatch):
+        calls = []
+        real = chern_mod.c2_subshape
+        monkeypatch.setattr(chern_mod, "c2_subshape",
+                            lambda n, lam: calls.append(lam) or real(n, lam))
+        certified = ChernResult(700, True, 1176)
+        assert c2(8, (2, 2, 2), subshape=700) == certified
+        assert calls == []
+        for other in (None, 699, 701, 0, -700):
+            assert c2(8, (2, 2, 2), subshape=other) == certified
+        assert len(calls) == 5
+        # above the ceiling no sum runs, and a recorded one certifies nothing
+        above = c2(9, (3, 3, 3, 3), subshape=116424)
+        assert above == ChernResult(116424, False, schur_dimension(9, (3, 3, 3, 3)))
+        assert len(calls) == 5
+
+    def test_a_wrong_recorded_sum_cannot_hide_a_disagreement(self, monkeypatch):
+        monkeypatch.setattr(chern_mod, "c2_subshape", lambda n, lam: 701)
+        for recorded in (None, 701, 699):
+            with pytest.raises(CrossCheckError):
+                c2(8, (2, 2, 2), subshape=recorded)
+
+    def test_the_recorded_sum_is_keyword_only(self):
+        # a third positional argument is what perfbench/tracer.py reads as
+        # the method of an older front door
+        with pytest.raises(TypeError):
+            c2(8, (2, 2, 2), 700)
 
     def test_exterior_power_identity(self):
         for n in range(2, 11):

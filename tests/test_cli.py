@@ -144,16 +144,18 @@ def test_integers_past_the_conversion_limit_print_in_full(capsys, argv, value):
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
-def test_a_cached_index_past_the_conversion_limit_is_served(capsys, tmp_path):
-    # json.dumps and json.loads share the limit: the record is written, then
-    # read back and served, so the second run appends nothing
+def test_an_index_past_the_conversion_limit_is_printed_and_not_cached(
+        capsys, tmp_path):
+    # its dimension lies far above CROSS_CHECK_CEILING, so no sub-shape sum
+    # runs and there is nothing to record: every record stays below 4,300
+    # digits
     cache = tmp_path / "F"
     argv = ["c2", "10001", "10000", "--cache", str(cache)]
-    first = invoke(capsys, *argv)
-    assert first[0] == 0 and len(first[1]) > 6019
-    assert cache.read_bytes().count(b"\n") == 1
-    assert invoke(capsys, *argv) == first
-    assert cache.read_bytes().count(b"\n") == 1
+    digits = _decimal(c2_closed_form(10001, (10000,)).n_lambda)
+    assert len(digits) >= 6019
+    assert invoke(capsys, *argv) == (0, digits + "\n", "")
+    assert invoke(capsys, *argv) == (0, digits + "\n", "")
+    assert not cache.exists()
 
 
 def test_settings_come_from_the_command_line_only(capsys, monkeypatch, tmp_path):
@@ -168,9 +170,10 @@ def test_settings_come_from_the_command_line_only(capsys, monkeypatch, tmp_path)
     assert invoke(capsys, "conjecture", "5")[0] == 0
     assert invoke(capsys, "c2", "4", "1,1")[:2] == (0, "2\n")
     assert not ignored.exists()
-    # the record in the default cache is cross-checked: no ceiling of 5
+    # the default cache records the sub-shape sum, which only a cross-check
+    # writes: no ceiling of 5
     default = tmp_path / "xdg" / "schern" / "results.jsonl"
-    assert '"method":"both"' in default.read_text()
+    assert '"subshape":2' in default.read_text()
 
 
 @pytest.mark.parametrize("xdg", ["relcache", "", None], ids=["relative", "empty", "unset"])
@@ -502,19 +505,15 @@ def test_cache_hit_short_circuits_c2(capsys, tmp_path, monkeypatch):
 
 def test_planted_cache_value_is_recomputed(capsys, tmp_path):
     cache = tmp_path / "c.jsonl"
-    rec = {
-        "n": 8, "d": None, "partition": [2, 2, 2], "n_lambda": 12345,
-        "dim": 1176, "method": "both", "version": __version__,
-    }
+    rec = {"n": 8, "partition": [2, 2, 2], "subshape": 12345, "version": __version__}
     cache.write_text(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
     code, out, _ = invoke(capsys, "c2", "8", "2,2,2", "--cache", str(cache))
     assert (code, out) == (0, "700\n")
     lines = cache.read_text().splitlines()
-    assert len(lines) == 2 and '"n_lambda":700' in lines[1]
+    assert len(lines) == 2 and '"subshape":700' in lines[1]
 
 
-POISON = {"n_lambda": lambda v: v + 1, "dim": lambda v: v * 2,
-          "method": {"both": "closed-form", "closed-form": "both"}.get}
+POISON = {"subshape": lambda v: v + 1}
 
 
 @pytest.mark.parametrize("field", sorted(POISON))
@@ -524,8 +523,8 @@ POISON = {"n_lambda": lambda v: v + 1, "dim": lambda v: v * 2,
     (("image-index", "9", "3"), [3] * 8),
 ], ids=["c2", "table-row"])
 def test_poisoned_cache_record_is_recomputed(capsys, tmp_path, argv, partition, field):
-    # a record whose index, dimension or route the closed form does not
-    # reproduce is never printed: it is recomputed and the fresh line wins
+    # a recorded sum that the closed form does not reproduce is never
+    # printed: the sum runs again and the fresh line wins
     cache = tmp_path / "c.jsonl"
     clean = invoke(capsys, *argv, "--no-cache")
     assert clean[0] == 0
@@ -548,14 +547,14 @@ def test_poisoned_cache_record_is_recomputed(capsys, tmp_path, argv, partition, 
 
 def test_stale_version_records_ignored(capsys, tmp_path):
     cache = tmp_path / "c.jsonl"
-    rec = {
-        "n": 8, "d": None, "partition": [2, 2, 2], "n_lambda": 999,
-        "dim": 2352, "method": "both", "version": "0.0.0",
-    }
+    rec = {"n": 8, "partition": [2, 2, 2], "subshape": 700, "version": "0.0.0"}
     cache.write_text(json.dumps(rec, sort_keys=True) + "\n")
+    planted = cache.read_text()
     code, out, _ = invoke(capsys, "c2", "8", "2,2,2", "--cache", str(cache))
     assert code == 0
-    assert out == "700\n"  # old-version line is not trusted
+    assert out == "700\n"
+    # old-version line is not trusted: the sum runs and is appended
+    assert cache.read_text().removeprefix(planted).count('"subshape":700') == 1
 
 
 def test_corrupt_cache_lines_skipped(capsys, tmp_path):
@@ -568,10 +567,7 @@ def test_corrupt_cache_lines_skipped(capsys, tmp_path):
 
 def test_non_utf8_cache_line_skipped(capsys, tmp_path):
     cache = tmp_path / "c.jsonl"
-    rec = {
-        "n": 8, "d": None, "partition": [2, 2, 2], "n_lambda": 700,
-        "dim": 1176, "method": "both", "version": __version__,
-    }
+    rec = {"n": 8, "partition": [2, 2, 2], "subshape": 700, "version": __version__}
     cache.write_bytes(b"\xff\n" + json.dumps(rec, sort_keys=True).encode() + b"\n")
     planted = cache.read_bytes()
     code, out, _ = invoke(capsys, "c2", "8", "2,2,2", "--cache", str(cache))
@@ -595,54 +591,59 @@ def test_unusable_cache_path_exits_2(capsys, tmp_path, where):
 @pytest.mark.parametrize("ceiling", [0, 200_000], ids=["0", "200000"])
 def test_cache_hit_from_another_ceiling_is_recomputed(capsys, tmp_path, ceiling):
     # 27 of the 31 rows lie below the cross-check ceiling and are
-    # cross-checked; the records that a build with another ceiling wrote
-    # (cross-checked exactly up to that one) must not change that
+    # cross-checked; the sums that a build with another ceiling recorded
+    # (for every row up to that one: none, or all 31) must not change that
     cache = tmp_path / "c.jsonl"
     argv = ("generators", "9", "3", "--format", "json")
     clean = invoke(capsys, *argv, "--no-cache")
     assert clean[1].count('"cross_checked": true') == 27
     planted = ResultCache(cache)
     for lam in map(partition_of, hilbert_basis(GroupSpec(9, 3))):
-        res = c2_closed_form(9, lam)
-        if res.dim <= ceiling:
-            res = res._replace(method="both", cross_checked=True)
-        planted.put(9, 3, lam, res)
-    assert cache.read_text().count('"method":"both"') != 27
+        if schur_dimension(9, lam) <= ceiling:
+            planted.put(9, lam, c2_subshape(9, lam))
+    before = cache.read_text() if cache.exists() else ""
+    assert before.count("\n") == (0 if ceiling == 0 else 31)
     assert invoke(capsys, *argv, "--cache", str(cache)) == clean
     assert invoke(capsys, *argv, "--cache", str(cache)) == clean
+    # only rows that c2 cross-checked are recorded, each once
+    appended = cache.read_text().removeprefix(before).count("\n")
+    assert appended == (27 if ceiling == 0 else 0)
 
 
-@pytest.mark.parametrize("field,value,d", [
-    ("d", [2], 2),     # unhashable: used to crash every run that read the file
-    ("d", True, 1),    # True == 1 would alias the d=1 row
-    ("d", 2.0, 2),     # 2.0 == 2 would alias the d=2 row
-    ("d", 0, 2),
-    ("n", 4.9, 2),     # int(4.9) == 4 would alias the n=4 row
-    ("n", "4", 2),
-    ("partition", [1.5, 1], 2),
-    ("partition", [True, True], 2),
-    ("partition", "11", 2),   # a string iterates to its digits, (1, 1)
-    ("n_lambda", 999.0, 2),
-    ("dim", "6", 2),
+@pytest.mark.parametrize("field,value", [
+    ("subshape", [1]),      # a list where the sum belongs
+    ("subshape", True),     # True == 1 would stand in for the sum 1
+    ("subshape", 1.0),      # 1.0 == 1 likewise
+    ("partition", [1, 0]),  # canonicalising the zero part away would alias (1,)
+    ("n", 4.0),             # hash(4.0) == hash(4): the key would alias n = 4
+    ("n", "4"),
+    ("partition", [1.0]),
+    ("partition", [True]),  # (True,) == (1,) would alias the key
+    ("partition", "1"),     # a string iterates to its digits, (1,)
 ], ids=["list", "bool", "float", "zero", "n-float", "n-str", "part-float",
-        "part-bool", "part-str", "n_lambda-float", "dim-str"])
-def test_cache_line_with_malformed_d_is_skipped(capsys, tmp_path, field, value, d):
-    """A line with any field of the wrong JSON type is skipped, never
-    coerced onto a real key."""
-    clean = invoke(capsys, "generators", "4", str(d), "--no-cache")
+        "part-bool", "part-str"])
+def test_cache_line_with_malformed_d_is_skipped(capsys, tmp_path, field, value):
+    """A line with any field of the wrong JSON type, or a partition that is
+    not canonical, is never coerced onto a real key or taken for a sum: the
+    sub-shape sum of c2 4 1 runs and its record is appended.  The same line
+    well formed is served and appends nothing."""
     cache = tmp_path / "c.jsonl"
-    rec = {
-        "n": 4, "d": d, "partition": [1, 1], "n_lambda": 999,
-        "dim": 6, "method": "both", "version": __version__,
-    }
+    rec = {"n": 4, "partition": [1], "subshape": 1, "version": __version__}
+    good = json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
+    cache.write_text(good)
+    argv = ("c2", "4", "1", "--cache", str(cache))
+    assert invoke(capsys, *argv) == (0, "1\n", "")
+    assert cache.read_text() == good
     rec[field] = value
     cache.write_text(json.dumps(rec, sort_keys=True) + "\n")
-    assert invoke(capsys, "generators", "4", str(d), "--cache", str(cache)) == clean
+    planted = cache.read_text()
+    assert invoke(capsys, *argv) == (0, "1\n", "")
+    assert cache.read_text() == planted + good
 
 
 def test_torn_last_line_does_not_swallow_an_append(capsys, tmp_path):
     cache = tmp_path / "c.jsonl"
-    cache.write_text('{"d":null,"dim":3,"method"')  # no trailing newline
+    cache.write_text('{"n":8,"partition":[1,1],"subsh')  # no trailing newline
     argv = ("image-index", "8", "2", "--cache", str(cache))
     assert invoke(capsys, *argv)[:2] == (0, "2\n")
     cold = cache.read_bytes()
@@ -657,18 +658,62 @@ def test_only_default_mode_c2_touches_the_cache(capsys, tmp_path):
     assert not cache.exists() or cache.read_text() == ""
     assert invoke(capsys, "c2", "8", "2,1", "--cache", str(cache))[:2] == (0, "61\n")
     lines = cache.read_text().splitlines()
-    assert len(lines) == 1 and '"method":"both"' in lines[0]
+    assert len(lines) == 1 and '"subshape":61' in lines[0]
 
 
-def test_cache_respects_group_context(capsys, tmp_path):
-    # a standalone c2 record (d null) must not satisfy a d=2 table row
+def test_a_c2_record_serves_the_matching_table_row(capsys, tmp_path, monkeypatch):
+    # the index of (n, lam) does not depend on d, so the sum that c2 8 1,1
+    # recorded stands in for the (1,1) row of SL(8)/mu_2
     cache = tmp_path / "c.jsonl"
-    invoke(capsys, "c2", "8", "1,1", "--cache", str(cache))
+    assert invoke(capsys, "c2", "8", "1,1", "--cache", str(cache))[:2] == (0, "6\n")
     first = cache.read_text()
-    invoke(capsys, "image-index", "8", "2", "--cache", str(cache))
+    real = chern_mod.c2_subshape
+
+    def not_for_the_record(n, lam):
+        if (n, lam) == (8, (1, 1)):
+            raise AssertionError("the recorded sum must stand in")
+        return real(n, lam)
+
+    monkeypatch.setattr(chern_mod, "c2_subshape", not_for_the_record)
+    argv = ("image-index", "8", "2", "--cache", str(cache))
+    assert invoke(capsys, *argv)[:2] == (0, "2\n")
     blob = cache.read_text()
     assert blob.startswith(first)
-    assert blob.count('"d":2') == 13 and blob.count('"d":null') == 1
+    assert blob.count("\n") == 13 and blob.count('"partition":[1,1],') == 1
+
+
+def test_a_cold_table_records_the_sum_of_each_cross_checked_row(capsys, tmp_path):
+    # 27 of the 31 rows of SL(9)/mu_3 lie at or below the ceiling; the other
+    # 4 ran no sum, so there is nothing to record for them
+    cache = tmp_path / "F"
+    code, out, _ = invoke(capsys, "generators", "9", "3", "--cache", str(cache))
+    assert code == 0 and out.endswith("gcd 3\n")
+    records = [json.loads(line) for line in cache.read_text().splitlines()]
+    assert len(records) == 27
+    assert all(set(rec) == {"n", "partition", "subshape", "version"}
+               for rec in records)
+    assert all(rec["subshape"] == c2_closed_form(9, rec["partition"]).n_lambda
+               for rec in records)
+
+
+@pytest.mark.parametrize("method", ["both", "closed-form"])
+def test_an_old_format_line_is_skipped(capsys, tmp_path, monkeypatch, method):
+    # a line without "subshape", such as one that an earlier build wrote
+    # with its index, dimension and route, certifies nothing: the sum runs
+    # and its record is appended
+    cache = tmp_path / "c.jsonl"
+    old = {"d": None, "dim": 28, "method": method, "n": 8, "n_lambda": 6,
+           "partition": [1, 1], "version": __version__}
+    cache.write_text(json.dumps(old, sort_keys=True, separators=(",", ":")) + "\n")
+    planted = cache.read_text()
+    calls = []
+    real = chern_mod.c2_subshape
+    monkeypatch.setattr(chern_mod, "c2_subshape",
+                        lambda n, lam: calls.append(lam) or real(n, lam))
+    assert invoke(capsys, "c2", "8", "1,1", "--cache", str(cache))[:2] == (0, "6\n")
+    assert calls == [(1, 1)]
+    assert json.loads(cache.read_text().removeprefix(planted)) == {
+        "n": 8, "partition": [1, 1], "subshape": 6, "version": __version__}
 
 
 # --------------------------------------------------------------- entrypoint

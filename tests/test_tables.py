@@ -6,16 +6,12 @@ import sys
 
 import pytest
 
+import schern.chern as chern_mod
 import schern.partitions as partitions_mod
 import schern.tables as tables_mod
 from oracles import descends, dual_weight, monoid_members_up_to
 from schern.cache import ResultCache
-from schern.chern import (
-    CROSS_CHECK_CEILING,
-    ChernResult,
-    CrossCheckError,
-    c2_closed_form,
-)
+from schern.chern import CROSS_CHECK_CEILING, CrossCheckError, c2_closed_form
 from schern.tables import (
     CASES,
     REFERENCE_TABLES,
@@ -117,36 +113,38 @@ class TestGeneratorTable:
 
     def test_lookup_hook_short_circuits_and_record_hook_fires(
             self, tmp_path, monkeypatch):
-        # a record that the closed form reproduces stands in for c2; a
-        # canned one it does not is recomputed, and every other row appended
+        # a recorded sum that equals the closed form stands in for the
+        # sub-shape sum; a canned one that does not is recomputed, and every
+        # other row appended
         spec = GroupSpec(4, 2)
         path = tmp_path / "c.jsonl"
         planted = ResultCache(path)
-        planted.put(4, 2, (1, 1), ChernResult(2, "both", True, 6))
-        planted.put(4, 2, (2,), ChernResult(999, "both", True, 10))
-        real = tables_mod.c2
+        planted.put(4, (1, 1), 2)
+        planted.put(4, (2,), 999)
+        real = chern_mod.c2_subshape
 
-        def c2_not_on_a_hit(n, lam):
+        def subshape_not_on_a_hit(n, lam):
             if lam == (1, 1):
                 raise AssertionError("the hit must be served")
             return real(n, lam)
 
-        monkeypatch.setattr(tables_mod, "c2", c2_not_on_a_hit)
+        monkeypatch.setattr(chern_mod, "c2_subshape", subshape_not_on_a_hit)
         t = generator_table(spec, cache=ResultCache(path))
         byw = {r.partition: r for r in t.rows}
         assert (byw[(1, 1)].n_lambda, byw[(2,)].n_lambda) == (2, 6)
+        assert byw[(1, 1)].cross_checked
         seen = [json.loads(line) for line in path.read_text().splitlines()[2:]]
         assert [1, 1] not in [rec["partition"] for rec in seen]
-        assert [rec["n_lambda"] for rec in seen if rec["partition"] == [2]] == [6]
+        assert [rec["subshape"] for rec in seen if rec["partition"] == [2]] == [6]
         assert len(seen) == len(t.rows) - 1
 
     def test_cross_check_failure_marks_row_without_aborting(self, monkeypatch):
         real = tables_mod.c2
 
-        def broken(n, lam):
+        def broken(n, lam, **kwargs):
             if lam == (1, 1):
                 raise CrossCheckError(n, lam, 4, 5)
-            return real(n, lam)
+            return real(n, lam, **kwargs)
 
         monkeypatch.setattr(tables_mod, "c2", broken)
         t = generator_table(GroupSpec(4, 2))
@@ -163,10 +161,10 @@ class TestImageIndex:
         real = tables_mod.c2
         original = CrossCheckError(4, (1, 1), 4, 5)
 
-        def broken(n, lam):
+        def broken(n, lam, **kwargs):
             if lam == (1, 1):
                 raise original
-            return real(n, lam)
+            return real(n, lam, **kwargs)
 
         monkeypatch.setattr(tables_mod, "c2", broken)
         with pytest.raises(CrossCheckError) as info:
@@ -303,15 +301,15 @@ class TestExploreConjecture:
         )
 
     def test_row_disagreeing_with_its_dual_row_breaks_duality(self, monkeypatch):
-        real = tables_mod._closed_form_index
+        real = tables_mod.closed_form_index
 
-        def skewed(n, heights, dim):
-            value = real(n, heights, dim)
+        def skewed(n, heights):
+            value = real(n, heights)
             if heights == (3,):  # lam = (1,1,1); dual (6,) keeps its value 21
                 return value + 3
             return value
 
-        monkeypatch.setattr(tables_mod, "_closed_form_index", skewed)
+        monkeypatch.setattr(tables_mod, "closed_form_index", skewed)
         rep = explore_conjecture(3)
         assert rep.image_index == 3 and rep.all_rows_divisible
         assert not rep.duality_invariant

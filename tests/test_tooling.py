@@ -98,22 +98,39 @@ def test_perfbench_tracer_wraps_every_target_and_restores_it():
     assert all(vars(c)[a] is f for (c, a), f in original_methods.items())
 
 
-def test_perfbench_tracer_counts_the_rows_and_skips_of_the_front_door(capsys):
+def test_perfbench_tracer_counts_the_rows_and_skips_of_the_front_door(capsys, tmp_path):
     # The tracer reads a third positional argument of chern.c2 as a method
-    # and counts a ceiling skip only without one, so c2 must keep taking
-    # exactly (n, lam) for a traced run to count its skips.
+    # and counts a ceiling skip only without one, so c2 must take only
+    # (n, lam) positionally, the recorded sum by keyword, for a traced run
+    # to count its skips, with or without a cache.
     from schern import cli
 
     t = _load_tracer().Tracer()
     t.install()
     try:
         assert cli.run(["image-index", "9", "3", "--no-cache"]) == 0
+        assert cli.run(["image-index", "9", "3", "--cache", str(tmp_path / "F")]) == 0
     finally:
         t.uninstall()
-    assert capsys.readouterr().out == "3\n"
-    assert t.counts["tables.rows"] == 31
-    assert t.counts["tables.cross_checked_rows"] == 27
-    assert t.counts["chern.ceiling_skips"] == 4
+    assert capsys.readouterr().out == "3\n3\n"
+    assert t.counts["tables.rows"] == 2 * 31
+    assert t.counts["tables.cross_checked_rows"] == 2 * 27
+    assert t.counts["chern.ceiling_skips"] == 2 * 4
+
+
+def test_tables_and_cli_import_no_private_name_from_another_module():
+    # a _-prefixed helper is its module's own business: the command line
+    # and the tables reach another module through its public names only
+    found = [
+        f"{name}:{node.lineno} {alias.name}"
+        for name in ("tables.py", "cli.py")
+        for node in ast.walk(ast.parse((SRC / name).read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "schern")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+    assert found == []
 
 
 def test_every_public_function_or_class_is_run_exported_or_traced():
