@@ -5,8 +5,9 @@ stored only for an index that chern.c2 cross-checked.  One JSON object per
 line, keys sorted, no timestamps, so identical runs produce byte-identical
 files.  Appends take an advisory lock; concurrent writers interleave whole
 lines.  Records carry the package version and are ignored on version
-mismatch, as are lines without a "subshape" key.  A path that cannot be
-read or appended to raises InputError, as a bad --cache argument.
+mismatch, as are lines whose keys are not exactly those of a record.  A
+path that cannot be read or appended to raises InputError, as a bad
+--cache argument.
 """
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from . import __version__
 from .partitions import InputError, Partition
 
 CacheKey = tuple[int, Partition]
+_KEYS = {"n", "partition", "subshape", "version"}
 
 
 def _decode(line: bytes) -> tuple[CacheKey, int] | None:
@@ -23,12 +25,15 @@ def _decode(line: bytes) -> tuple[CacheKey, int] | None:
         rec = json.loads(line.decode())
     except ValueError:  # not UTF-8, or not JSON
         return None
-    if not isinstance(rec, dict) or rec.get("version") != __version__:
+    # exactly the keys put() writes: a line with any other field was not
+    # written by this format
+    if not isinstance(rec, dict) or rec.keys() != _KEYS:
         return None
-    n, lam, subshape = rec.get("n"), rec.get("partition"), rec.get("subshape")
+    if rec["version"] != __version__:
+        return None
+    n, lam, subshape = rec["n"], rec["partition"], rec["subshape"]
     # exact types only: True == 1, 2.0 == 2 and "11" iterates to (1, 1), so
-    # any coercion would let a foreign line alias a real key; a missing key
-    # reads as None and fails too
+    # any coercion would let a foreign line alias a real key
     if type(lam) is not list:
         return None
     if any(type(v) is not int for v in [n, subshape, *lam]):

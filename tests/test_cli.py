@@ -620,11 +620,13 @@ def test_cache_hit_from_another_ceiling_is_recomputed(capsys, tmp_path, ceiling)
     ("partition", [1.0]),
     ("partition", [True]),  # (True,) == (1,) would alias the key
     ("partition", "1"),     # a string iterates to its digits, (1,)
+    ("n_lambda", 1.0),      # a field of an earlier format beside the sum
+    ("dim", "6"),
 ], ids=["list", "bool", "float", "zero", "n-float", "n-str", "part-float",
-        "part-bool", "part-str"])
+        "part-bool", "part-str", "n_lambda-float", "dim-str"])
 def test_cache_line_with_malformed_d_is_skipped(capsys, tmp_path, field, value):
-    """A line with any field of the wrong JSON type, or a partition that is
-    not canonical, is never coerced onto a real key or taken for a sum: the
+    """A line with any field of the wrong JSON type or not in a record, or a
+    partition that is not canonical, is never coerced onto a real key or taken for a sum: the
     sub-shape sum of c2 4 1 runs and its record is appended.  The same line
     well formed is served and appends nothing."""
     cache = tmp_path / "c.jsonl"
