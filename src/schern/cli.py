@@ -1,13 +1,12 @@
 """Command-line front end.
 
-The parsed flags are the only settings; the environment supplies nothing
-but the default cache location under XDG_CACHE_HOME (~/.cache when that
-is unset or relative).  c2 and table rows go through the result cache, via
-tables.cached_c2, which hands chern.c2 the recorded sub-shape sum; c2 lets
-it stand in only when it equals the closed form.  dim, verify and
-conjecture accept the cache flags and never open the cache.  argv is read
-by parse_args against the COMMANDS table; -h/--help prints help and exits
-0.
+The parsed flags are the only settings; no shell variable is read.  With
+--cache PATH (and no --no-cache), c2 and table rows go through the result
+cache at PATH, via tables.cached_c2, which hands chern.c2 the recorded
+sub-shape sum; c2 lets it stand in only when it equals the closed form.
+Without --cache no command reads or writes a file.  dim, verify and
+conjecture accept the cache flags and never open the cache.  argv is read by parse_args against the COMMANDS table;
+-h/--help prints help and exits 0.
 
 Exit codes: 0 success, 1 an arithmetic invariant failed (InvariantError:
 verify found an index that is not a multiple of the H^4 generator, or the
@@ -19,7 +18,6 @@ or a table row whose cross-check failed).
 """
 import gc
 import io
-import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -50,7 +48,7 @@ def parse_partition(text: str) -> Partition:
 
 
 def _cache(args) -> ResultCache | None:
-    return None if args.no_cache else ResultCache(args.cache)
+    return None if args.no_cache or args.cache is None else ResultCache(args.cache)
 
 
 # ---------------------------------------------------------------- rendering
@@ -190,8 +188,8 @@ COMMANDS = {
 DEFAULTS = {"--format": "text", "--no-cache": False, "--cache": None}
 HELP = {
     "partition": "comma separated, e.g. 2,2,2",
-    "--cache": "cache file (default $XDG_CACHE_HOME/schern/results.jsonl)",
-    "--no-cache": "skip the cache entirely",
+    "--cache": "cache file (default: no cache)",
+    "--no-cache": "skip the cache, even with --cache",
 }
 
 
@@ -272,11 +270,6 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
                 fail(f"argument {arg}: invalid int value {value!r}")
             value = int(value)
         setattr(ns, arg.lstrip("-").replace("-", "_"), value)
-    if ns.cache is None:
-        # the XDG spec makes a relative XDG_CACHE_HOME invalid
-        xdg = os.environ.get("XDG_CACHE_HOME") or ""
-        base = Path(xdg) if os.path.isabs(xdg) else Path.home() / ".cache"
-        ns.cache = base / "schern" / "results.jsonl"
     return ns
 
 

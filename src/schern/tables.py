@@ -14,7 +14,8 @@ from math import gcd, isqrt
 from typing import Iterable, NamedTuple
 
 from .cache import ResultCache
-from .chern import ChernResult, CrossCheckError, c2, closed_form_index
+from .chern import (ChernResult, CrossCheckError, c2, closed_form_index,
+                    reduce_full_columns)
 from .partitions import InputError, InvariantError, Partition
 from .weights import (
     GroupSpec,
@@ -172,20 +173,14 @@ for _n in range(2, 8):
         f"reference H^4 computation for BPGL({_n})")
 
 
-def running_gcd(values: Iterable[int]) -> int:
-    out = 0
-    for v in values:
-        out = gcd(out, v)
-        if out == 1:
-            break
-    return out
-
-
 def cached_c2(n: int, lam: Partition, cache: ResultCache | None) -> ChernResult:
     """:func:`c2`, handed the sub-shape sum that ``cache`` records for
     ``(n, lam)``; c2 decides whether that record may stand in.  A sum that
     ran and differs from the record is appended, and the later line wins.
+    The key is the canonical shape, so lam and lam plus full columns of
+    height n share one record.
     """
+    lam = reduce_full_columns(n, lam)
     known = cache.get(n, lam) if cache is not None else None
     res = c2(n, lam, subshape=known)
     if cache is not None and res.cross_checked and res.n_lambda != known:
@@ -212,7 +207,7 @@ def _compute_table(
         rows.append(
             TableRow(w, lam, value, flag, res.cross_checked, printed.get(w))
         )
-    g = running_gcd(r.n_lambda for r in rows if r.n_lambda is not None)
+    g = gcd(*(r.n_lambda for r in rows if r.n_lambda is not None))
     return GeneratorTable(spec, tuple(rows), g)
 
 
@@ -300,6 +295,6 @@ def explore_conjecture(ell: int) -> ConjectureReport:
     index_of = dict(zip(heights, values))  # duals, n - h reversed, are too
     duality_ok = all(index_of.get(tuple(n - c for c in reversed(h))) == v
                      for h, v in zip(heights, values))
-    g = running_gcd(values)
+    g = gcd(*values)
     divisible = all(v % ell == 0 for v in values)
     return ConjectureReport(ell, spec, len(heights), g, g == ell, divisible, duality_ok)

@@ -40,7 +40,9 @@ from schern.partitions import InputError, InvariantError, PartitionError, partit
 
 @pytest.fixture(autouse=True)
 def isolated_env(tmp_path, monkeypatch):
-    """Keep CLI runs away from the user's real cache."""
+    """Keep CLI runs away from the user's real home, should a build ever
+    look there for a cache again."""
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
 
 
@@ -159,8 +161,8 @@ def test_an_index_past_the_conversion_limit_is_printed_and_not_cached(
 
 
 def test_settings_come_from_the_command_line_only(capsys, monkeypatch, tmp_path):
-    # the package reads no SCHERN_* variable, so none of these, malformed or
-    # not, changes a result or the cache path
+    # the package reads no environment variable, so none of these, malformed
+    # or not, changes a result, and a run without --cache writes no file
     ignored = tmp_path / "x.jsonl"
     monkeypatch.setenv("SCHERN_ENUM_CEILING", "5")  # dim of (1,1) at n=4 is 6
     monkeypatch.setenv("SCHERN_MAX_ELL", "3")
@@ -169,24 +171,12 @@ def test_settings_come_from_the_command_line_only(capsys, monkeypatch, tmp_path)
     assert invoke(capsys, "c2", "4", "1,1", "--no-cache")[:2] == (0, "2\n")
     assert invoke(capsys, "conjecture", "5")[0] == 0
     assert invoke(capsys, "c2", "4", "1,1")[:2] == (0, "2\n")
-    assert not ignored.exists()
-    # the default cache records the sub-shape sum, which only a cross-check
+    assert list(tmp_path.iterdir()) == []  # no SCHERN_CACHE, no default cache
+    # a named cache records the sub-shape sum, which only a cross-check
     # writes: no ceiling of 5
-    default = tmp_path / "xdg" / "schern" / "results.jsonl"
-    assert '"subshape":2' in default.read_text()
-
-
-@pytest.mark.parametrize("xdg", ["relcache", "", None], ids=["relative", "empty", "unset"])
-def test_default_cache_falls_back_to_home_unless_xdg_is_absolute(monkeypatch, tmp_path, xdg):
-    # the XDG Base Directory spec makes a relative XDG_CACHE_HOME invalid,
-    # so it must not put a cache under the working directory
-    monkeypatch.setenv("HOME", str(tmp_path / "home"))
-    if xdg is None:
-        monkeypatch.delenv("XDG_CACHE_HOME")
-    else:
-        monkeypatch.setenv("XDG_CACHE_HOME", xdg)
-    default = tmp_path / "home" / ".cache" / "schern" / "results.jsonl"
-    assert parse_args(["c2", "4", "1"]).cache == default
+    named = tmp_path / "F"
+    assert invoke(capsys, "c2", "4", "1,1", "--cache", str(named))[:2] == (0, "2\n")
+    assert '"subshape":2' in named.read_text()
 
 
 def test_dim(capsys):
@@ -473,6 +463,37 @@ def test_stdout_byte_identical_across_runs(capsys, argv):
 
 
 # -------------------------------------------------------------------- cache
+
+def test_a_run_without_cache_flags_writes_no_file(capsys, tmp_path, monkeypatch):
+    # the cache is opt-in: no command reads or writes one unless --cache
+    # names it, whatever the working directory, HOME and XDG_CACHE_HOME
+    dirs = {name: tmp_path / name for name in ("cwd", "home", "xdg")}
+    for path in dirs.values():
+        path.mkdir()
+    monkeypatch.chdir(dirs["cwd"])
+    monkeypatch.setenv("HOME", str(dirs["home"]))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(dirs["xdg"]))
+    for cmd in COMMANDS:
+        assert invoke(capsys, *VALID[cmd])[0] == 0, cmd
+    assert {name: list(path.iterdir()) for name, path in dirs.items()} == {
+        name: [] for name in dirs}
+
+
+def test_full_columns_share_one_record(capsys, tmp_path):
+    # (), (1,1,1) and (2,2,2) are one SL(3) representation, so the cache
+    # keys them by the canonical shape and the three runs leave one line
+    cache = tmp_path / "c.jsonl"
+    for text in ("0", "1,1,1", "2,2,2"):
+        argv = ("c2", "3", text, "--cache", str(cache))
+        assert invoke(capsys, *argv) == (0, "0\n", ""), text
+    rec = {"n": 3, "partition": [], "subshape": 0, "version": __version__}
+    assert cache.read_text() == json.dumps(
+        rec, sort_keys=True, separators=(",", ":")) + "\n"
+    # a shape that is no SL(3) weight fails as it does without the cache
+    bad = ("c2", "3", "1,1,1,1")
+    plain = invoke(capsys, *bad, "--no-cache")
+    assert plain[0] == 2 and invoke(capsys, *bad, "--cache", str(cache)) == plain
+
 
 def test_cache_round_trip(capsys, tmp_path):
     cache = tmp_path / "c.jsonl"
@@ -775,8 +796,10 @@ def test_start_up_imports_no_unused_heavy_modules():
 
 
 def test_text_and_uncached_commands_load_no_unneeded_modules():
-    # argparse and gettext are replaced by parse_args; json only serves the
-    # cache file and --format json, csv --format csv, fcntl a cache append;
+    # argparse and gettext are replaced by parse_args; json only serves a
+    # cache file named by --cache and --format json, csv --format csv, fcntl
+    # a cache append, so a flag-less c2 or image-index loads none of them
+    # (isolated_env gives the child a temporary HOME and XDG_CACHE_HOME);
     # no module uses fractions, nor __future__ postponed annotations, which are
     # gone.  Counted in a fresh interpreter, where site has loaded none of
     # them.  A postponed (string) annotation on a NamedTuple field would
@@ -788,7 +811,9 @@ def test_text_and_uncached_commands_load_no_unneeded_modules():
         "codes = [schern.cli.run(['dim', '8', '2,1']),\n"
         "         schern.cli.run(['c2', '8', '2,2,2', '--no-cache']),\n"
         "         schern.cli.run(['conjecture', '3']),\n"
-        "         schern.cli.run(['image-index', '8', '2', '--no-cache'])]\n"
+        "         schern.cli.run(['image-index', '8', '2', '--no-cache']),\n"
+        "         schern.cli.run(['c2', '8', '2,2,2']),\n"
+        "         schern.cli.run(['image-index', '8', '2'])]\n"
         "unneeded = ['argparse', 'gettext', 'json', 'csv', 'fractions', 'fcntl',\n"
         "            '__future__']\n"
         "fields = {f'{cls.__name__}.{name}': hint\n"
@@ -809,7 +834,7 @@ def test_text_and_uncached_commands_load_no_unneeded_modules():
         env={**os.environ, "PYTHONPATH": str(root / "src")},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-2:] == ["True []", "[0, 0, 0, 0] []"]
+    assert proc.stdout.splitlines()[-2:] == ["True []", "[0, 0, 0, 0, 0, 0] []"]
 
 
 def test_main_freezes_the_collector_and_run_does_not(monkeypatch, capsys):
@@ -948,11 +973,11 @@ def test_a_negative_number_is_a_positional(capsys):
     assert err == "error: n must be positive, got -3\n"
 
 
-def test_benchmark_argvs_parse_to_the_argparse_namespaces(tmp_path):
+def test_benchmark_argvs_parse_to_the_argparse_namespaces():
     # the namespaces that the argparse parser built, its handler aside, for
-    # the argv shapes that perfbench/run.py passes
-    default = tmp_path / "xdg" / "schern" / "results.jsonl"
-    shared = {"cache": default, "no_cache": False}
+    # the argv shapes that perfbench/run.py passes; without --cache there is
+    # no cache path
+    shared = {"cache": None, "no_cache": False}
     cases = [
         (["c2", "3", "2,1", "--no-cache"],
          {"command": "c2", "n": 3, "partition": "2,1", "no_cache": True}),

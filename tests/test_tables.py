@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 import sys
 
@@ -18,7 +19,6 @@ from schern.tables import (
     explore_conjecture,
     generator_table,
     image_index,
-    running_gcd,
     table_against_reference,
     verify_case,
 )
@@ -151,8 +151,8 @@ class TestGeneratorTable:
         bad = [r for r in t.rows if r.error]
         assert [r.partition for r in bad] == [(1, 1)]
         assert bad[0].n_lambda is None
-        assert t.gcd == running_gcd(
-            r.n_lambda for r in t.rows if r.n_lambda is not None
+        assert t.gcd == math.gcd(
+            *(r.n_lambda for r in t.rows if r.n_lambda is not None)
         )
 
 
@@ -204,12 +204,7 @@ class TestImageIndex:
             a, b = rng.choice(basis), rng.choice(basis)
             combined = tuple(x + y for x, y in zip(a, b))
             values.append(c2_closed_form(8, partition_of(combined)).n_lambda)
-        assert running_gcd(values) == table.gcd
-
-    def test_running_gcd(self):
-        assert running_gcd([]) == 0
-        assert running_gcd([0, 12, 18]) == 6
-        assert running_gcd([4, 7, 100]) == 1
+        assert math.gcd(*values) == table.gcd
 
 
 class TestVerifyCase:
@@ -292,7 +287,7 @@ class TestExploreConjecture:
                     for w in basis}
         rep = explore_conjecture(5)
         assert rep.basis_size == len(basis) == 1558
-        assert rep.image_index == running_gcd(index_of.values()) == 5
+        assert rep.image_index == math.gcd(*index_of.values()) == 5
         assert rep.all_rows_divisible == all(
             v % 5 == 0 for v in index_of.values()
         )

@@ -19,33 +19,21 @@ def test_package_source_has_no_assert_statements():
     assert found == []
 
 
-def test_package_source_reads_only_xdg_cache_home_from_the_environment():
-    # The command line alone determines stdout; the environment supplies only
-    # the default cache location.  Any other environ/getenv use is reported
-    # by file and line, an alias such as `env = os.environ` included.
-    env_names = {"environ", "environb", "getenv", "getenvb"}
-    allowed, found = 0, []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        xdg_reads = {
-            id(node.func.value)
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute) and node.func.attr == "get"
-            and [getattr(a, "value", None) for a in node.args] == ["XDG_CACHE_HOME"]
-        }
-        for node in ast.walk(tree):
-            name = (node.attr if isinstance(node, ast.Attribute)
-                    else node.id if isinstance(node, ast.Name)
-                    else node.name if isinstance(node, ast.alias) else None)
-            if name not in env_names:
-                continue
-            if id(node) in xdg_reads:
-                allowed += 1
-            else:
-                found.append(f"{path.name}:{node.lineno}")
+def test_package_source_reads_no_environment():
+    # The command line alone determines what a run reads, writes and prints:
+    # no environ/getenv use, an alias such as `env = os.environ` included,
+    # and no home directory lookup.  Each use is reported by file and line.
+    banned = {"environ", "environb", "getenv", "getenvb", "expandvars",
+              "expanduser", "home"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (node.attr if isinstance(node, ast.Attribute)
+            else node.id if isinstance(node, ast.Name)
+            else node.name if isinstance(node, ast.alias) else None) in banned
+    ]
     assert found == []
-    assert allowed == 1
 
 
 def _load_tracer():
