@@ -25,7 +25,7 @@ it serves the tests as an oracle.  No route leaves the integers: the
 closed form divides n times the Casimir eigenvalue exactly.
 """
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .partitions import (
     InputError,
@@ -55,10 +55,8 @@ class CrossCheckError(Exception):
         )
 
 
-class ChernResult(NamedTuple):
-    n_lambda: int
-    cross_checked: bool
-    dim: int
+# n_lambda: int, cross_checked: bool (by the sub-shape sum), dim: int
+ChernResult = namedtuple("ChernResult", "n_lambda cross_checked dim")
 
 
 def reduce_full_columns(n: int, lam: Partition) -> Partition:

@@ -5,8 +5,8 @@ The parsed flags are the only settings; no shell variable is read.  With
 cache at PATH, via tables.cached_c2, which hands chern.c2 the recorded
 sub-shape sum; c2 lets it stand in only when it equals the closed form.
 Without --cache no command reads or writes a file.  dim, verify and
-conjecture accept the cache flags and never open the cache.  argv is read by parse_args against the COMMANDS table;
--h/--help prints help and exits 0.
+conjecture accept the cache flags and never open the cache.  argv is read
+by parse_args against the COMMANDS table; -h/--help prints help and exits 0.
 
 Exit codes: 0 success, 1 an arithmetic invariant failed (InvariantError:
 verify found an index that is not a multiple of the H^4 generator, or the
@@ -14,10 +14,14 @@ closed form or the hook-content dimension did not divide exactly), 2 bad
 arguments or violated preconditions (InputError: a usage error from the
 parser itself, unknown case, ell above its ceiling, malformed partition,
 unusable cache path), 3 a consistency check failed (the cross-check of c2,
-or a table row whose cross-check failed).
+or a table row whose cross-check failed).  main() runs the atexit handlers,
+flushes stdio and ends the process with os._exit, skipping interpreter
+teardown; under a tracer or profiler, or when a flush fails, it exits
+through sys.exit instead.
 """
-import gc
+import atexit
 import io
+import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -293,15 +297,25 @@ def run(argv: list[str] | None = None) -> int:
 def main() -> None:
     """Console entry point: run the command in sys.argv and exit with its code.
 
-    Everything alive at this point (the modules that site and the imports
-    loaded, the COMMANDS table) lives until the process ends, so it is moved
-    to the collector's permanent generation: no collection during the
-    command, nor the final ones at shutdown, walks it again.  Objects the
-    command creates are collected as usual, and run() leaves the collector
-    alone.
+    Interpreter teardown (module cleanup and the final collections) changes
+    nothing a command printed but costs it milliseconds, so the process
+    ends with os._exit once the atexit handlers have run and stdio is
+    flushed.  A tracer or profiler (coverage, cProfile) reports from its
+    own teardown, and a failed flush is reported by the normal one, so
+    those exit through sys.exit as before.
     """
-    gc.freeze()
-    sys.exit(run())
+    code = run()
+    if sys.gettrace() is None and sys.getprofile() is None:
+        atexit._run_exitfuncs()
+        try:
+            for stream in (sys.stdout, sys.stderr):
+                if stream is not None:
+                    stream.flush()
+        except (OSError, ValueError):  # a closed pipe or stream
+            pass
+        else:
+            os._exit(code)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

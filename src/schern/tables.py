@@ -10,8 +10,9 @@ Bundled reference tables ship as plain data; :func:`generator_table`
 recomputes every row and flags disagreements instead of silently trusting
 either side.
 """
+from collections import namedtuple
+from collections.abc import Iterable
 from math import gcd, isqrt
-from typing import Iterable, NamedTuple
 
 from .cache import ResultCache
 from .chern import (ChernResult, CrossCheckError, c2, closed_form_index,
@@ -26,20 +27,15 @@ from .weights import (
 )
 
 
-class TableRow(NamedTuple):
-    weight: Weight
-    partition: Partition
-    n_lambda: int | None
-    flagged: bool
-    cross_checked: bool
-    reference_value: int | None = None
-    error: CrossCheckError | None = None
+# weight: Weight, partition: Partition, n_lambda: int | None, flagged: bool,
+# cross_checked: bool, reference_value: int | None, error: CrossCheckError | None
+TableRow = namedtuple("TableRow", "weight partition n_lambda flagged "
+                      "cross_checked reference_value error", defaults=(None, None))
 
 
-class GeneratorTable(NamedTuple):
-    spec: GroupSpec
-    rows: tuple[TableRow, ...]
-    gcd: int
+# spec: GroupSpec, rows: tuple[TableRow, ...], gcd: int
+class GeneratorTable(namedtuple("GeneratorTable", "spec rows gcd")):
+    __slots__ = ()
 
     def raise_on_error(self) -> None:
         """Raise the first row's cross-check failure, chained to the original,
@@ -50,40 +46,14 @@ class GeneratorTable(NamedTuple):
                 raise CrossCheckError(e.n, e.lam, e.closed, e.subshape) from e
 
 
-class ReferenceTable(NamedTuple):
-    case_id: str
-    spec: GroupSpec
-    rows: tuple[tuple[Weight, Partition, int], ...]
-    source: str
-
-
-class CaseExpectation(NamedTuple):
-    case_id: str
-    spec: GroupSpec
-    expected_gcd: int
-    h4_multiplier: int
-    source: str
-
-
-class CaseReport(NamedTuple):
-    case_id: str
-    spec: GroupSpec
-    computed_index: int
-    expected_gcd: int
-    h4_multiplier: int
-    verdict: str
-    matches_expected: bool
-    source: str
-
-
-class ConjectureReport(NamedTuple):
-    ell: int
-    spec: GroupSpec
-    basis_size: int
-    image_index: int
-    matches_ell: bool
-    all_rows_divisible: bool
-    duality_invariant: bool
+# rows: tuple[tuple[Weight, Partition, int], ...], the printed entries
+ReferenceTable = namedtuple("ReferenceTable", "case_id spec rows source")
+CaseExpectation = namedtuple("CaseExpectation",
+                             "case_id spec expected_gcd h4_multiplier source")
+CaseReport = namedtuple("CaseReport", "case_id spec computed_index expected_gcd "
+                        "h4_multiplier verdict matches_expected source")
+ConjectureReport = namedtuple("ConjectureReport", "ell spec basis_size image_index "
+                              "matches_ell all_rows_divisible duality_invariant")
 
 
 # Rows are (weight, partition, printed index), lex sorted by weight.  Two

@@ -9,24 +9,18 @@ exactly when |lam| is divisible by d.  The dominant weights that descend form
 a monoid under addition; :func:`hilbert_basis` returns its unique minimal
 generating set.
 """
+from collections import namedtuple
 from itertools import accumulate, product
 from operator import index
-from typing import NamedTuple
 
 from .partitions import InputError, Partition
 
 Weight = tuple[int, ...]
 
 
-class _GroupFields(NamedTuple):
-    n: int
-    d: int
-
-
-# typing.NamedTuple refuses a __new__ in its own body, so the checks live on
-# a subclass; _make is routed through them so that _replace checks too.
-class GroupSpec(_GroupFields):
-    """Quotient SL(n)/mu_d; d must divide n."""
+class GroupSpec(namedtuple("GroupSpec", "n d")):
+    """Quotient SL(n)/mu_d; d must divide n.  _make is routed through the
+    checks of __new__ so that _replace checks too."""
 
     __slots__ = ()
 

@@ -1,4 +1,5 @@
 """Exit codes, output formats, and cache behaviour of the command line."""
+import ast
 import csv
 import gc
 import io
@@ -34,7 +35,7 @@ from schern import (
 )
 from schern.cache import ResultCache
 from schern.chern import reduce_full_columns
-from schern.cli import COMMANDS, SHARED, main, parse_args, parse_partition, run
+from schern.cli import COMMANDS, SHARED, parse_args, parse_partition, run
 from schern.partitions import InputError, InvariantError, PartitionError, partition
 
 
@@ -802,11 +803,9 @@ def test_text_and_uncached_commands_load_no_unneeded_modules():
     # (isolated_env gives the child a temporary HOME and XDG_CACHE_HOME);
     # no module uses fractions, nor __future__ postponed annotations, which are
     # gone.  Counted in a fresh interpreter, where site has loaded none of
-    # them.  A postponed (string) annotation on a NamedTuple field would
-    # also cost one compile() at import, for the ForwardRef that typing
-    # wraps it in, so every field annotation must be a real type.
+    # them.
     script = (
-        "import sys, typing\n"
+        "import sys\n"
         "import schern.cli\n"
         "codes = [schern.cli.run(['dim', '8', '2,1']),\n"
         "         schern.cli.run(['c2', '8', '2,2,2', '--no-cache']),\n"
@@ -816,15 +815,6 @@ def test_text_and_uncached_commands_load_no_unneeded_modules():
         "         schern.cli.run(['image-index', '8', '2'])]\n"
         "unneeded = ['argparse', 'gettext', 'json', 'csv', 'fractions', 'fcntl',\n"
         "            '__future__']\n"
-        "fields = {f'{cls.__name__}.{name}': hint\n"
-        "          for mod in list(sys.modules.values())\n"
-        "          if mod.__name__.startswith('schern')\n"
-        "          for cls in vars(mod).values()\n"
-        "          if isinstance(cls, type) and issubclass(cls, tuple)\n"
-        "          and hasattr(cls, '_fields')\n"
-        "          for name, hint in cls.__annotations__.items()}\n"
-        "print(len(fields) > 20, [f for f, hint in fields.items()\n"
-        "                         if isinstance(hint, (str, typing.ForwardRef))])\n"
         "print(codes, [m for m in unneeded if m in sys.modules])\n"
     )
     root = Path(__file__).resolve().parents[1]
@@ -834,25 +824,138 @@ def test_text_and_uncached_commands_load_no_unneeded_modules():
         env={**os.environ, "PYTHONPATH": str(root / "src")},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-2:] == ["True []", "[0, 0, 0, 0, 0, 0] []"]
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] []"
 
 
-def test_main_freezes_the_collector_and_run_does_not(monkeypatch, capsys):
-    # the start-up heap lives as long as the process, so main() moves it to
-    # the permanent generation; run() is what the tests and the in-process
-    # benchmark call, and it leaves the collector as it found it
+def test_run_returns_and_neither_exits_nor_freezes(capsys):
+    # run() is what the tests and the in-process benchmark call: it returns
+    # the code and leaves the process and the collector as it found them
     before = gc.get_freeze_count()
     assert run(["dim", "4", "1"]) == 0
     assert gc.get_freeze_count() == before
-    monkeypatch.setattr(sys, "argv", ["schern", "dim", "4", "1"])
+    assert capsys.readouterr().out == "4\n"
+
+
+# ------------------------------------------------------ main, fresh process
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def fresh(*argv, prelude=None, stdout=subprocess.PIPE):
+    """`python -m schern.cli ARGV` in a fresh process, or with a prelude,
+    `python -c` running the prelude and then main() on ARGV.  stdout is a
+    pipe and PYTHONUNBUFFERED is dropped, so the child block-buffers it."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    head = (["-m", "schern.cli"] if prelude is None
+            else ["-c", prelude + "\nimport schern.cli\nschern.cli.main()"])
+    return subprocess.run([sys.executable, *head, *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, timeout=120)
+
+
+DIFFERING = ("import schern.tables as t\n"
+             "c = t.CASES['sl8-mu2']\n"
+             "t.CASES['sl8-mu2'] = c._replace(expected_gcd=4)")
+
+
+@pytest.mark.parametrize("argv,prelude,code,out", [
+    (["image-index", "8", "2"], None, 0, b"2\n"),
+    (["dim", "4", "1", "--cache"], None, 2, b""),
+    (["c2", "3", "1,1,1,1"], None, 2, b""),
+    (["verify", "sl8-mu2"], DIFFERING, 3,
+     b"sl8-mu2: image index 2, H^4 generator multiplier 1, verdict "
+     b"counterexample\n  DIFFERS FROM stored expectation 4 (reference H^4 "
+     b"computation for B(SL(8)/mu_2))\n"),
+], ids=["0", "2-usage", "2-rows", "3-differs"])
+def test_main_exits_with_the_code_and_output_of_run(argv, prelude, code, out):
+    proc = fresh(*argv, prelude=prelude)
+    assert (proc.returncode, proc.stdout) == (code, out), proc.stderr
+
+
+def test_main_skips_interpreter_teardown():
+    # a __del__ left for module cleanup never runs: the process ends first
+    # (os.write is bound early, as cleanup sets module globals to None)
+    prelude = ("import os\n"
+               "class Loud:\n"
+               "    def __del__(self, write=os.write): write(1, b'teardown')\n"
+               "loud = Loud()")
+    proc = fresh("dim", "4", "1", prelude=prelude)
+    assert (proc.returncode, proc.stdout) == (0, b"4\n")
+
+
+def test_main_lets_an_unmapped_exception_keep_its_traceback():
+    prelude = ("import schern.cli\n"
+               "schern.cli.schur_dimension = lambda n, lam: 1 // 0")
+    proc = fresh("dim", "4", "1", prelude=prelude)
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr.startswith(b"Traceback (most recent call last):")
+    assert proc.stderr.endswith(b"ZeroDivisionError: integer division or "
+                                b"modulo by zero\n")
+
+
+def test_main_runs_the_atexit_handlers_once():
+    proc = fresh("dim", "4", "1",
+                 prelude="import atexit\natexit.register(print, 'bye')")
+    assert (proc.returncode, proc.stdout) == (0, b"4\nbye\n")
+
+
+def test_main_under_a_profiler_exits_normally_so_the_stats_print():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-m", "schern.cli", "c2", "8", "2,2"],
+        capture_output=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(b"160\n")
+    assert b"function calls" in proc.stdout
+
+
+def test_main_into_a_closed_pipe_reports_it_at_teardown():
+    # the flush in main() fails, so sys.exit runs the normal teardown, whose
+    # flush fails again and sets exit code 120, as without the fast exit
+    read_end, write_end = os.pipe()
+    os.close(read_end)
     try:
-        with pytest.raises(SystemExit) as info:
-            main()
-        assert info.value.code == 0
-        assert gc.get_freeze_count() > before
+        proc = fresh("c2", "8", "2,2", stdout=write_end)
     finally:
-        gc.unfreeze()
-    assert capsys.readouterr().out == "4\n4\n"
+        os.close(write_end)
+    assert proc.returncode == 120
+    assert proc.stderr.startswith(b"Exception ignored in: <_io.TextIOWrapper "
+                                  b"name='<stdout>'")
+    assert proc.stderr.endswith(b"BrokenPipeError: [Errno 32] Broken pipe\n")
+
+
+def _golden_commands() -> dict:
+    """The benchmark's FIXED table (golden name -> argv), read from the
+    source of perfbench/run.py without importing it."""
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["FIXED"])
+
+
+GOLDEN = _golden_commands()
+
+
+def test_every_golden_output_has_a_command():
+    names = sorted(p.stem for p in (ROOT / "perfbench" / "golden").glob("*.out"))
+    assert names == sorted(GOLDEN) and len(names) == 9
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_main_prints_the_golden_bytes(name):
+    proc = fresh(*GOLDEN[name])
+    expected = (ROOT / "perfbench" / "golden" / f"{name}.out").read_bytes()
+    assert (proc.returncode, proc.stdout) == (0, expected), proc.stderr
+
+
+def test_main_flushes_a_megabyte_of_block_buffered_output(capsys):
+    argv = ["generators", "25", "5", "--format", "json"]
+    proc = fresh(*argv)
+    code, out, _ = invoke(capsys, *argv)
+    assert (proc.returncode, code) == (0, 0), proc.stderr
+    assert len(proc.stdout) == 1_037_693
+    assert proc.stdout == out.encode()
 
 
 def test_console_script_is_wired():

@@ -36,6 +36,22 @@ def test_package_source_reads_no_environment():
     assert found == []
 
 
+def test_package_source_imports_nothing_from_typing():
+    # The record types are collections.namedtuple classes: a typing.NamedTuple
+    # class costs about twice as much to build at import, and every command
+    # pays that.  Each typing or NamedTuple import is reported by file and line.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and ("typing" in [getattr(node, "module", None),
+                          *(a.name.split(".")[0] for a in node.names)]
+             or "NamedTuple" in [a.name for a in node.names])
+    ]
+    assert found == []
+
+
 def _load_tracer():
     """perfbench/tracer.py, loaded by path, with every schern module loaded."""
     import importlib.util
