@@ -20,7 +20,6 @@ teardown; under a tracer or profiler, or when a flush fails, it exits
 through sys.exit instead.
 """
 import atexit
-import io
 import os
 import sys
 from pathlib import Path
@@ -72,25 +71,65 @@ def _shape(lam: Partition) -> str:
     return "(" + ",".join(map(str, lam)) + ")"
 
 
+_JSON_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t",
+                 "\b": "\\b", "\f": "\\f"}
+
+
+def _json_char(c: str) -> str:
+    n = ord(c)
+    if n > 0xFFFF:  # a surrogate pair, as ensure_ascii writes it
+        n -= 0x10000
+        return f"\\u{0xD800 | n >> 10:04x}\\u{0xDC00 | n & 0x3FF:04x}"
+    return _JSON_ESCAPES.get(c) or (c if " " <= c <= "~" else f"\\u{n:04x}")
+
+
+def _json_str(s: str) -> str:
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return '"' + s + '"'
+    return '"' + "".join(map(_json_char, s)) + '"'
+
+
+def _json(value, indent: str = "\n") -> str:
+    """What json.dumps(value, indent=2, sort_keys=True) writes, for dicts
+    with str keys, lists, str, int, bool and None."""
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return _json_str(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{_json_str(k)}: {_json(value[k], inner)}" for k in sorted(value)]
+        brackets = "{}"
+    else:
+        items = [_json(v, inner) for v in value]
+        brackets = "[]"
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+
+
+def _csv_field(field: str) -> str:
+    """A field as the default csv.writer quotes it."""
+    if "," in field or '"' in field or "\r" in field or "\n" in field:
+        return '"' + field.replace('"', '""') + '"'
+    return field
+
+
 def render_table(table: GeneratorTable, fmt: str, case_id: str | None = None) -> str:
     if fmt == "json":
-        import json  # only this format needs it; keep it off every start-up
-
         payload = {"n": table.spec.n, "d": table.spec.d, "gcd": table.gcd,
                    "rows": [_row_payload(r) for r in table.rows]}
         if case_id is not None:
             payload["case"] = case_id
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return _json(payload) + "\n"
     if fmt == "csv":
-        import csv  # only this format needs it; keep it off every start-up
-
-        out = io.StringIO()
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(["weight", "partition", "n_lambda", "flagged"])
-        w.writerows([weight_str(r.weight), _shape(r.partition),
-                     "" if r.n_lambda is None else str(r.n_lambda),
-                     "true" if r.flagged else "false"] for r in table.rows)
-        return out.getvalue()
+        rows = [["weight", "partition", "n_lambda", "flagged"]]
+        rows += ([weight_str(r.weight), _shape(r.partition),
+                  "" if r.n_lambda is None else str(r.n_lambda),
+                  "true" if r.flagged else "false"] for r in table.rows)
+        return "".join(",".join(map(_csv_field, row)) + "\n" for row in rows)
     # text
     header = ["weight", "partition", "n_lambda", "note"]
     body = []

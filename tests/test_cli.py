@@ -14,6 +14,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import schern.chern as chern_mod
 import schern.partitions as partitions_mod
@@ -27,15 +29,18 @@ from schern import (
     c2_enumeration,
     c2_subshape,
     explore_conjecture,
+    generator_table,
     hilbert_basis,
     partition_of,
     schur_dimension,
     table_against_reference,
     verify_case,
+    weight_str,
 )
 from schern.cache import ResultCache
 from schern.chern import reduce_full_columns
-from schern.cli import COMMANDS, SHARED, parse_args, parse_partition, run
+from schern.cli import (COMMANDS, SHARED, _csv_field, _json, _row_payload,
+                        parse_args, parse_partition, render_table, run)
 from schern.partitions import InputError, InvariantError, PartitionError, partition
 
 
@@ -290,6 +295,92 @@ def test_failed_cross_check_exits_3(capsys, monkeypatch, argv):
     assert "closed form 6, sub-shape sum 7" in err
     if argv[0] in ("image-index", "verify"):
         assert out == ""
+
+
+# ---------------------------------------------------------------- rendering
+
+# Printable ASCII, which json escapes only at '"' and '\\', and text with
+# arbitrary code points (lone surrogates and the supplementary planes
+# included) and control characters.
+_TEXT = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E)) | st.text(
+    st.characters(exclude_categories=()) | st.characters(categories=["Cs"])
+    | st.characters(min_codepoint=0x10000)
+    | st.sampled_from('"\\\n\r\t\b\f\x00\x1f\x7f'))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | _TEXT
+    | st.integers(min_value=-10**4400, max_value=10**4400),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=12)
+
+
+def _stdlib_json(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+def _stdlib_csv(rows, lineterminator: str = "\n") -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator=lineterminator).writerows(rows)
+    return out.getvalue()
+
+
+@settings(deadline=None)
+@given(_JSON_VALUES)
+@example({"a\"b": ['c\\d', "\x7f\x1f\b\f\t\r\n", "\u00e9\ud800\U0001F600"],
+          "": [{}, [], None, True, False, -(10**4400)]})
+def test_json_emitter_writes_what_json_dumps_writes(value):
+    # ints past 4,300 digits need the limit lifted, as run() lifts it
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert _json(value) == _stdlib_json(value)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+@settings(deadline=None)
+@given(st.lists(_TEXT | st.text(",\"\r\n a(1)"), min_size=4, max_size=4))
+def test_csv_field_rule_quotes_as_csv_writer_does(row):
+    # The rule is the default dialect's: a lone "\r" is quoted as well,
+    # which a writer with lineterminator "\n" leaves bare on Python 3.11,
+    # so a reader would split the row there.  Without "\r" the bytes are
+    # those of csv.writer(lineterminator="\n").
+    line = ",".join(map(_csv_field, row)) + "\n"
+    assert line == _stdlib_csv([row], "\r\n")[:-2] + "\n"
+    if not any("\r" in field for field in row):
+        assert line == _stdlib_csv([row])
+
+
+def test_a_large_table_renders_the_stdlib_bytes():
+    table = generator_table(GroupSpec(25, 5))
+    assert len(table.rows) == 1558
+    payload = {"n": 25, "d": 5, "gcd": table.gcd,
+               "rows": [_row_payload(r) for r in table.rows]}
+    assert render_table(table, "json") == _stdlib_json(payload) + "\n"
+
+
+def test_a_row_whose_cross_check_failed_renders_the_stdlib_bytes(monkeypatch):
+    real = chern_mod.c2_subshape
+    monkeypatch.setattr(chern_mod, "c2_subshape", lambda n, lam: real(n, lam)
+                        + (lam == (1, 1)))
+    table = generator_table(GroupSpec(8, 2))
+    [bad] = [r for r in table.rows if r.error is not None]
+    payload = {"n": 8, "d": 2, "gcd": table.gcd, "case": "x",
+               "rows": [_row_payload(r) for r in table.rows]}
+    out = render_table(table, "json", case_id="x")
+    assert out == _stdlib_json(payload) + "\n"
+    [row] = [r for r in json.loads(out)["rows"] if "error" in r]
+    assert row["n_lambda"] is None
+    assert row["error"] == str(bad.error) and "sub-shape sum 7" in row["error"]
+    rows = [["weight", "partition", "n_lambda", "flagged"]] + [
+        [weight_str(r.weight), "(" + ",".join(map(str, r.partition)) + ")",
+         "" if r.n_lambda is None else str(r.n_lambda), str(r.flagged).lower()]
+        for r in table.rows]
+    out = render_table(table, "csv")
+    assert out == _stdlib_csv(rows)
+    assert 'a2,"(1,1)",,false\n' in out
 
 
 def test_verify_counterexample_case(capsys):
@@ -798,8 +889,9 @@ def test_start_up_imports_no_unused_heavy_modules():
 
 def test_text_and_uncached_commands_load_no_unneeded_modules():
     # argparse and gettext are replaced by parse_args; json only serves a
-    # cache file named by --cache and --format json, csv --format csv, fcntl
-    # a cache append, so a flag-less c2 or image-index loads none of them
+    # cache file named by --cache, since render_table writes --format json
+    # and --format csv itself, and nothing loads csv; fcntl only serves a
+    # cache append, so a flag-less c2 or image-index loads none of them
     # (isolated_env gives the child a temporary HOME and XDG_CACHE_HOME);
     # no module uses fractions, nor __future__ postponed annotations, which are
     # gone.  Counted in a fresh interpreter, where site has loaded none of
@@ -812,7 +904,11 @@ def test_text_and_uncached_commands_load_no_unneeded_modules():
         "         schern.cli.run(['conjecture', '3']),\n"
         "         schern.cli.run(['image-index', '8', '2', '--no-cache']),\n"
         "         schern.cli.run(['c2', '8', '2,2,2']),\n"
-        "         schern.cli.run(['image-index', '8', '2'])]\n"
+        "         schern.cli.run(['image-index', '8', '2']),\n"
+        "         schern.cli.run(['generators', '9', '3', '--format', 'json',\n"
+        "                         '--no-cache']),\n"
+        "         schern.cli.run(['table', '--case', 'sl8-mu2', '--format', 'csv',\n"
+        "                         '--no-cache'])]\n"
         "unneeded = ['argparse', 'gettext', 'json', 'csv', 'fractions', 'fcntl',\n"
         "            '__future__']\n"
         "print(codes, [m for m in unneeded if m in sys.modules])\n"
@@ -824,7 +920,7 @@ def test_text_and_uncached_commands_load_no_unneeded_modules():
         env={**os.environ, "PYTHONPATH": str(root / "src")},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] []"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0, 0, 0] []"
 
 
 def test_run_returns_and_neither_exits_nor_freezes(capsys):

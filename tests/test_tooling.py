@@ -52,6 +52,23 @@ def test_package_source_imports_nothing_from_typing():
     assert found == []
 
 
+def test_only_the_cache_imports_json_and_no_module_imports_csv():
+    # render_table writes --format json and --format csv itself, so only a
+    # cache file named by --cache loads json.  Each other json import and
+    # every csv import is reported by file and line.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for module in [getattr(node, "module", None),
+                       *(a.name for a in node.names)]
+        if module and (module.split(".")[0] == "csv"
+                       or module.split(".")[0] == "json" and path.name != "cache.py")
+    ]
+    assert found == []
+
+
 def _load_tracer():
     """perfbench/tracer.py, loaded by path, with every schern module loaded."""
     import importlib.util
