@@ -5,9 +5,10 @@ integer multiple n_lam of the second Chern class of the defining
 representation (first Chern classes vanish on SL(n)).  Three routes compute
 n_lam:
 
-* closed form: dimension times Casimir eigenvalue divided by n^2 - 1, from
-  column heights that a generator row takes from the basis search (at most
-  d, by the Davenport bound) and another shape from one conjugation of lam;
+* closed form: dimension times Casimir eigenvalue divided by n^2 - 1, both
+  taken line by line over the shorter side of lam, its rows or its column
+  heights, so the longer side is never walked; a generator row brings its
+  column heights from the basis search (at most d, by the Davenport bound);
 * sub-shape sum: group the tableaux by the two-row sub-shape nu that their
   entries 1 and 2 fill, and count the fillings of lam/nu by entries 3..n
   with a Jacobi-Trudi determinant (Macdonald, Symmetric Functions and Hall
@@ -32,8 +33,8 @@ from .partitions import (
     InvariantError,
     Partition,
     _conjugate,
-    _hook_dimension,
     _line_dimension,
+    _shorter_side,
     partition,
     schur_dimension,
     ssyt_stream,
@@ -72,47 +73,44 @@ def reduce_full_columns(n: int, lam: Partition) -> Partition:
     return lam
 
 
-def _n_casimir(n: int, heights: Partition) -> int:
-    """n times the Casimir eigenvalue of the partition with column heights
-    c_1 >= c_2 >= ...: an integer.
+def _n_casimir(n: int, lines: Partition, by_columns: bool) -> int:
+    """n times the Casimir eigenvalue of the shape with column heights
+    (by_columns) or rows ``lines`` l_1 >= l_2 >= ...: an integer.
 
-    With |lam| = sum c_j, sum lam_i^2 = sum (2j - 1) c_j and
-    sum i lam_i = sum c_j (c_j + 1) / 2, the row sum
-    sum lam_i (lam_i + n + 1 - 2i) is (n + 1)|lam| + sum c_j (2j - 2 - c_j).
+    The row formula n * sum lam_i (lam_i + n + 1 - 2i) - |lam|^2 is
+    n (n|lam| + 2c) - |lam|^2 for the sum c of the contents j - i; row i
+    adds lam_i (lam_i + 1 - 2i) to 2c, and conjugation negates every
+    content (Macdonald, Symmetric Functions and Hall Polynomials, I.1).
     """
-    size = sum(heights)
-    total = (n + 1) * size
-    for j, c in enumerate(heights, start=1):
-        total += c * (2 * j - 2 - c)
-    return n * total - size * size
+    size = sum(lines)
+    twice_content = sum(l * (l + 1 - 2 * j) for j, l in enumerate(lines, start=1))
+    sign = -1 if by_columns else 1
+    return n * (n * size + sign * twice_content) - size * size
 
 
 def c2_closed_form(n: int, lam: Partition) -> ChernResult:
     """n_lam = dim * casimir / (n^2 - 1), computed as the integer quotient
     dim * (n * casimir) / (n * (n^2 - 1)); the division is always exact."""
-    lam = reduce_full_columns(n, lam)
-    if not lam:
-        return ChernResult(0, False, 1)
-    heights = _conjugate(lam)
-    dim = _hook_dimension(n, lam, heights)
-    return ChernResult(closed_form_index(n, heights, dim), False, dim)
+    lines, by_columns = _shorter_side(reduce_full_columns(n, lam))
+    dim = _line_dimension(n, lines, by_columns)
+    return ChernResult(closed_form_index(n, lines, by_columns, dim), False, dim)
 
 
-def closed_form_index(n: int, heights: Partition, dim: int | None = None) -> int:
-    """n_lam of the nonempty shape with these column heights (each < n).
-
-    ``dim`` is its dimension; when omitted it is taken column by column,
-    which is cheap for the few columns of a generator.
-    """
+def closed_form_index(n: int, lines: Partition, by_columns: bool = True,
+                      dim: int | None = None) -> int:
+    """n_lam of the shape with column heights (by_columns, each < n) or rows
+    ``lines``, of dimension ``dim`` when given, else taken line by line."""
     if dim is None:
-        dim = _line_dimension(n, heights, True)
-    num, den = dim * _n_casimir(n, heights), n * (n * n - 1)
-    value, rest = divmod(num, den)
+        dim = _line_dimension(n, lines, by_columns)
+    num, den = dim * _n_casimir(n, lines, by_columns), n * (n * n - 1)
+    # n = 1 leaves only the empty shape, whose numerator 0 needs no divisor
+    value, rest = divmod(num, den or 1)
     if rest:
         g = math.gcd(num, den)
+        lam = _conjugate(lines) if by_columns else lines
         raise InvariantError(
             f"non-integral index {num // g}/{den // g} for n={n} "
-            f"lam={_conjugate(heights)}; formula misapplied"
+            f"lam={lam}; formula misapplied"
         )
     return value
 
@@ -172,24 +170,20 @@ def c2_subshape(n: int, lam: Partition) -> int:
     small.  Exact integer arithmetic throughout; neither the Casimir nor the
     tableaux are used.
     """
-    lam = reduce_full_columns(n, lam)
-    if not lam:
-        return 0
-    heights = _conjugate(lam)
+    outer, by_columns = _shorter_side(reduce_full_columns(n, lam))
     m = n - 2
-    by_columns = len(heights) <= len(lam)
     if by_columns:
+        # lam_1 and lam_2 count the columns of heights >= 1 and >= 2;
         # e_k(1^m) = C(m, k); e_0 = 1 also when m = 0, and e_k = 0 past m;
-        # the determinant reads no k past heights[0] + len(heights)
-        top = min(m, heights[0] + len(heights))
-        outer, entry = heights, [math.comb(m, k) for k in range(top + 1)]
+        # the determinant reads no k past lam'_1 + lam_1
+        lam1, lam2 = len(outer), sum(h > 1 for h in outer)
+        entry = [math.comb(m, k) for k in range(min(m, outer[0] + lam1) + 1)]
     else:
         # h_k(1^m) = C(m + k - 1, k); h_0 = 1 also when m = 0
-        top = lam[0] + len(lam)
-        outer, entry = lam, [1] + [math.comb(m + k - 1, k) for k in range(1, top)]
-    lam2 = lam[1] if len(lam) > 1 else 0
+        lam1, lam2 = (outer + (0, 0))[:2]
+        entry = [1] + [math.comb(m + k - 1, k) for k in range(1, lam1 + len(outer))]
     total = 0
-    for nu1 in range(1, lam[0] + 1):
+    for nu1 in range(1, lam1 + 1):
         for nu2 in range(min(nu1 - 1, lam2) + 1):  # nu2 = nu1 weighs 0
             inner = (2,) * nu2 + (1,) * (nu1 - nu2) if by_columns else (nu1, nu2)
             total += math.comb(nu1 - nu2 + 2, 3) * _skew_count(outer, inner, entry)

@@ -71,13 +71,17 @@ def schur_dimension(n: int, lam: Partition) -> int:
     lam = partition(lam)
     if len(lam) > n:
         return 0
-    return _hook_dimension(n, lam, _conjugate(lam))
+    return _line_dimension(n, *_shorter_side(lam))
 
 
-def _hook_dimension(n: int, lam: Partition, heights: Partition) -> int:
-    """Dimension over the shorter of the rows lam and their column heights."""
-    by_columns = len(heights) <= len(lam)
-    return _line_dimension(n, heights if by_columns else lam, by_columns)
+def _shorter_side(lam: Partition) -> tuple[Partition, bool]:
+    """The shorter side of a canonical lam and whether it is the columns:
+    the column heights when lam_1 <= len(lam), else the rows.  The longer
+    side is never built, so the routes over the result walk min(rows,
+    columns) lines, never lam_1 columns of a wide shape."""
+    if lam and lam[0] <= len(lam):
+        return _conjugate(lam), True
+    return lam, False
 
 
 def _line_dimension(n: int, lines: Partition, by_columns: bool) -> int:

@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator
 
-from schern.chern import _n_casimir, reduce_full_columns
+from schern.chern import reduce_full_columns
 from schern.partitions import Partition, _conjugate, partition, ssyt_stream
 from schern.weights import GroupSpec, Weight, is_monoid_irreducible
 
@@ -39,9 +39,11 @@ def dual_partition(n: int, lam: Partition) -> Partition:
 
 def casimir(n: int, lam: Partition) -> Fraction:
     """Casimir eigenvalue (lam, lam + 2 rho) in the normalization where the
-    defining representation of SL(n) has eigenvalue (n^2 - 1) / n."""
+    defining representation of SL(n) has eigenvalue (n^2 - 1) / n, from the
+    rows: sum lam_i (lam_i + n + 1 - 2i) - |lam|^2 / n."""
     lam = reduce_full_columns(n, lam)
-    return Fraction(_n_casimir(n, _conjugate(lam)), n)
+    rows = sum(p * (p + n + 1 - 2 * i) for i, p in enumerate(lam, start=1))
+    return rows - Fraction(sum(lam) ** 2, n)
 
 
 def weight_of(lam: Partition, n: int) -> Weight:

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import schern.chern as chern_mod
-from oracles import casimir, dual_partition, dual_weight
+from oracles import casimir, conjugate, dual_partition, dual_weight
 from schern.chern import (
     ChernResult,
     CrossCheckError,
@@ -99,21 +99,23 @@ class TestCasimir:
             casimir(2, (1, 1, 1))
 
     @given(
-        st.integers(2, 50).flatmap(
+        st.integers(1, 50).flatmap(
             lambda n: st.tuples(
                 st.just(n),
-                st.lists(st.integers(1, 7), max_size=n).map(
+                st.lists(st.integers(1, 60), max_size=n).map(
                     lambda xs: tuple(sorted(xs, reverse=True))
                 ),
             )
         )
     )
     @settings(max_examples=150, deadline=None)
-    def test_matches_the_row_formula_for_up_to_seven_columns(self, case):
-        # (lam, lam + 2 rho) = sum lam_i (lam_i + n + 1 - 2i) - |lam|^2 / n
+    def test_program_casimir_is_the_oracle_from_either_side(self, case):
+        # the rows and the column heights of one lam, full columns included:
+        # adding a column of height n leaves the SL(n) Casimir unchanged
         n, lam = case
-        rows = sum(p * (p + n + 1 - 2 * i) for i, p in enumerate(lam, start=1))
-        assert casimir(n, lam) == rows - Fraction(sum(lam) ** 2, n)
+        expected = n * casimir(n, lam)
+        assert chern_mod._n_casimir(n, lam, False) == expected
+        assert chern_mod._n_casimir(n, conjugate(lam), True) == expected
 
 
 class TestClosedForm:
@@ -159,9 +161,9 @@ class TestClosedForm:
         assert c2_closed_form(n, lam).n_lambda == rational
 
     def test_inexact_division_raises(self, monkeypatch):
-        real = chern_mod._hook_dimension
-        monkeypatch.setattr(chern_mod, "_hook_dimension",
-                            lambda n, lam, heights: real(n, lam, heights) + 1)
+        real = chern_mod._line_dimension
+        monkeypatch.setattr(chern_mod, "_line_dimension",
+                            lambda n, lines, by_columns: real(n, lines, by_columns) + 1)
         with pytest.raises(ArithmeticError, match="non-integral index 5/4"):
             c2_closed_form(4, (1,))
 
@@ -358,9 +360,19 @@ class TestFrontDoor:
             c2(8, (2, 2, 2), 700)
 
     def test_exterior_power_identity(self):
-        for n in range(2, 11):
-            for k in range(1, n):
-                assert c2(n, (1,) * k).n_lambda == math.comb(n - 2, k - 1)
+        cases = [(n, k) for n in range(2, 14) for k in range(1, n)]
+        for n, k in cases + [(10**6, 3)]:
+            assert schur_dimension(n, (1,) * k) == math.comb(n, k)
+            assert c2(n, (1,) * k).n_lambda == math.comb(n - 2, k - 1)
+
+    def test_symmetric_power_identity(self):
+        # dim C(n + k - 1, k) and index dim * k (n + k) / (n (n + 1)),
+        # compared without dividing; a 20-digit row walks one line
+        cases = [(n, k) for n in range(2, 14) for k in range(1, 41)]
+        for n, k in cases + [(3, 10**20 - 1), (7, 10**20 - 1)]:
+            dim = math.comb(n + k - 1, k)
+            assert schur_dimension(n, (k,)) == dim
+            assert c2(n, (k,)).n_lambda * n * (n + 1) == dim * k * (n + k)
 
     def test_adjoint_identity(self):
         for n in range(4, 10):

@@ -1,5 +1,6 @@
 """Exit codes, output formats, and cache behaviour of the command line."""
 import ast
+import contextlib
 import csv
 import gc
 import io
@@ -7,6 +8,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -193,6 +195,49 @@ def test_dim(capsys):
 def test_dim_too_long_partition_is_zero(capsys):
     code, out, _ = invoke(capsys, "dim", "2", "1,1,1", "--no-cache")
     assert code == 0 and out == "0\n"
+
+
+def _descending(parts):
+    return ",".join(map(str, sorted(parts, reverse=True)))
+
+
+# Never a huge n with a huge lam_1: the answer alone would have
+# astronomically many digits.  Junk tokens never start with "--", so no
+# draw names a flag such as --cache that would write a file.
+_WIDE = st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(str(n)),
+    st.lists(st.integers(0, 10**30), max_size=n + 1).map(_descending)))
+_TALL = st.tuples(
+    st.integers(1, 10**30).map(str),
+    st.lists(st.integers(0, 3), max_size=5).map(_descending))
+_JUNK_TOKEN = (st.text(max_size=8).filter(lambda t: not t.startswith("--"))
+               | st.sampled_from(["-1", "0", "1.5", "1e3", "+8", "\uff18",
+                                  "1_0", "2,,1", "1,2", "()", "-h", " 3 "]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["c2", "dim"]),
+       _WIDE | _TALL | st.tuples(_JUNK_TOKEN, _JUNK_TOKEN))
+@example("c2", ("3", "99999999999999999999"))
+@example("dim", ("8", ",".join(["1" + "0" * 30] * 9)))
+@example("c2", ("1" + "0" * 30, "3,3,3,2,2"))
+def test_c2_and_dim_end_at_once_with_a_documented_code(command, args):
+    # the shape rule bounds both commands by min(rows, columns) of the
+    # partition, which argv bounds; an alarm turns a hang into a failure
+    def too_long(signum, frame):
+        raise TimeoutError(f"{command} {args} ran past 1 s")
+
+    out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, too_long)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run([command, *args])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -494,7 +539,8 @@ def test_conjecture_7(capsys):
 @pytest.mark.parametrize("module,name,value,message", [
     # the closed form's division, on the first row the search yields
     (chern_mod, "_n_casimir",
-     lambda n, heights, real=chern_mod._n_casimir: real(n, heights) + 1,
+     lambda n, lines, by_columns, real=chern_mod._n_casimir:
+         real(n, lines, by_columns) + 1,
      "non-integral index 1267/60 for n=9 lam=(1, 1, 1); formula misapplied"),
     # the hook content division over that row's one column of height 3
     (partitions_mod, "math",
@@ -846,9 +892,9 @@ def test_readme_configuration_table_lists_the_shared_flags():
 
 
 def test_c2_non_integral_closed_form_exits_1(capsys, monkeypatch):
-    real = chern_mod._hook_dimension
-    monkeypatch.setattr(chern_mod, "_hook_dimension",
-                        lambda n, lam, heights: real(n, lam, heights) + 1)
+    real = chern_mod._line_dimension
+    monkeypatch.setattr(chern_mod, "_line_dimension",
+                        lambda n, lines, by_columns: real(n, lines, by_columns) + 1)
     code, out, err = invoke(capsys, "c2", "4", "1", "--no-cache")
     assert code == 1
     assert out == ""
@@ -937,7 +983,7 @@ def test_run_returns_and_neither_exits_nor_freezes(capsys):
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def fresh(*argv, prelude=None, stdout=subprocess.PIPE):
+def fresh(*argv, prelude=None, stdout=subprocess.PIPE, timeout=120):
     """`python -m schern.cli ARGV` in a fresh process, or with a prelude,
     `python -c` running the prelude and then main() on ARGV.  stdout is a
     pipe and PYTHONUNBUFFERED is dropped, so the child block-buffers it."""
@@ -946,7 +992,21 @@ def fresh(*argv, prelude=None, stdout=subprocess.PIPE):
     head = (["-m", "schern.cli"] if prelude is None
             else ["-c", prelude + "\nimport schern.cli\nschern.cli.main()"])
     return subprocess.run([sys.executable, *head, *argv], stdout=stdout,
-                          stderr=subprocess.PIPE, env=env, timeout=120)
+                          stderr=subprocess.PIPE, env=env, timeout=timeout)
+
+
+WIDE = 10**20 - 1
+
+
+@pytest.mark.parametrize("command,value", [
+    # the one-row family: dim C(n + k - 1, k), index dim * k (n + k) / (n (n + 1))
+    ("c2", math.comb(WIDE + 2, 2) * WIDE * (WIDE + 3) // 12),
+    ("dim", math.comb(WIDE + 2, 2)),
+], ids=["c2", "dim"])
+def test_a_twenty_digit_row_prints_at_once(command, value):
+    # only the one row is walked, never its 10^20 columns
+    proc = fresh(command, "3", str(WIDE), timeout=10)
+    assert (proc.returncode, proc.stdout) == (0, f"{value}\n".encode()), proc.stderr
 
 
 DIFFERING = ("import schern.tables as t\n"
@@ -1252,7 +1312,7 @@ def test_nonpositive_n_is_named_in_the_error(call):
 def test_an_unexpected_error_inside_a_command_propagates(monkeypatch, exc, argv):
     # only InputError and InvariantError map to exit 2 and 1; any other
     # ValueError or ArithmeticError is a bug and keeps its traceback
-    def broken(n, heights):
+    def broken(n, lines, by_columns):
         raise exc("bug")
 
     monkeypatch.setattr(chern_mod, "_n_casimir", broken)
