@@ -1,13 +1,14 @@
 """Append-only cache of sub-shape sums.
 
 A record holds the one fact a hit saves: the sub-shape sum of (n, lam),
-stored only for an index that chern.c2 cross-checked.  One JSON object per
-line, keys sorted, no timestamps, so identical runs produce byte-identical
-files.  Appends take an advisory lock; concurrent writers interleave whole
-lines.  Records carry the package version and are ignored on version
-mismatch, as are lines whose keys are not exactly those of a record.  A
-path that cannot be read or appended to raises InputError, as a bad
---cache argument.
+stored only for an index that chern.c2 cross-checked.  It is one line,
+{"n":8,"partition":[2,2,2],"subshape":700,"version":"0.1.0"}: the bytes of
+json.dumps(rec, sort_keys=True, separators=(",", ":")), no timestamps, so
+identical runs produce byte-identical files.  A line is read only if it is
+exactly the line its fields write: a hand-edited or respaced line, another
+version or another field is skipped and its sum recomputed.  Appends take
+an advisory lock; concurrent writers interleave whole lines.  A path that
+cannot be read or appended to raises InputError, as a bad --cache argument.
 """
 from pathlib import Path
 
@@ -15,30 +16,28 @@ from . import __version__
 from .partitions import InputError, Partition
 
 CacheKey = tuple[int, Partition]
-_KEYS = {"n", "partition", "subshape", "version"}
+
+
+def _line(n: int, lam: Partition, subshape: int) -> bytes:
+    parts = ",".join(map(str, lam))
+    return (f'{{"n":{n},"partition":[{parts}],"subshape":{subshape},'
+            f'"version":"{__version__}"}}').encode()
 
 
 def _decode(line: bytes) -> tuple[CacheKey, int] | None:
-    import json  # only a cache file needs it; keep it off every start-up
-
+    head, _, rest = line.partition(b',"partition":[')
+    parts, _, rest = rest.partition(b'],"subshape":')
+    subshape, _, _ = rest.partition(b',"version":"')
     try:
-        rec = json.loads(line.decode())
-    except ValueError:  # not UTF-8, or not JSON
+        n = int(head[5:])
+        lam = tuple(map(int, parts.split(b","))) if parts else ()
+        subshape = int(subshape)
+    except ValueError:  # not an int, or past the digit limit
         return None
-    # exactly the keys put() writes: a line with any other field was not
-    # written by this format
-    if not isinstance(rec, dict) or rec.keys() != _KEYS:
+    # int() forgives " ", "+", "_" and leading zeros; the round trip does not
+    if _line(n, lam, subshape) != line:
         return None
-    if rec["version"] != __version__:
-        return None
-    n, lam, subshape = rec["n"], rec["partition"], rec["subshape"]
-    # exact types only: True == 1, 2.0 == 2 and "11" iterates to (1, 1), so
-    # any coercion would let a foreign line alias a real key
-    if type(lam) is not list:
-        return None
-    if any(type(v) is not int for v in [n, subshape, *lam]):
-        return None
-    return (n, tuple(lam)), subshape
+    return (n, lam), subshape
 
 
 class ResultCache:
@@ -66,20 +65,17 @@ class ResultCache:
         return self._data.get((n, tuple(lam)))
 
     def put(self, n: int, lam: Partition, subshape: int) -> None:
-        rec = {"n": n, "partition": list(lam), "subshape": subshape,
-               "version": __version__}
-        self._data[(n, tuple(lam))] = subshape
+        lam = tuple(lam)
+        self._data[(n, lam)] = subshape
         try:
-            self._append(rec)
+            self._append(_line(n, lam, subshape) + b"\n")
         except OSError as exc:  # a parent that is a file, a full disk, ...
             raise InputError(f"unusable cache path: {exc}") from exc
 
-    def _append(self, rec: dict) -> None:
-        import fcntl  # only an append needs these; keep them off start-up
-        import json
+    def _append(self, line: bytes) -> None:
+        import fcntl  # only an append needs it; keep it off start-up
 
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
         with open(self.path, "ab+") as fh:
             fcntl.flock(fh, fcntl.LOCK_EX)
             try:
@@ -87,8 +83,8 @@ class ResultCache:
                 if fh.seek(0, 2) > 0:
                     fh.seek(-1, 2)
                     if fh.read(1) != b"\n":
-                        line = "\n" + line
-                fh.write(line.encode())
+                        line = b"\n" + line
+                fh.write(line)
                 fh.flush()
             finally:
                 fcntl.flock(fh, fcntl.LOCK_UN)

@@ -5,8 +5,10 @@ The parsed flags are the only settings; no shell variable is read.  With
 cache at PATH, via tables.cached_c2, which hands chern.c2 the recorded
 sub-shape sum; c2 lets it stand in only when it equals the closed form.
 Without --cache no command reads or writes a file.  dim, verify and
-conjecture accept the cache flags and never open the cache.  argv is read
-by parse_args against the COMMANDS table; -h/--help prints help and exits 0.
+conjecture accept the cache flags and never open the cache.  render_table
+and the cache write their own bytes, so no command imports json or csv.
+argv is read by parse_args against the COMMANDS table; -h/--help prints
+help and exits 0.
 
 Exit codes: 0 success, 1 an arithmetic invariant failed (InvariantError:
 verify found an index that is not a multiple of the H^4 generator, or the

@@ -266,5 +266,5 @@ def explore_conjecture(ell: int) -> ConjectureReport:
     duality_ok = all(index_of.get(tuple(n - c for c in reversed(h))) == v
                      for h, v in zip(heights, values))
     g = gcd(*values)
-    divisible = all(v % ell == 0 for v in values)
-    return ConjectureReport(ell, spec, len(heights), g, g == ell, divisible, duality_ok)
+    # ell divides every row exactly when it divides their gcd
+    return ConjectureReport(ell, spec, len(heights), g, g == ell, g % ell == 0, duality_ok)

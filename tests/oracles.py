@@ -1,14 +1,16 @@
 """Oracles used only by the tests: brute-force scans over the descent
 monoid, and helpers that no command runs (conjugation, tableau counts,
-duals, the rational Casimir eigenvalue, weight arithmetic).  Bad input
-raises the package's InputError, checked by reduce_full_columns or
-partition."""
+duals, the rational Casimir eigenvalue, weight arithmetic, a json reader of
+cache lines).  Bad input raises the package's InputError, checked by
+reduce_full_columns or partition."""
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from itertools import product
 from typing import Iterator
 
+from schern import __version__
 from schern.chern import reduce_full_columns
 from schern.partitions import Partition, _conjugate, partition, ssyt_stream
 from schern.weights import GroupSpec, Weight, is_monoid_irreducible
@@ -44,6 +46,26 @@ def casimir(n: int, lam: Partition) -> Fraction:
     lam = reduce_full_columns(n, lam)
     rows = sum(p * (p + n + 1 - 2 * i) for i, p in enumerate(lam, start=1))
     return rows - Fraction(sum(lam) ** 2, n)
+
+
+def json_decode(line: bytes) -> tuple[tuple[int, Partition], int] | None:
+    """A cache line read with json: any JSON object with exactly the keys of
+    a record, the package version and int fields, whatever its spacing or
+    key order.  The cache's own reader must accept a subset of these lines
+    and agree on each."""
+    try:
+        rec = json.loads(line.decode())
+    except ValueError:  # not UTF-8, or not JSON
+        return None
+    if not isinstance(rec, dict) or rec.keys() != {"n", "partition", "subshape", "version"}:
+        return None
+    if rec["version"] != __version__:
+        return None
+    n, lam, subshape = rec["n"], rec["partition"], rec["subshape"]
+    # exact types only: True == 1, 2.0 == 2 and "11" iterates to (1, 1)
+    if type(lam) is not list or any(type(v) is not int for v in [n, subshape, *lam]):
+        return None
+    return (n, tuple(lam)), subshape
 
 
 def weight_of(lam: Partition, n: int) -> Weight:

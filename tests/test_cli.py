@@ -536,6 +536,23 @@ def test_conjecture_7(capsys):
     )
 
 
+def test_conjecture_a_row_that_ell_does_not_divide(capsys, monkeypatch):
+    # one row off by one: ell no longer divides it, nor then the gcd
+    real = tables_mod.closed_form_index
+    seen = []
+
+    def first_row_off_by_one(n, heights):
+        seen.append(heights)
+        return real(n, heights) + (len(seen) == 1)
+
+    monkeypatch.setattr(tables_mod, "closed_form_index", first_row_off_by_one)
+    code, out, _ = invoke(capsys, "conjecture", "3")
+    assert code == 0 and len(seen) == 31
+    assert "image index: 1\n" in out
+    assert "index equals ell: no\n" in out
+    assert "all rows divisible by ell: no\n" in out
+
+
 @pytest.mark.parametrize("module,name,value,message", [
     # the closed form's division, on the first row the search yields
     (chern_mod, "_n_casimir",
@@ -707,7 +724,7 @@ def test_poisoned_cache_record_is_recomputed(capsys, tmp_path, argv, partition, 
 def test_stale_version_records_ignored(capsys, tmp_path):
     cache = tmp_path / "c.jsonl"
     rec = {"n": 8, "partition": [2, 2, 2], "subshape": 700, "version": "0.0.0"}
-    cache.write_text(json.dumps(rec, sort_keys=True) + "\n")
+    cache.write_text(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
     planted = cache.read_text()
     code, out, _ = invoke(capsys, "c2", "8", "2,2,2", "--cache", str(cache))
     assert code == 0
@@ -727,11 +744,31 @@ def test_corrupt_cache_lines_skipped(capsys, tmp_path):
 def test_non_utf8_cache_line_skipped(capsys, tmp_path):
     cache = tmp_path / "c.jsonl"
     rec = {"n": 8, "partition": [2, 2, 2], "subshape": 700, "version": __version__}
-    cache.write_bytes(b"\xff\n" + json.dumps(rec, sort_keys=True).encode() + b"\n")
+    cache.write_bytes(b"\xff\n" + json.dumps(
+        rec, sort_keys=True, separators=(",", ":")).encode() + b"\n")
     planted = cache.read_bytes()
     code, out, _ = invoke(capsys, "c2", "8", "2,2,2", "--cache", str(cache))
     assert (code, out) == (0, "700\n")
     assert cache.read_bytes() == planted  # the record after the bad line is served
+
+
+def test_a_respaced_json_record_is_recomputed(capsys, tmp_path, monkeypatch):
+    # a record is exactly the line that put() writes: the same record with
+    # json's default spacing, as a hand edit might leave it, is not served
+    cache = tmp_path / "c.jsonl"
+    rec = {"n": 8, "partition": [2, 2, 2], "subshape": 700, "version": __version__}
+    cache.write_text(json.dumps(rec, sort_keys=True) + "\n")
+    planted = cache.read_text()
+    argv = ("c2", "8", "2,2,2")
+    clean = invoke(capsys, *argv, "--no-cache")
+    calls = []
+    real = chern_mod.c2_subshape
+    monkeypatch.setattr(chern_mod, "c2_subshape",
+                        lambda n, lam: calls.append(lam) or real(n, lam))
+    assert invoke(capsys, *argv, "--cache", str(cache)) == clean
+    assert calls == [(2, 2, 2)]
+    assert cache.read_text() == planted + json.dumps(
+        rec, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 @pytest.mark.parametrize("where", ["directory", "under-a-file", "dangling-link"])
@@ -796,7 +833,7 @@ def test_cache_line_with_malformed_d_is_skipped(capsys, tmp_path, field, value):
     assert invoke(capsys, *argv) == (0, "1\n", "")
     assert cache.read_text() == good
     rec[field] = value
-    cache.write_text(json.dumps(rec, sort_keys=True) + "\n")
+    cache.write_text(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
     planted = cache.read_text()
     assert invoke(capsys, *argv) == (0, "1\n", "")
     assert cache.read_text() == planted + good
@@ -933,15 +970,17 @@ def test_start_up_imports_no_unused_heavy_modules():
     assert proc.stdout == "4\n0 []\n"
 
 
-def test_text_and_uncached_commands_load_no_unneeded_modules():
-    # argparse and gettext are replaced by parse_args; json only serves a
-    # cache file named by --cache, since render_table writes --format json
-    # and --format csv itself, and nothing loads csv; fcntl only serves a
+def test_text_and_uncached_commands_load_no_unneeded_modules(tmp_path):
+    # argparse and gettext are replaced by parse_args; render_table writes
+    # --format json and --format csv itself and the cache reads and writes
+    # its own lines, so nothing loads json or csv; fcntl only serves a
     # cache append, so a flag-less c2 or image-index loads none of them
     # (isolated_env gives the child a temporary HOME and XDG_CACHE_HOME);
     # no module uses fractions, nor __future__ postponed annotations, which are
-    # gone.  Counted in a fresh interpreter, where site has loaded none of
-    # them.
+    # gone.  Then a c2 miss that appends, the hit that follows and a cached
+    # table load no json either.  Counted in a fresh interpreter, where site
+    # has loaded none of them.
+    cache = tmp_path / "F"
     script = (
         "import sys\n"
         "import schern.cli\n"
@@ -958,6 +997,10 @@ def test_text_and_uncached_commands_load_no_unneeded_modules():
         "unneeded = ['argparse', 'gettext', 'json', 'csv', 'fractions', 'fcntl',\n"
         "            '__future__']\n"
         "print(codes, [m for m in unneeded if m in sys.modules])\n"
+        f"cached = [schern.cli.run(['c2', '8', '2,2,2', '--cache', {str(cache)!r}]),\n"
+        f"          schern.cli.run(['c2', '8', '2,2,2', '--cache', {str(cache)!r}]),\n"
+        f"          schern.cli.run(['image-index', '8', '2', '--cache', {str(cache)!r}])]\n"
+        "print(cached, 'json' in sys.modules)\n"
     )
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
@@ -966,7 +1009,10 @@ def test_text_and_uncached_commands_load_no_unneeded_modules():
         env={**os.environ, "PYTHONPATH": str(root / "src")},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0, 0, 0] []"
+    assert proc.stdout.splitlines()[-5:] == ["[0, 0, 0, 0, 0, 0, 0, 0] []",
+                                             "700", "700", "2", "[0, 0, 0] False"]
+    # one line from the c2 miss, then the 12 other rows of SL(8)/mu_2
+    assert cache.read_bytes().count(b"\n") == 13
 
 
 def test_run_returns_and_neither_exits_nor_freezes(capsys):
