@@ -158,7 +158,9 @@ def c2_subshape(n: int, lam: Partition) -> int:
     only on the tableau's {1, 2} part: an SSYT of a shape nu within lam with
     at most two rows and m1 ones, one for each m1 in nu2..nu1.  Their terms
     m1 * (2 * m1 - nu1 - nu2) sum to C(nu1 - nu2 + 2, 3), which is zero when
-    nu1 = nu2.  The entries 3..n fill lam/nu in s_{lam/nu}(1^(n-2)) ways, a
+    nu1 = nu2.  The entries 3..n fill lam/nu in s_{lam/nu}(1^(n-2)) ways,
+    zero when lam/nu has a column taller than n - 2, so nu1 starts at
+    lam_(n-1), the number of columns of height n - 1; that count is a
     Jacobi-Trudi determinant (Macdonald, Symmetric Functions and Hall
     Polynomials, I.5) over the shorter side of lam.  When lam has at most as
     many columns as rows, that is the column (dual) form
@@ -173,17 +175,19 @@ def c2_subshape(n: int, lam: Partition) -> int:
     outer, by_columns = _shorter_side(reduce_full_columns(n, lam))
     m = n - 2
     if by_columns:
-        # lam_1 and lam_2 count the columns of heights >= 1 and >= 2;
-        # e_k(1^m) = C(m, k); e_0 = 1 also when m = 0, and e_k = 0 past m;
-        # the determinant reads no k past lam'_1 + lam_1
+        # lam_1, lam_2 and lam_(n-1) count the columns of heights >= 1,
+        # >= 2 and n - 1; e_k(1^m) = C(m, k); e_0 = 1 also when m = 0, and
+        # e_k = 0 past m; the determinant reads no k past lam'_1 + lam_1
         lam1, lam2 = len(outer), sum(h > 1 for h in outer)
+        tall = sum(h >= n - 1 for h in outer)
         entry = [math.comb(m, k) for k in range(min(m, outer[0] + lam1) + 1)]
     else:
         # h_k(1^m) = C(m + k - 1, k); h_0 = 1 also when m = 0
         lam1, lam2 = (outer + (0, 0))[:2]
+        tall = outer[n - 2] if 0 <= n - 2 < len(outer) else 0
         entry = [1] + [math.comb(m + k - 1, k) for k in range(1, lam1 + len(outer))]
     total = 0
-    for nu1 in range(1, lam1 + 1):
+    for nu1 in range(max(1, tall), lam1 + 1):
         for nu2 in range(min(nu1 - 1, lam2) + 1):  # nu2 = nu1 weighs 0
             inner = (2,) * nu2 + (1,) * (nu1 - nu2) if by_columns else (nu1, nu2)
             total += math.comb(nu1 - nu2 + 2, 3) * _skew_count(outer, inner, entry)

@@ -47,9 +47,8 @@ class GeneratorTable(namedtuple("GeneratorTable", "spec rows gcd")):
 
 
 # rows: tuple[tuple[Weight, Partition, int], ...], the printed entries
-ReferenceTable = namedtuple("ReferenceTable", "case_id spec rows source")
-CaseExpectation = namedtuple("CaseExpectation",
-                             "case_id spec expected_gcd h4_multiplier source")
+ReferenceTable = namedtuple("ReferenceTable", "spec rows")
+CaseExpectation = namedtuple("CaseExpectation", "spec expected_gcd")
 CaseReport = namedtuple("CaseReport", "case_id spec computed_index expected_gcd "
                         "h4_multiplier verdict matches_expected source")
 ConjectureReport = namedtuple("ConjectureReport", "ell spec basis_size image_index "
@@ -62,9 +61,7 @@ ConjectureReport = namedtuple("ConjectureReport", "ell spec basis_size image_ind
 # recomputation flags those rows and reports the dual value.
 REFERENCE_TABLES: dict[str, ReferenceTable] = {
     "sl8-mu2": ReferenceTable(
-        case_id="sl8-mu2",
         spec=GroupSpec(8, 2),
-        source="reference generator table for SL(8)/mu_2",
         rows=(
             ((0, 0, 0, 0, 0, 0, 2), (2, 2, 2, 2, 2, 2, 2), 10),
             ((0, 0, 0, 0, 0, 1, 0), (1, 1, 1, 1, 1, 1), 6),
@@ -82,9 +79,7 @@ REFERENCE_TABLES: dict[str, ReferenceTable] = {
         ),
     ),
     "sl9-mu3": ReferenceTable(
-        case_id="sl9-mu3",
         spec=GroupSpec(9, 3),
-        source="reference generator table for SL(9)/mu_3",
         rows=(
             ((0, 0, 0, 0, 0, 0, 0, 3), (3, 3, 3, 3, 3, 3, 3, 3), 66),
             ((0, 0, 0, 0, 0, 0, 1, 1), (2, 2, 2, 2, 2, 2, 2, 1), 78),
@@ -117,30 +112,26 @@ _REFERENCE_BY_GROUP = {
     (t.spec.n, t.spec.d): t for t in REFERENCE_TABLES.values()
 }
 
-# Expected gcds and H^4 multipliers: H^4(BG) = Z . (multiplier) c2, so the
-# Chern class image holds the full group exactly when index == multiplier.
+
+def h4_multiplier(spec: GroupSpec) -> int:
+    """The m with H^4(BG, Z) = Z . m c2 for G = SL(n)/mu_d: the denominator
+    of n(n - 1)/(2 d^2), the least multiple of the basic form that is
+    integral on the cocharacter lattice, the coroot lattice plus
+    (n/d) omega_1 (A. Henriques, The classification of chiral WZW models by
+    H^4_+(BG, Z)).  The image of c2 holds all of H^4 exactly when the
+    image index equals m."""
+    n, den = spec.n, 2 * spec.d * spec.d
+    return den // gcd(n * (n - 1), den)
+
+
+# The expected image index of each case; for PGL(n) it is the multiplier.
 CASES: dict[str, CaseExpectation] = {
-    "sl4-mu2": CaseExpectation(
-        "sl4-mu2", GroupSpec(4, 2), 2, 2,
-        "reference H^4 computation for B(SL(4)/mu_2)"),
-    "sl6-mu2": CaseExpectation(
-        "sl6-mu2", GroupSpec(6, 2), 4, 4,
-        "reference H^4 computation for B(SL(6)/mu_2)"),
-    "sl6-mu3": CaseExpectation(
-        "sl6-mu3", GroupSpec(6, 3), 3, 3,
-        "reference H^4 computation for B(SL(6)/mu_3)"),
-    "sl8-mu2": CaseExpectation(
-        "sl8-mu2", GroupSpec(8, 2), 2, 1,
-        "reference H^4 computation for B(SL(8)/mu_2)"),
-    "sl9-mu3": CaseExpectation(
-        "sl9-mu3", GroupSpec(9, 3), 3, 1,
-        "reference H^4 computation for B(SL(9)/mu_3)"),
+    f"sl{n}-mu{d}": CaseExpectation(GroupSpec(n, d), g)
+    for n, d, g in ((4, 2, 2), (6, 2, 4), (6, 3, 3), (8, 2, 2), (9, 3, 3))
 }
 for _n in range(2, 8):
-    _mult = 2 * _n if _n % 2 == 0 else _n
-    CASES[f"pgl{_n}"] = CaseExpectation(
-        f"pgl{_n}", GroupSpec(_n, _n), _mult, _mult,
-        f"reference H^4 computation for BPGL({_n})")
+    _spec = GroupSpec(_n, _n)
+    CASES[f"pgl{_n}"] = CaseExpectation(_spec, h4_multiplier(_spec))
 
 
 def cached_c2(n: int, lam: Partition, cache: ResultCache | None) -> ChernResult:
@@ -219,26 +210,28 @@ def image_index(spec: GroupSpec, cache: ResultCache | None = None) -> int:
 
 
 def verify_case(case_id: str) -> CaseReport:
-    """Compare the computed image index against a stored expectation."""
+    """Compare the computed image index against a stored expectation and
+    against the H^4 multiplier of the case's group."""
     if case_id not in CASES:
         raise InputError(f"unknown case {case_id!r}; known: {sorted(CASES)}")
-    case = CASES[case_id]
-    idx = image_index(case.spec)
-    if idx % case.h4_multiplier:
+    spec, expected = CASES[case_id]
+    n, d = spec.n, spec.d
+    idx, mult = image_index(spec), h4_multiplier(spec)
+    if idx % mult:
         raise InvariantError(
             f"index {idx} is not a multiple of the H^4 generator "
-            f"{case.h4_multiplier} for {case_id}; table data or engine broken"
+            f"{mult} for {case_id}; table data or engine broken"
         )
-    verdict = "holds" if idx == case.h4_multiplier else "counterexample"
+    group = f"BPGL({n})" if d == n else f"B(SL({n})/mu_{d})"
     return CaseReport(
         case_id=case_id,
-        spec=case.spec,
+        spec=spec,
         computed_index=idx,
-        expected_gcd=case.expected_gcd,
-        h4_multiplier=case.h4_multiplier,
-        verdict=verdict,
-        matches_expected=idx == case.expected_gcd,
-        source=case.source,
+        expected_gcd=expected,
+        h4_multiplier=mult,
+        verdict="holds" if idx == mult else "counterexample",
+        matches_expected=idx == expected,
+        source=f"reference H^4 computation for {group}",
     )
 
 

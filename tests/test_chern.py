@@ -5,7 +5,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import schern.chern as chern_mod
@@ -229,9 +229,31 @@ class TestSubshape:
 
     @given(st.integers(1, 12), partitions_up_to_ten)
     @settings(max_examples=60, deadline=None)
+    # exactly n - 1 rows, where lam_(n-1) > 0 bounds nu1 from below
+    @example(2, (7,))
+    @example(3, (4, 2))
+    @example(3, (5, 5))
+    @example(4, (3, 2, 1))
+    @example(5, (4, 3, 3, 2))
+    @example(6, (3, 3, 2, 2, 2))
+    @example(7, (2, 2, 2, 1, 1, 1))
     def test_matches_enumeration_when_small(self, n, lam):
         assume(len(lam) <= n and schur_dimension(n, lam) <= 20_000)
         assert c2_subshape(n, lam) == c2_enumeration(n, lam).n_lambda
+
+    def test_sum_skips_the_sub_shapes_below_lam_n_minus_1(self, monkeypatch):
+        # s_{lam/nu}(1^(n-2)) = 0 for nu1 < lam_(n-1): here nu1 = 445 only,
+        # one determinant per nu2 in 0..444, not 99,235 over all nu
+        calls = []
+        real = chern_mod._skew_count
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(chern_mod, "_skew_count", spy)
+        assert c2_subshape(3, (445, 445)) == c2_closed_form(3, (445, 445)).n_lambda
+        assert len(calls) <= 446
 
     @given(st.integers(1, 12), partitions_up_to_ten)
     @settings(max_examples=100, deadline=None)

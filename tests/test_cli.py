@@ -221,6 +221,8 @@ _JUNK_TOKEN = (st.text(max_size=8).filter(lambda t: not t.startswith("--"))
 @example("c2", ("3", "99999999999999999999"))
 @example("dim", ("8", ",".join(["1" + "0" * 30] * 9)))
 @example("c2", ("1" + "0" * 30, "3,3,3,2,2"))
+@example("c2", ("3", "445,445"))  # the costliest cross-checked shapes known
+@example("c2", ("2", "99999"))
 def test_c2_and_dim_end_at_once_with_a_documented_code(command, args):
     # the shape rule bounds both commands by min(rows, columns) of the
     # partition, which argv bounds; an alarm turns a hang into a failure
@@ -443,9 +445,7 @@ def test_verify_holds_case(capsys):
 
 
 def test_verify_non_multiple_of_h4_generator_exits_1(capsys, monkeypatch):
-    case = tables_mod.CASES["sl8-mu2"]
-    monkeypatch.setitem(tables_mod.CASES, "sl8-mu2",
-                        case._replace(h4_multiplier=3))
+    monkeypatch.setattr(tables_mod, "h4_multiplier", lambda spec: 3)
     code, out, err = invoke(capsys, "verify", "sl8-mu2", "--no-cache")
     assert code == 1
     assert out == ""

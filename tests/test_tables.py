@@ -18,6 +18,7 @@ from schern.tables import (
     REFERENCE_TABLES,
     explore_conjecture,
     generator_table,
+    h4_multiplier,
     image_index,
     table_against_reference,
     verify_case,
@@ -243,6 +244,29 @@ class TestVerifyCase:
             "sl4-mu2", "sl6-mu2", "sl6-mu3", "sl8-mu2", "sl9-mu3",
             "pgl2", "pgl3", "pgl4", "pgl5", "pgl6", "pgl7",
         }
+
+
+class TestH4Multiplier:
+    # H^4(BG, Z) = Z . m c2, m as reference H^4 computations give it
+    STORED = {
+        "sl4-mu2": 2, "sl6-mu2": 4, "sl6-mu3": 3, "sl8-mu2": 1, "sl9-mu3": 1,
+        "pgl2": 4, "pgl3": 3, "pgl4": 8, "pgl5": 5, "pgl6": 12, "pgl7": 7,
+    }
+
+    def test_formula_gives_the_stored_multipliers(self):
+        assert {case: h4_multiplier(CASES[case].spec)
+                for case in self.STORED} == self.STORED
+
+    def test_index_is_a_multiple_and_differs_only_at_four_groups(self):
+        # all 49 groups SL(n)/mu_d with d | n <= 16, SL(n) itself included
+        groups = [GroupSpec(n, d) for n in range(2, 17)
+                  for d in range(1, n + 1) if n % d == 0]
+        assert len(groups) == 49
+        ratios = {(g.n, g.d): divmod(image_index(g), h4_multiplier(g))
+                  for g in groups}
+        assert all(rest == 0 for _, rest in ratios.values())
+        assert sorted(k for k, (q, _) in ratios.items() if q != 1) == [
+            (8, 2), (9, 3), (16, 2), (16, 4)]
 
 
 class TestExploreConjecture:

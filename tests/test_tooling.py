@@ -185,3 +185,22 @@ def test_every_public_function_or_class_is_run_exported_or_traced():
     unused = [f"{module}:{name}" for module, name in defined
               if name not in referenced | documented | traced]
     assert unused == []
+
+
+def test_readme_cli_lines_print_the_value_they_document(capsys):
+    # each line of the README's CLI block that ends in "# <integer>" is run
+    # in process and must print exactly that integer
+    import re
+    import shlex
+
+    from schern import cli
+
+    readme = (SRC.parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    documented = [(shlex.split(m[1]), m[2])
+                  for m in re.finditer(r"^schern (.*?)\s+# (\d+)$", block, re.M)]
+    assert [argv[0] for argv, _ in documented] == [
+        "c2", "dim", "image-index", "image-index"]
+    for argv, value in documented:
+        assert cli.run(argv) == 0, argv
+        assert capsys.readouterr().out == f"{value}\n", argv
