@@ -7,8 +7,10 @@ n_lam:
 
 * closed form: dimension times Casimir eigenvalue divided by n^2 - 1, both
   taken line by line over the shorter side of lam, its rows or its column
-  heights, so the longer side is never walked; a generator row brings its
-  column heights from the basis search (at most d, by the Davenport bound);
+  heights, so the longer side is never walked; :func:`column_indices` takes
+  a batch of generator rows by the column heights that the basis search
+  yields (at most d, by the Davenport bound), from binomial tables built
+  once per column count;
 * sub-shape sum: group the tableaux by the two-row sub-shape nu that their
   entries 1 and 2 fill, and count the fillings of lam/nu by entries 3..n
   with a Jacobi-Trudi determinant (Macdonald, Symmetric Functions and Hall
@@ -27,6 +29,7 @@ closed form divides n times the Casimir eigenvalue exactly.
 """
 import math
 from collections import namedtuple
+from collections.abc import Iterable
 
 from .partitions import (
     InputError,
@@ -88,31 +91,73 @@ def _n_casimir(n: int, lines: Partition, by_columns: bool) -> int:
     return n * (n * size + sign * twice_content) - size * size
 
 
+def _index_error(n: int, num: int, den: int, lam: Partition) -> InvariantError:
+    g = math.gcd(num, den)
+    return InvariantError(
+        f"non-integral index {num // g}/{den // g} for n={n} "
+        f"lam={lam}; formula misapplied"
+    )
+
+
 def c2_closed_form(n: int, lam: Partition) -> ChernResult:
     """n_lam = dim * casimir / (n^2 - 1), computed as the integer quotient
     dim * (n * casimir) / (n * (n^2 - 1)); the division is always exact."""
     lines, by_columns = _shorter_side(reduce_full_columns(n, lam))
     dim = _line_dimension(n, lines, by_columns)
-    return ChernResult(closed_form_index(n, lines, by_columns, dim), False, dim)
-
-
-def closed_form_index(n: int, lines: Partition, by_columns: bool = True,
-                      dim: int | None = None) -> int:
-    """n_lam of the shape with column heights (by_columns, each < n) or rows
-    ``lines``, of dimension ``dim`` when given, else taken line by line."""
-    if dim is None:
-        dim = _line_dimension(n, lines, by_columns)
     num, den = dim * _n_casimir(n, lines, by_columns), n * (n * n - 1)
     # n = 1 leaves only the empty shape, whose numerator 0 needs no divisor
     value, rest = divmod(num, den or 1)
     if rest:
-        g = math.gcd(num, den)
-        lam = _conjugate(lines) if by_columns else lines
-        raise InvariantError(
-            f"non-integral index {num // g}/{den // g} for n={n} "
-            f"lam={lam}; formula misapplied"
-        )
-    return value
+        raise _index_error(n, num, den, _conjugate(lines) if by_columns else lines)
+    return ChernResult(value, False, dim)
+
+
+def column_indices(n: int, rows: Iterable[Partition]) -> list[int]:
+    """Closed-form n_lam of each shape in ``rows``, each given by its column
+    heights h_0 >= h_1 >= ... >= h_(k-1), all below n.
+
+    The column form of :func:`c2_closed_form`, regrouped around the column
+    count k: with N = n + k - 1 and m_j = h_j + k - 1 - j, the hook content
+    formula reads dim = prod_(i<j) (m_i - m_j) * prod_j C(N, m_j) / E_k,
+    where E_k = prod_(i<k) N! / (N - i)! (Macdonald, Symmetric Functions and
+    Hall Polynomials, I.1).  The binomials C(N, m), m <= N, and E_k are
+    built once per k, so a row costs k table reads, its Vandermonde product
+    and the content sums of :func:`_n_casimir`, in one loop.  Both exact
+    divisions are checked on every row.
+    """
+    den = n * (n * n - 1) or 1
+    tables = {}
+    values = []
+    for h in rows:
+        k = len(h)
+        table = tables.get(k)
+        if table is None:
+            big = n + k - 1
+            e_k = 1
+            for i in range(k):
+                e_k *= math.perm(big, i)
+            table = tables[k] = [math.comb(big, m) for m in range(big + 1)], e_k
+        binom, e_k = table
+        num, vandermonde, size, twice_content, ms = 1, 1, 0, 0, []
+        for j, c in enumerate(h):
+            m = c + k - 1 - j
+            num *= binom[m]
+            for prev in ms:
+                vandermonde *= prev - m
+            ms.append(m)
+            size += c
+            twice_content += c * (c - 1 - 2 * j)
+        dim, rest = divmod(num * vandermonde, e_k)
+        if rest:
+            raise InvariantError(
+                f"hook content division is not exact for n={n} lam={_conjugate(h)}"
+            )
+        num = dim * (n * (n * size - twice_content) - size * size)
+        value, rest = divmod(num, den)
+        if rest:
+            raise _index_error(n, num, den, _conjugate(h))
+        values.append(value)
+    return values
 
 
 def _bareiss_determinant(a: list[list[int]]) -> int:
@@ -182,10 +227,12 @@ def c2_subshape(n: int, lam: Partition) -> int:
         tall = sum(h >= n - 1 for h in outer)
         entry = [math.comb(m, k) for k in range(min(m, outer[0] + lam1) + 1)]
     else:
-        # h_k(1^m) = C(m + k - 1, k); h_0 = 1 also when m = 0
+        # h_k(1^m) = C(m + k - 1, k); h_0 = 1 also when m = 0, and every
+        # later h_k is then 0, so the tail is built only when m > 0
         lam1, lam2 = (outer + (0, 0))[:2]
         tall = outer[n - 2] if 0 <= n - 2 < len(outer) else 0
-        entry = [1] + [math.comb(m + k - 1, k) for k in range(1, lam1 + len(outer))]
+        top = lam1 + len(outer) if m > 0 else 1
+        entry = [1] + [math.comb(m + k - 1, k) for k in range(1, top)]
     total = 0
     for nu1 in range(max(1, tall), lam1 + 1):
         for nu2 in range(min(nu1 - 1, lam2) + 1):  # nu2 = nu1 weighs 0

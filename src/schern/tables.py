@@ -15,7 +15,7 @@ from collections.abc import Iterable
 from math import gcd, isqrt
 
 from .cache import ResultCache
-from .chern import (ChernResult, CrossCheckError, c2, closed_form_index,
+from .chern import (ChernResult, CrossCheckError, c2, column_indices,
                     reduce_full_columns)
 from .partitions import InputError, InvariantError, Partition
 from .weights import (
@@ -242,6 +242,9 @@ MAX_CONJECTURE_ELL = 7
 def explore_conjecture(ell: int) -> ConjectureReport:
     """Image index of SL(ell^2)/mu_ell, closed form only.
 
+    Every generator's index comes from one :func:`column_indices` call over
+    the column heights of the basis search, and each row is looked up
+    against its dual row, whose heights are n - h in reverse order.
     Reports whether the computed gcd equals ell; it never asserts that it
     must.  Only odd primes up to MAX_CONJECTURE_ELL are accepted: for ell = 2
     the relevant quotients are already settled, and composite ell is outside
@@ -254,10 +257,10 @@ def explore_conjecture(ell: int) -> ConjectureReport:
     spec = GroupSpec(ell * ell, ell)
     n = spec.n
     heights = generator_heights(spec)
-    values = [closed_form_index(n, h) for h in heights]
+    values = column_indices(n, heights)
     index_of = dict(zip(heights, values))  # duals, n - h reversed, are too
-    duality_ok = all(index_of.get(tuple(n - c for c in reversed(h))) == v
-                     for h, v in zip(heights, values))
+    duals = [tuple([n - c for c in h[::-1]]) for h in heights]
+    duality_ok = list(map(index_of.get, duals)) == values
     g = gcd(*values)
     # ell divides every row exactly when it divides their gcd
     return ConjectureReport(ell, spec, len(heights), g, g == ell, g % ell == 0, duality_ok)

@@ -17,10 +17,11 @@ from schern.chern import (
     c2_closed_form,
     c2_enumeration,
     c2_subshape,
+    column_indices,
     reduce_full_columns,
 )
 from schern.partitions import schur_dimension, ssyt_stream
-from schern.weights import GroupSpec, hilbert_basis, partition_of
+from schern.weights import GroupSpec, generator_heights, hilbert_basis, partition_of
 
 partitions_small = st.lists(st.integers(1, 3), min_size=0, max_size=5).map(
     lambda xs: tuple(sorted(xs, reverse=True))
@@ -168,6 +169,40 @@ class TestClosedForm:
             c2_closed_form(4, (1,))
 
 
+def _closed_form_by_shape(n, rows):
+    # the per-shape closed form, the batch kernel's reference implementation
+    return [c2_closed_form(n, conjugate(h)).n_lambda for h in rows]
+
+
+class TestColumnIndices:
+    @pytest.mark.parametrize("n, d", [
+        (n, d) for n in range(2, 17) for d in range(1, n + 1) if n % d == 0
+    ] + [(25, 5)])
+    def test_matches_the_closed_form_on_every_generator_row(self, n, d):
+        # every d | n <= 16 (ell = 3 is (9, 3)) and ell = 5
+        rows = generator_heights(GroupSpec(n, d))
+        assert column_indices(n, rows) == _closed_form_by_shape(n, rows)
+
+    def test_matches_the_closed_form_on_a_slice_of_ell_7(self):
+        rows = generator_heights(GroupSpec(49, 7))[::22][:3000]
+        assert len(rows) == 3000 and max(map(len, rows)) == 7
+        assert column_indices(49, rows) == _closed_form_by_shape(49, rows)
+
+    @given(st.integers(2, 30).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.lists(st.integers(1, n - 1), max_size=8).map(
+            lambda hs: tuple(sorted(hs, reverse=True))), max_size=6))))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_closed_form_on_random_heights(self, case):
+        # several rows per call, so tables built for one k serve later rows
+        n, rows = case
+        assert column_indices(n, rows) == _closed_form_by_shape(n, rows)
+
+    def test_empty_shape_and_n_equal_one(self):
+        assert column_indices(1, [()]) == [0]
+        assert column_indices(2, [(), (1,), (1, 1)]) == [0, 1, 4]  # Sym^2: 4
+
+
 class TestEnumeration:
     def test_reference_values(self):
         assert c2_enumeration(8, (1, 1)).n_lambda == 6
@@ -286,6 +321,16 @@ class TestSubshape:
         monkeypatch.setattr(chern_mod, "math", SimpleNamespace(
             comb=lambda a, b: calls.append((a, b)) or 1))
         c2_subshape(20000, (1,))
+        assert len(calls) < 10
+
+    def test_one_row_at_n_2_takes_no_zero_binomials(self, monkeypatch):
+        # h_k(1^0) = 0 for every k >= 1, so the row form of a 1 x 1
+        # determinant builds no tail; it used to build 99,998 zeros
+        calls = []
+        real = math.comb
+        monkeypatch.setattr(chern_mod, "math", SimpleNamespace(
+            comb=lambda a, b: calls.append((a, b)) or real(a, b)))
+        assert c2_subshape(2, (99999,)) == c2_closed_form(2, (99999,)).n_lambda
         assert len(calls) < 10
 
     def test_defining_representation_of_a_large_group_is_cross_checked(self):

@@ -538,14 +538,15 @@ def test_conjecture_7(capsys):
 
 def test_conjecture_a_row_that_ell_does_not_divide(capsys, monkeypatch):
     # one row off by one: ell no longer divides it, nor then the gcd
-    real = tables_mod.closed_form_index
+    real = tables_mod.column_indices
     seen = []
 
-    def first_row_off_by_one(n, heights):
-        seen.append(heights)
-        return real(n, heights) + (len(seen) == 1)
+    def first_row_off_by_one(n, rows):
+        seen.extend(rows)
+        values = real(n, rows)
+        return [values[0] + 1] + values[1:]
 
-    monkeypatch.setattr(tables_mod, "closed_form_index", first_row_off_by_one)
+    monkeypatch.setattr(tables_mod, "column_indices", first_row_off_by_one)
     code, out, _ = invoke(capsys, "conjecture", "3")
     assert code == 0 and len(seen) == 31
     assert "image index: 1\n" in out
@@ -553,21 +554,20 @@ def test_conjecture_a_row_that_ell_does_not_divide(capsys, monkeypatch):
     assert "all rows divisible by ell: no\n" in out
 
 
-@pytest.mark.parametrize("module,name,value,message", [
-    # the closed form's division, on the first row the search yields
-    (chern_mod, "_n_casimir",
-     lambda n, lines, by_columns, real=chern_mod._n_casimir:
-         real(n, lines, by_columns) + 1,
-     "non-integral index 1267/60 for n=9 lam=(1, 1, 1); formula misapplied"),
-    # the hook content division over that row's one column of height 3
-    (partitions_mod, "math",
-     SimpleNamespace(comb=lambda a, b: 1, perm=lambda a, b: 2),
+@pytest.mark.parametrize("kernel_math,message", [
+    # the index division, on the first row the search yields: its one
+    # column of height 3 reads C(9, 3) + 1 = 85 as its dimension
+    (SimpleNamespace(comb=lambda a, b: math.comb(a, b) + 1, perm=math.perm,
+                     gcd=math.gcd),
+     "non-integral index 85/4 for n=9 lam=(1, 1, 1); formula misapplied"),
+    # the hook content division over that row, by E_1 = perm(9, 0) = 2
+    (SimpleNamespace(comb=lambda a, b: 1, perm=lambda a, b: 2),
      "hook content division is not exact for n=9 lam=(1, 1, 1)"),
 ], ids=["closed-form", "hook-content"])
 def test_conjecture_inexact_division_on_a_generator_row_exits_1(
-    capsys, monkeypatch, module, name, value, message
+    capsys, monkeypatch, kernel_math, message
 ):
-    monkeypatch.setattr(module, name, value)
+    monkeypatch.setattr(chern_mod, "math", kernel_math)
     code, out, err = invoke(capsys, "conjecture", "3")
     assert code == 1
     assert out == ""
@@ -1358,10 +1358,13 @@ def test_nonpositive_n_is_named_in_the_error(call):
 def test_an_unexpected_error_inside_a_command_propagates(monkeypatch, exc, argv):
     # only InputError and InvariantError map to exit 2 and 1; any other
     # ValueError or ArithmeticError is a bug and keeps its traceback
-    def broken(n, lines, by_columns):
+    def broken(*args):
         raise exc("bug")
 
-    monkeypatch.setattr(chern_mod, "_n_casimir", broken)
+    if argv[0] == "conjecture":  # the batch kernel's binomial table
+        monkeypatch.setattr(chern_mod, "math", SimpleNamespace(comb=broken, perm=broken))
+    else:
+        monkeypatch.setattr(chern_mod, "_n_casimir", broken)
     with pytest.raises(exc, match="bug") as info:
         run(argv)
     assert not isinstance(info.value, (InputError, InvariantError))

@@ -320,15 +320,14 @@ class TestExploreConjecture:
         )
 
     def test_row_disagreeing_with_its_dual_row_breaks_duality(self, monkeypatch):
-        real = tables_mod.closed_form_index
+        real = tables_mod.column_indices
 
-        def skewed(n, heights):
-            value = real(n, heights)
-            if heights == (3,):  # lam = (1,1,1); dual (6,) keeps its value 21
-                return value + 3
-            return value
+        def skewed(n, rows):
+            # lam = (1,1,1); dual (6,) keeps its value 21
+            return [value + 3 if heights == (3,) else value
+                    for heights, value in zip(rows, real(n, rows))]
 
-        monkeypatch.setattr(tables_mod, "closed_form_index", skewed)
+        monkeypatch.setattr(tables_mod, "column_indices", skewed)
         rep = explore_conjecture(3)
         assert rep.image_index == 3 and rep.all_rows_divisible
         assert not rep.duality_invariant
