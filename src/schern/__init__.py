@@ -17,6 +17,7 @@ from .chern import (
     c2_closed_form,
     c2_enumeration,
     c2_subshape,
+    schur_dimension,
 )
 from .partitions import (
     InputError,
@@ -24,7 +25,6 @@ from .partitions import (
     Partition,
     PartitionError,
     partition,
-    schur_dimension,
     ssyt_stream,
 )
 from .tables import (

@@ -6,11 +6,11 @@ representation (first Chern classes vanish on SL(n)).  Three routes compute
 n_lam:
 
 * closed form: dimension times Casimir eigenvalue divided by n^2 - 1, both
-  taken line by line over the shorter side of lam, its rows or its column
-  heights, so the longer side is never walked; :func:`column_indices` takes
-  a batch of generator rows by the column heights that the basis search
-  yields (at most d, by the Davenport bound), from binomial tables built
-  once per column count;
+  taken in one loop over the lines of lam, its rows or its column heights.
+  :func:`c2_closed_form` and :func:`schur_dimension` run it on the shorter
+  side of one shape, so the longer side is never walked;
+  :func:`column_indices` runs it on a batch of generator rows by the column
+  heights that the basis search yields (at most d, by the Davenport bound);
 * sub-shape sum: group the tableaux by the two-row sub-shape nu that their
   entries 1 and 2 fill, and count the fillings of lam/nu by entries 3..n
   with a Jacobi-Trudi determinant (Macdonald, Symmetric Functions and Hall
@@ -36,10 +36,8 @@ from .partitions import (
     InvariantError,
     Partition,
     _conjugate,
-    _line_dimension,
     _shorter_side,
     partition,
-    schur_dimension,
     ssyt_stream,
 )
 
@@ -76,88 +74,104 @@ def reduce_full_columns(n: int, lam: Partition) -> Partition:
     return lam
 
 
-def _n_casimir(n: int, lines: Partition, by_columns: bool) -> int:
-    """n times the Casimir eigenvalue of the shape with column heights
-    (by_columns) or rows ``lines`` l_1 >= l_2 >= ...: an integer.
+def _line_indices(n: int, batch: Iterable[Partition],
+                  by_columns: bool) -> list[tuple[int, int]]:
+    """(n_lam, dim) of each shape in ``batch``, each given by its column
+    heights (by_columns) or its rows l_0 >= l_1 >= ... >= l_(k-1), at most n
+    rows; the one evaluation of the closed form
+    n_lam = dim * casimir / (n^2 - 1).
 
-    The row formula n * sum lam_i (lam_i + n + 1 - 2i) - |lam|^2 is
-    n (n|lam| + 2c) - |lam|^2 for the sum c of the contents j - i; row i
-    adds lam_i (lam_i + 1 - 2i) to 2c, and conjugation negates every
-    content (Macdonald, Symmetric Functions and Hall Polynomials, I.1).
+    With m_j = l_j + k - 1 - j, the hook content formula reads
+    dim = prod_(i<j) (m_i - m_j) * prod_j B(m_j) / E_k (Macdonald, Symmetric
+    Functions and Hall Polynomials, I.1), where B(m) = C(n + k - 1, m) and
+    E_k = prod_(i<k) perm(n + k - 1, i) for columns, B(m) = C(n - k + m, m)
+    and E_k = prod_(i<k) perm(n - k + i, i) for rows.  The same pass sums
+    |lam| and twice the content sum c: line j adds l_j (l_j - 1 - 2j),
+    which is 2c for rows and -2c for columns, as conjugation negates every
+    content.  n times the Casimir eigenvalue is then the integer
+    n (n|lam| + 2c) - |lam|^2, and n_lam = dim * (n * casimir) /
+    (n * (n^2 - 1)).  E_k is built once per line count k and each B(m) on
+    first use, so a row costs k lookups and its Vandermonde product; the
+    intermediate products grow with the square of k, so a generator's few
+    columns and a symmetric power's one row are both cheap.  Both exact
+    divisions are checked on every row.
     """
-    size = sum(lines)
-    twice_content = sum(l * (l + 1 - 2 * j) for j, l in enumerate(lines, start=1))
-    sign = -1 if by_columns else 1
-    return n * (n * size + sign * twice_content) - size * size
-
-
-def _index_error(n: int, num: int, den: int, lam: Partition) -> InvariantError:
-    g = math.gcd(num, den)
-    return InvariantError(
-        f"non-integral index {num // g}/{den // g} for n={n} "
-        f"lam={lam}; formula misapplied"
-    )
+    # n = 1 leaves only the empty shape, whose numerator 0 needs no divisor
+    den = n * (n * n - 1) or 1
+    # B(m) = C(top + step * m, m) and E_k = prod perm(top + step * i, i)
+    step, sign = (0, -1) if by_columns else (1, 1)
+    tables = {}
+    values = []
+    for lines in batch:
+        k = len(lines)
+        table = tables.get(k)
+        if table is None:
+            top = n + k - 1 if by_columns else n - k
+            e_k = 1
+            for i in range(k):
+                e_k *= math.perm(top + step * i, i)
+            table = tables[k] = {}, e_k, top
+        binom, e_k, top = table
+        num, vandermonde, size, twice_content, ms = 1, 1, 0, 0, []
+        for j, p in enumerate(lines):
+            m = p + k - 1 - j
+            b = binom.get(m)
+            if b is None:
+                b = binom[m] = math.comb(top + step * m, m)
+            num *= b
+            for prev in ms:
+                vandermonde *= prev - m
+            ms.append(m)
+            size += p
+            twice_content += p * (p - 1 - 2 * j)
+        dim, rest = divmod(num * vandermonde, e_k)
+        if rest:
+            raise InvariantError(
+                f"hook content division is not exact for n={n} "
+                f"lam={_conjugate(lines) if by_columns else lines}"
+            )
+        num = dim * (n * (n * size + sign * twice_content) - size * size)
+        value, rest = divmod(num, den)
+        if rest:
+            g = math.gcd(num, den)
+            raise InvariantError(
+                f"non-integral index {num // g}/{den // g} for n={n} "
+                f"lam={_conjugate(lines) if by_columns else lines}; "
+                "formula misapplied"
+            )
+        values.append((value, dim))
+    return values
 
 
 def c2_closed_form(n: int, lam: Partition) -> ChernResult:
     """n_lam = dim * casimir / (n^2 - 1), computed as the integer quotient
-    dim * (n * casimir) / (n * (n^2 - 1)); the division is always exact."""
+    dim * (n * casimir) / (n * (n^2 - 1)) over the shorter side of the
+    reduced lam; the division is always exact."""
     lines, by_columns = _shorter_side(reduce_full_columns(n, lam))
-    dim = _line_dimension(n, lines, by_columns)
-    num, den = dim * _n_casimir(n, lines, by_columns), n * (n * n - 1)
-    # n = 1 leaves only the empty shape, whose numerator 0 needs no divisor
-    value, rest = divmod(num, den or 1)
-    if rest:
-        raise _index_error(n, num, den, _conjugate(lines) if by_columns else lines)
+    (value, dim), = _line_indices(n, [lines], by_columns)
     return ChernResult(value, False, dim)
 
 
 def column_indices(n: int, rows: Iterable[Partition]) -> list[int]:
     """Closed-form n_lam of each shape in ``rows``, each given by its column
-    heights h_0 >= h_1 >= ... >= h_(k-1), all below n.
+    heights, all below n: the generator rows of the basis search, in one
+    batch, so each line count builds its tables once."""
+    return [value for value, _ in _line_indices(n, rows, True)]
 
-    The column form of :func:`c2_closed_form`, regrouped around the column
-    count k: with N = n + k - 1 and m_j = h_j + k - 1 - j, the hook content
-    formula reads dim = prod_(i<j) (m_i - m_j) * prod_j C(N, m_j) / E_k,
-    where E_k = prod_(i<k) N! / (N - i)! (Macdonald, Symmetric Functions and
-    Hall Polynomials, I.1).  The binomials C(N, m), m <= N, and E_k are
-    built once per k, so a row costs k table reads, its Vandermonde product
-    and the content sums of :func:`_n_casimir`, in one loop.  Both exact
-    divisions are checked on every row.
+
+def schur_dimension(n: int, lam: Partition) -> int:
+    """Dimension of the irreducible GL(n) (equivalently SL(n)) module of shape lam.
+
+    Returns 0 when lam has more than n rows.
     """
-    den = n * (n * n - 1) or 1
-    tables = {}
-    values = []
-    for h in rows:
-        k = len(h)
-        table = tables.get(k)
-        if table is None:
-            big = n + k - 1
-            e_k = 1
-            for i in range(k):
-                e_k *= math.perm(big, i)
-            table = tables[k] = [math.comb(big, m) for m in range(big + 1)], e_k
-        binom, e_k = table
-        num, vandermonde, size, twice_content, ms = 1, 1, 0, 0, []
-        for j, c in enumerate(h):
-            m = c + k - 1 - j
-            num *= binom[m]
-            for prev in ms:
-                vandermonde *= prev - m
-            ms.append(m)
-            size += c
-            twice_content += c * (c - 1 - 2 * j)
-        dim, rest = divmod(num * vandermonde, e_k)
-        if rest:
-            raise InvariantError(
-                f"hook content division is not exact for n={n} lam={_conjugate(h)}"
-            )
-        num = dim * (n * (n * size - twice_content) - size * size)
-        value, rest = divmod(num, den)
-        if rest:
-            raise _index_error(n, num, den, _conjugate(h))
-        values.append(value)
-    return values
+    if n < 1:
+        raise InputError(f"n must be positive, got {n}")
+    lam = partition(lam)
+    if len(lam) > n:
+        return 0
+    lines, by_columns = _shorter_side(lam)
+    (_, dim), = _line_indices(n, [lines], by_columns)
+    return dim
 
 
 def _bareiss_determinant(a: list[list[int]]) -> int:

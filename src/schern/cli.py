@@ -28,9 +28,9 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from .cache import ResultCache
-from .chern import CrossCheckError
+from .chern import CrossCheckError, schur_dimension
 from .partitions import (InputError, InvariantError, Partition, PartitionError,
-                         partition, schur_dimension)
+                         partition)
 from .tables import (CASES, REFERENCE_TABLES, GeneratorTable, cached_c2,
                      explore_conjecture, generator_table, image_index,
                      table_against_reference, verify_case)

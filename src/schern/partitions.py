@@ -1,11 +1,12 @@
-"""Partitions, hook lengths, and semistandard tableau enumeration.
+"""Partitions, conjugation, and semistandard tableau enumeration.
 
 A partition is a tuple of weakly decreasing positive integers.  The empty
 partition is ().  The public functions accept any part sequence and validate
 it once through :func:`partition`, which strips trailing zeros; the private
 helpers behind them trust that canonical form and do not check it again.
+The dimension of a shape is taken in :mod:`schern.chern`, by the loop that
+also takes its index, over the side that :func:`_shorter_side` picks.
 """
-import math
 from collections.abc import Iterable, Iterator
 from operator import index, lt
 
@@ -61,19 +62,6 @@ def _conjugate(lam: Partition) -> Partition:
     return tuple(heights)
 
 
-def schur_dimension(n: int, lam: Partition) -> int:
-    """Dimension of the irreducible GL(n) (equivalently SL(n)) module of shape lam.
-
-    Returns 0 when lam has more than n rows.
-    """
-    if n < 1:
-        raise InputError(f"n must be positive, got {n}")
-    lam = partition(lam)
-    if len(lam) > n:
-        return 0
-    return _line_dimension(n, *_shorter_side(lam))
-
-
 def _shorter_side(lam: Partition) -> tuple[Partition, bool]:
     """The shorter side of a canonical lam and whether it is the columns:
     the column heights when lam_1 <= len(lam), else the rows.  The longer
@@ -82,40 +70,6 @@ def _shorter_side(lam: Partition) -> tuple[Partition, bool]:
     if lam and lam[0] <= len(lam):
         return _conjugate(lam), True
     return lam, False
-
-
-def _line_dimension(n: int, lines: Partition, by_columns: bool) -> int:
-    """Dimension of the shape with columns (by_columns) or rows ``lines``.
-
-    Hook content formula, line by line over the lines l_0 >= ... >= l_(k-1):
-    column j contributes the contents (n + j)! / (n + j - l_j)!, row j the
-    contents (n - 1 - j + l_j)! / (n - 1 - j)!, and with
-    m_j = l_j + k - 1 - j the hook lengths multiply to
-    prod m_j! / prod_(i<j) (m_i - m_j) in either case, as lam and its
-    conjugate have the same hooks (Macdonald, Symmetric Functions and Hall
-    Polynomials, I.1).  Both sides carry prod l_j!, which is cancelled:
-    comb(n + j, l_j) or comb(n - 1 - j + l_j, l_j) over perm(m_j, k - 1 - j).
-    The intermediate products grow with the square of k, so a generator's
-    few columns and a symmetric power's one row are both cheap.
-    """
-    k = len(lines)
-    num = 1
-    den = 1
-    ms = []
-    for j, c in enumerate(lines):
-        num *= math.comb(n + j if by_columns else n - 1 - j + c, c)
-        m = c + k - 1 - j
-        den *= math.perm(m, k - 1 - j)
-        for prev in ms:
-            num *= prev - m
-        ms.append(m)
-    dim, rest = divmod(num, den)
-    if rest:
-        lam = _conjugate(lines) if by_columns else lines
-        raise InvariantError(
-            f"hook content division is not exact for n={n} lam={lam}"
-        )
-    return dim
 
 
 def ssyt_stream(n: int, lam: Partition) -> Iterator[TableauContent]:

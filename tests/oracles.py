@@ -1,11 +1,12 @@
 """Oracles used only by the tests: brute-force scans over the descent
 monoid, and helpers that no command runs (conjugation, tableau counts,
-duals, the rational Casimir eigenvalue, weight arithmetic, a json reader of
-cache lines).  Bad input raises the package's InputError, checked by
-reduce_full_columns or partition."""
+duals, Weyl's dimension product, the rational Casimir eigenvalue, weight
+arithmetic, a json reader of cache lines).  Bad input raises the package's
+InputError, checked by reduce_full_columns or partition."""
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from itertools import product
 from typing import Iterator
@@ -37,6 +38,18 @@ def dual_partition(n: int, lam: Partition) -> Partition:
         return ()
     padded = lam + (0,) * (n - len(lam))
     return partition(lam[0] - p for p in reversed(padded))
+
+
+def weyl_dimension(n: int, lam: Partition) -> int:
+    """Weyl's dimension formula: the product over pairs of rows i < j of
+    (lam_i - lam_j + j - i) / (j - i).  Never looks at the columns."""
+    row = tuple(lam) + (0,) * (n - len(lam))
+    num = den = 1
+    for i in range(n):
+        num *= math.prod(row[i] - row[j] + j - i for j in range(i + 1, n))
+        den *= math.factorial(n - 1 - i)  # prod of j - i over j > i
+    assert num % den == 0
+    return num // den
 
 
 def casimir(n: int, lam: Partition) -> Fraction:

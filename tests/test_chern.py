@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import schern.chern as chern_mod
-from oracles import casimir, conjugate, dual_partition, dual_weight
+from oracles import casimir, conjugate, dual_partition, dual_weight, weyl_dimension
 from schern.chern import (
     ChernResult,
     CrossCheckError,
@@ -19,8 +19,9 @@ from schern.chern import (
     c2_subshape,
     column_indices,
     reduce_full_columns,
+    schur_dimension,
 )
-from schern.partitions import schur_dimension, ssyt_stream
+from schern.partitions import ssyt_stream
 from schern.weights import GroupSpec, generator_heights, hilbert_basis, partition_of
 
 partitions_small = st.lists(st.integers(1, 3), min_size=0, max_size=5).map(
@@ -112,11 +113,15 @@ class TestCasimir:
     @settings(max_examples=150, deadline=None)
     def test_program_casimir_is_the_oracle_from_either_side(self, case):
         # the rows and the column heights of one lam, full columns included:
-        # adding a column of height n leaves the SL(n) Casimir unchanged
+        # adding a column of height n leaves the SL(n) Casimir unchanged.
+        # The kernel's index times n^2 - 1 is dim times its Casimir, which
+        # n = 1 (index 0, Casimir 0) also satisfies
         n, lam = case
-        expected = n * casimir(n, lam)
-        assert chern_mod._n_casimir(n, lam, False) == expected
-        assert chern_mod._n_casimir(n, conjugate(lam), True) == expected
+        dim = weyl_dimension(n, lam)
+        for lines, by_columns in [(lam, False), (conjugate(lam), True)]:
+            (value, kernel_dim), = chern_mod._line_indices(n, [lines], by_columns)
+            assert kernel_dim == dim
+            assert value * (n * n - 1) == dim * casimir(n, lam)
 
 
 class TestClosedForm:
@@ -158,20 +163,35 @@ class TestClosedForm:
     @settings(max_examples=150, deadline=None)
     def test_integer_quotient_matches_the_rational_route(self, n, lam):
         assume(len(lam) <= n)
-        rational = schur_dimension(n, lam) * casimir(n, lam) / (n * n - 1)
+        rational = weyl_dimension(n, lam) * casimir(n, lam) / (n * n - 1)
         assert c2_closed_form(n, lam).n_lambda == rational
 
     def test_inexact_division_raises(self, monkeypatch):
-        real = chern_mod._line_dimension
-        monkeypatch.setattr(chern_mod, "_line_dimension",
-                            lambda n, lines, by_columns: real(n, lines, by_columns) + 1)
+        # C(4, 1) + 1 = 5 read as the dimension of the one column (1,)
+        monkeypatch.setattr(chern_mod, "math", SimpleNamespace(
+            comb=lambda a, b: math.comb(a, b) + 1, perm=math.perm, gcd=math.gcd))
         with pytest.raises(ArithmeticError, match="non-integral index 5/4"):
             c2_closed_form(4, (1,))
 
+    @pytest.mark.parametrize("n, lam", [
+        (10**6, (1,) * 5000), (3, (10**20,)), (10**30, (3, 3, 3, 2, 2)),
+    ], ids=["tall-column", "wide-row", "three-columns"])
+    def test_a_shape_of_k_lines_takes_at_most_k_binomials(self, monkeypatch, n, lam):
+        # each binomial is built on first use: the column of height 5,000
+        # reads C(10^6, 5000) alone, not the 5,001 of a table up to m = 5000,
+        # and a Pascal row of n + 2 entries at n = 10^30 would never finish
+        calls = []
+        monkeypatch.setattr(chern_mod, "math", SimpleNamespace(
+            comb=lambda a, b: calls.append((a, b)) or math.comb(a, b),
+            perm=math.perm, gcd=math.gcd))
+        c2_closed_form(n, lam)
+        assert 0 < len(calls) <= min(lam[0], len(lam))
 
-def _closed_form_by_shape(n, rows):
-    # the per-shape closed form, the batch kernel's reference implementation
-    return [c2_closed_form(n, conjugate(h)).n_lambda for h in rows]
+
+def _oracle_indices(n, shapes):
+    # Weyl's product times the rational Casimir over n^2 - 1: exact
+    # Fractions that share nothing with the kernel's hook content loop
+    return [weyl_dimension(n, lam) * casimir(n, lam) / (n * n - 1) for lam in shapes]
 
 
 class TestColumnIndices:
@@ -181,12 +201,12 @@ class TestColumnIndices:
     def test_matches_the_closed_form_on_every_generator_row(self, n, d):
         # every d | n <= 16 (ell = 3 is (9, 3)) and ell = 5
         rows = generator_heights(GroupSpec(n, d))
-        assert column_indices(n, rows) == _closed_form_by_shape(n, rows)
+        assert column_indices(n, rows) == _oracle_indices(n, map(conjugate, rows))
 
     def test_matches_the_closed_form_on_a_slice_of_ell_7(self):
         rows = generator_heights(GroupSpec(49, 7))[::22][:3000]
         assert len(rows) == 3000 and max(map(len, rows)) == 7
-        assert column_indices(49, rows) == _closed_form_by_shape(49, rows)
+        assert column_indices(49, rows) == _oracle_indices(49, map(conjugate, rows))
 
     @given(st.integers(2, 30).flatmap(lambda n: st.tuples(
         st.just(n),
@@ -196,11 +216,27 @@ class TestColumnIndices:
     def test_matches_the_closed_form_on_random_heights(self, case):
         # several rows per call, so tables built for one k serve later rows
         n, rows = case
-        assert column_indices(n, rows) == _closed_form_by_shape(n, rows)
+        assert column_indices(n, rows) == _oracle_indices(n, map(conjugate, rows))
 
     def test_empty_shape_and_n_equal_one(self):
         assert column_indices(1, [()]) == [0]
         assert column_indices(2, [(), (1,), (1, 1)]) == [0, 1, 4]  # Sym^2: 4
+
+    @given(st.integers(2, 30).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.lists(st.integers(1, 12), max_size=min(n, 10)).map(
+            lambda xs: tuple(sorted(xs, reverse=True))), max_size=6))))
+    @settings(max_examples=150, deadline=None)
+    def test_one_batch_from_either_side_matches_the_oracle(self, case):
+        # a batch mixes shapes whose shorter side is the columns and shapes
+        # whose shorter side is the rows, and the kernel reads each batch
+        # whole by rows or whole by column heights
+        n, shapes = case
+        expected = [(index, weyl_dimension(n, lam))
+                    for index, lam in zip(_oracle_indices(n, shapes), shapes)]
+        assert chern_mod._line_indices(n, shapes, False) == expected
+        heights = [conjugate(lam) for lam in shapes]
+        assert chern_mod._line_indices(n, heights, True) == expected
 
 
 class TestEnumeration:
@@ -328,9 +364,10 @@ class TestSubshape:
         # determinant builds no tail; it used to build 99,998 zeros
         calls = []
         real = math.comb
+        closed = c2_closed_form(2, (99999,)).n_lambda  # before the spy
         monkeypatch.setattr(chern_mod, "math", SimpleNamespace(
             comb=lambda a, b: calls.append((a, b)) or real(a, b)))
-        assert c2_subshape(2, (99999,)) == c2_closed_form(2, (99999,)).n_lambda
+        assert c2_subshape(2, (99999,)) == closed
         assert len(calls) < 10
 
     def test_defining_representation_of_a_large_group_is_cross_checked(self):

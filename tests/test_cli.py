@@ -20,7 +20,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import schern.chern as chern_mod
-import schern.partitions as partitions_mod
 import schern.tables as tables_mod
 from oracles import casimir, dual_partition, ssyt_count
 from schern import (
@@ -929,9 +928,9 @@ def test_readme_configuration_table_lists_the_shared_flags():
 
 
 def test_c2_non_integral_closed_form_exits_1(capsys, monkeypatch):
-    real = chern_mod._line_dimension
-    monkeypatch.setattr(chern_mod, "_line_dimension",
-                        lambda n, lines, by_columns: real(n, lines, by_columns) + 1)
+    # C(4, 1) + 1 = 5 read as the dimension of the one column (1,)
+    monkeypatch.setattr(chern_mod, "math", SimpleNamespace(
+        comb=lambda a, b: math.comb(a, b) + 1, perm=math.perm, gcd=math.gcd))
     code, out, err = invoke(capsys, "c2", "4", "1", "--no-cache")
     assert code == 1
     assert out == ""
@@ -939,7 +938,7 @@ def test_c2_non_integral_closed_form_exits_1(capsys, monkeypatch):
 
 
 def test_dim_inexact_hook_division_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(partitions_mod, "math",
+    monkeypatch.setattr(chern_mod, "math",
                         SimpleNamespace(comb=lambda a, b: 1,
                                         perm=lambda a, b: 2))
     code, out, err = invoke(capsys, "dim", "4", "2,1")
@@ -1361,10 +1360,9 @@ def test_an_unexpected_error_inside_a_command_propagates(monkeypatch, exc, argv)
     def broken(*args):
         raise exc("bug")
 
-    if argv[0] == "conjecture":  # the batch kernel's binomial table
-        monkeypatch.setattr(chern_mod, "math", SimpleNamespace(comb=broken, perm=broken))
-    else:
-        monkeypatch.setattr(chern_mod, "_n_casimir", broken)
+    # both commands reach the one closed-form loop, which raises on its
+    # first binomial or divisor
+    monkeypatch.setattr(chern_mod, "math", SimpleNamespace(comb=broken, perm=broken))
     with pytest.raises(exc, match="bug") as info:
         run(argv)
     assert not isinstance(info.value, (InputError, InvariantError))

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import schern.partitions as partitions_mod
-from oracles import conjugate, ssyt_count
-from schern.partitions import PartitionError, partition, schur_dimension, ssyt_stream
+import schern.chern as chern_mod
+from oracles import conjugate, ssyt_count, weyl_dimension
+from schern.chern import schur_dimension
+from schern.partitions import PartitionError, partition, ssyt_stream
 
 
 def interlacings(row):
@@ -48,19 +49,6 @@ def branching_dimension(n, lam):
     if n == 1:
         return 1
     return sum(branching_dimension(n - 1, mu) for mu in interlacings(row))
-
-
-def weyl_dimension(n, lam):
-    """Weyl's dimension formula: the product over pairs of rows i < j of
-    (lam_i - lam_j + j - i) / (j - i).  Never looks at the columns."""
-    row = tuple(lam) + (0,) * (n - len(lam))
-    num = den = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            num *= row[i] - row[j] + j - i
-            den *= j - i
-    assert num % den == 0
-    return num // den
 
 
 def tableaux(n, lam):
@@ -204,7 +192,7 @@ class TestSchurDimension:
 
     def test_inexact_hook_division_raises(self, monkeypatch):
         # comb / perm stubbed so that the hook product no longer divides
-        monkeypatch.setattr(partitions_mod, "math",
+        monkeypatch.setattr(chern_mod, "math",
                             SimpleNamespace(comb=lambda a, b: 1,
                                             perm=lambda a, b: 2))
         with pytest.raises(ArithmeticError, match="not exact"):

@@ -72,7 +72,7 @@ class TestTableAgainstReference:
     def test_rows_cross_checked_up_to_ceiling(self):
         t = table_against_reference("sl9-mu3")
         for r in t.rows:
-            from schern.partitions import schur_dimension
+            from schern.chern import schur_dimension
             expect = schur_dimension(9, r.partition) <= CROSS_CHECK_CEILING
             assert r.cross_checked == expect, r
 

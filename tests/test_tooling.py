@@ -68,6 +68,26 @@ def test_no_module_imports_json_or_csv():
     assert found == []
 
 
+def test_package_source_stays_in_the_integers():
+    # every printed number is exact: no true division, no float constant or
+    # float() call, and neither fractions nor decimal.  Each use is reported
+    # by file and line.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+        or isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
+        or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "float"
+        or isinstance(node, (ast.Import, ast.ImportFrom))
+        and any(module and module.split(".")[0] in ("fractions", "decimal")
+                for module in [getattr(node, "module", None),
+                               *(a.name for a in node.names)])
+    ]
+    assert found == []
+
+
 def _load_tracer():
     """perfbench/tracer.py, loaded by path, with every schern module loaded."""
     import importlib.util
