@@ -16,7 +16,6 @@ from .chern import (
     c2,
     c2_closed_form,
     c2_enumeration,
-    c2_subshape,
     schur_dimension,
 )
 from .partitions import (
@@ -67,7 +66,6 @@ __all__ = [
     "c2",
     "c2_closed_form",
     "c2_enumeration",
-    "c2_subshape",
     "explore_conjecture",
     "generator_table",
     "hilbert_basis",

@@ -1,12 +1,14 @@
-"""Append-only cache of sub-shape sums.
+"""Append-only cache of cross-checked indices.
 
-A record holds the one fact a hit saves: the sub-shape sum of (n, lam),
-stored only for an index that chern.c2 cross-checked.  It is one line,
+A record holds the one fact a hit saves: the index n_lam of (n, lam) that
+the Jacobi-Trudi determinant gave, stored only for an index that chern.c2
+cross-checked.  Its key stays "subshape", as the earlier sub-shape sum gave
+the same integer, so older files read as before.  It is one line,
 {"n":8,"partition":[2,2,2],"subshape":700,"version":"0.1.0"}: the bytes of
 json.dumps(rec, sort_keys=True, separators=(",", ":")), no timestamps, so
 identical runs produce byte-identical files.  A line is read only if it is
 exactly the line its fields write: a hand-edited or respaced line, another
-version or another field is skipped and its sum recomputed.  Appends take
+version or another field is skipped and its index recomputed.  Appends take
 an advisory lock; concurrent writers interleave whole lines.  A path that
 cannot be read or appended to raises InputError, as a bad --cache argument.
 """
@@ -41,11 +43,11 @@ def _decode(line: bytes) -> tuple[CacheKey, int] | None:
 
 
 class ResultCache:
-    """In-memory view of one cache file: the recorded sub-shape sum of each
+    """In-memory view of one cache file: the recorded index of each
     (n, lam); later lines win on duplicate keys.
 
-    The cache trusts no record: chern.c2 lets a sum stand in for the
-    sub-shape sum only when it equals the closed form.
+    The cache trusts no record: chern.c2 lets an index stand in for the
+    determinant only when it equals the closed form.
     """
 
     def __init__(self, path: Path):

@@ -11,21 +11,21 @@ n_lam:
   side of one shape, so the longer side is never walked;
   :func:`column_indices` runs it on a batch of generator rows by the column
   heights that the basis search yields (at most d, by the Davenport bound);
-* sub-shape sum: group the tableaux by the two-row sub-shape nu that their
-  entries 1 and 2 fill, and count the fillings of lam/nu by entries 3..n
-  with a Jacobi-Trudi determinant (Macdonald, Symmetric Functions and Hall
-  Polynomials, I.5) over the shorter side of lam: the column (dual) form in
-  elementary symmetric functions for a generator, the row form in complete
-  ones for a wide shape; it never touches the Casimir;
+* determinant: one Jacobi-Trudi determinant over the shorter side of lam
+  with entries in Z[eps]/(eps^2), the elementary or complete symmetric
+  functions at diag(e^s, e^-s, 1, ..., 1) with eps = s^2; its integer part
+  is the dimension and its eps part n_lam, and it never touches the hook
+  content formula or the Casimir;
 * enumeration: stream every semistandard tableau content and read off the
   quadratic part of the splitting-principle product modulo (x1+...+xn).
 
 The front door :func:`c2` runs the closed form and, while the dimension is
-at most CROSS_CHECK_CEILING, recomputes the index by the sub-shape sum as a
-cross-check; it alone decides whether an index was cross-checked.
-Enumeration costs time linear in the dimension; no command reaches it, and
-it serves the tests as an oracle.  No route leaves the integers: the
-closed form divides n times the Casimir eigenvalue exactly.
+at most CROSS_CHECK_CEILING, recomputes the index and the dimension by the
+determinant as a cross-check; it alone decides whether an index was
+cross-checked.  Enumeration costs time linear in the dimension; no command
+reaches it, and it serves the tests as an oracle.  No route leaves the
+integers: the closed form divides n times the Casimir eigenvalue exactly,
+and the determinant divides only by pivots with a nonzero integer part.
 """
 import math
 from collections import namedtuple
@@ -41,23 +41,27 @@ from .partitions import (
     ssyt_stream,
 )
 
-# Dimension up to which c2 recomputes the index by the sub-shape sum.
+# Dimension up to which c2 recomputes the index and the dimension by the
+# Jacobi-Trudi determinant.
 CROSS_CHECK_CEILING = 100_000
 
 
 class CrossCheckError(Exception):
-    def __init__(self, n: int, lam: Partition, closed: int, subshape: int):
+    def __init__(self, n: int, lam: Partition, closed: tuple[int, int],
+                 determinant: tuple[int, int]):
+        # (n_lam, dim) by each route
         self.n = n
         self.lam = lam
         self.closed = closed
-        self.subshape = subshape
+        self.determinant = determinant
         super().__init__(
-            f"methods disagree for n={n} lam={lam}: "
-            f"closed form {closed}, sub-shape sum {subshape}"
+            f"methods disagree for n={n} lam={lam}: (n_lam, dim) is "
+            f"{closed} by the closed form, {determinant} by the dual-number "
+            "Jacobi-Trudi determinant"
         )
 
 
-# n_lambda: int, cross_checked: bool (by the sub-shape sum), dim: int
+# n_lambda: int, cross_checked: bool (by the determinant), dim: int
 ChernResult = namedtuple("ChernResult", "n_lambda cross_checked dim")
 
 
@@ -174,85 +178,72 @@ def schur_dimension(n: int, lam: Partition) -> int:
     return dim
 
 
-def _bareiss_determinant(a: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free (Bareiss)
-    elimination; every division is exact, so no rationals appear.  The rows
-    of ``a`` are overwritten."""
-    size = len(a)
-    sign, prev = 1, 1
-    for k in range(size - 1):
-        if a[k][k] == 0:
-            swap = next((r for r in range(k + 1, size) if a[r][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        pivot, row_k = a[k][k], a[k]
-        for row in a[k + 1:]:
-            lead = row[k]
-            for j in range(k + 1, size):
-                row[j] = (row[j] * pivot - lead * row_k[j]) // prev
-        prev = pivot
-    return sign * a[-1][-1] if size else 1
+def _jacobi_trudi(n: int, lam: Partition) -> tuple[int, int]:
+    """(n_lam, dim) of the reduced lam from one Jacobi-Trudi determinant
+    over Z[eps]/(eps^2) (Macdonald, Symmetric Functions and Hall
+    Polynomials, I.3).
 
-
-def _skew_count(outer: Partition, inner: tuple[int, ...], entry: list[int]) -> int:
-    """Jacobi-Trudi determinant det[entry(outer_i - inner_j - i + j)] over
-    len(outer) x len(outer), with inner padded by zeros and entry(k) = 0
-    outside 0 <= k < len(entry)."""
-    size = len(outer)
-    inner = inner + (0,) * (size - len(inner))
-    top = len(entry)
-    return _bareiss_determinant([
-        [entry[k] if 0 <= (k := outer[i] - inner[j] - i + j) < top else 0
-         for j in range(size)]
-        for i in range(size)
-    ])
-
-
-def c2_subshape(n: int, lam: Partition) -> int:
-    """n_lam summed over the sub-shape nu that the entries 1 and 2 fill.
-
-    The streaming sum over tableau contents, sum of m1 * (m1 - m2), depends
-    only on the tableau's {1, 2} part: an SSYT of a shape nu within lam with
-    at most two rows and m1 ones, one for each m1 in nu2..nu1.  Their terms
-    m1 * (2 * m1 - nu1 - nu2) sum to C(nu1 - nu2 + 2, 3), which is zero when
-    nu1 = nu2.  The entries 3..n fill lam/nu in s_{lam/nu}(1^(n-2)) ways,
-    zero when lam/nu has a column taller than n - 2, so nu1 starts at
-    lam_(n-1), the number of columns of height n - 1; that count is a
-    Jacobi-Trudi determinant (Macdonald, Symmetric Functions and Hall
-    Polynomials, I.5) over the shorter side of lam.  When lam has at most as
-    many columns as rows, that is the column (dual) form
-    det[e(lam'_i - nu'_j - i + j)] over lam_1 x lam_1, with
-    nu' = (2^nu2, 1^(nu1 - nu2)) and e(k) = e_k(1^(n-2)) = C(n - 2, k);
-    otherwise the row form det[h(lam_i - nu_j - i + j)] over
-    len(lam) x len(lam), with h(k) = h_k(1^(n-2)) = C(n - 3 + k, k).  A
-    generator has few columns and a symmetric power one row, so both stay
-    small.  Exact integer arithmetic throughout; neither the Casimir nor the
-    tableaux are used.
+    The character of lam at diag(e^s, e^-s, 1, ..., 1) is
+    dim + n_lam s^2 + O(s^4): the weights mu of lam satisfy
+    sum mult(mu) (mu_1 - mu_2)^2 = 2 n_lam.  With eps = s^2, the elementary
+    and complete symmetric functions there are
+    E(t) = C(n, t) + eps C(n - 2, t - 1) and
+    H(t) = C(n + t - 1, t) + eps C(n + t, t - 1), both 0 for t < 0, so
+    det[E(lam'_i - i + j)] over the k columns, or det[H(lam_i - i + j)] over
+    the k rows, is dim + eps n_lam; k = min(rows, columns), by the shorter
+    side, and each entry is computed on first use.  Bareiss elimination
+    (Bareiss, Math. Comp. 22, 1968) keeps every intermediate a minor, since
+    Sylvester's identity holds over any commutative ring; it pivots on a
+    nonzero integer part p0, so dividing by p0 + eps p1 is exact:
+    a0 / p0, then (a1 - (a0 / p0) p1) / p0, which is (a1 p0 - a0 p1) / p0^2.
+    A remainder raises InvariantError.  Neither the hook content formula
+    nor the Casimir is used.
     """
-    outer, by_columns = _shorter_side(reduce_full_columns(n, lam))
-    m = n - 2
-    if by_columns:
-        # lam_1, lam_2 and lam_(n-1) count the columns of heights >= 1,
-        # >= 2 and n - 1; e_k(1^m) = C(m, k); e_0 = 1 also when m = 0, and
-        # e_k = 0 past m; the determinant reads no k past lam'_1 + lam_1
-        lam1, lam2 = len(outer), sum(h > 1 for h in outer)
-        tall = sum(h >= n - 1 for h in outer)
-        entry = [math.comb(m, k) for k in range(min(m, outer[0] + lam1) + 1)]
-    else:
-        # h_k(1^m) = C(m + k - 1, k); h_0 = 1 also when m = 0, and every
-        # later h_k is then 0, so the tail is built only when m > 0
-        lam1, lam2 = (outer + (0, 0))[:2]
-        tall = outer[n - 2] if 0 <= n - 2 < len(outer) else 0
-        top = lam1 + len(outer) if m > 0 else 1
-        entry = [1] + [math.comb(m + k - 1, k) for k in range(1, top)]
-    total = 0
-    for nu1 in range(max(1, tall), lam1 + 1):
-        for nu2 in range(min(nu1 - 1, lam2) + 1):  # nu2 = nu1 weighs 0
-            inner = (2,) * nu2 + (1,) * (nu1 - nu2) if by_columns else (nu1, nu2)
-            total += math.comb(nu1 - nu2 + 2, 3) * _skew_count(outer, inner, entry)
-    return total
+    lines, by_columns = _shorter_side(reduce_full_columns(n, lam))
+    k = len(lines)
+    if not k:
+        return 0, 1
+    entries = {}
+
+    def entry(t: int) -> tuple[int, int]:
+        value = entries.get(t)
+        if value is None:
+            if t <= 0:
+                value = (int(t == 0), 0)
+            elif by_columns:
+                value = (math.comb(n, t), math.comb(n - 2, t - 1))
+            else:
+                value = (math.comb(n + t - 1, t), math.comb(n + t, t - 1))
+            entries[t] = value
+        return value
+
+    rows = [[entry(p - i + j) for j in range(k)] for i, p in enumerate(lines)]
+    a0 = [[e[0] for e in row] for row in rows]
+    a1 = [[e[1] for e in row] for row in rows]
+    sign, q0, q1 = 1, 1, 0
+    for c in range(k - 1):
+        pivot = next((r for r in range(c, k) if a0[r][c]), None)
+        if pivot is None:
+            raise InvariantError(
+                f"Jacobi-Trudi determinant vanishes for n={n} lam={lam}")
+        if pivot != c:
+            a0[c], a0[pivot] = a0[pivot], a0[c]
+            a1[c], a1[pivot] = a1[pivot], a1[c]
+            sign = -sign
+        top0, top1 = a0[c], a1[c]
+        p0, p1 = top0[c], top1[c]
+        for row0, row1 in zip(a0[c + 1:], a1[c + 1:]):
+            l0, l1 = row0[c], row1[c]
+            for j in range(c + 1, k):
+                v0, r0 = divmod(row0[j] * p0 - l0 * top0[j], q0)
+                v1, r1 = divmod(row1[j] * p0 + row0[j] * p1 - l1 * top0[j]
+                                - l0 * top1[j] - v0 * q1, q0)
+                if r0 or r1:
+                    raise InvariantError(
+                        f"Bareiss division is not exact for n={n} lam={lam}")
+                row0[j], row1[j] = v0, v1
+        q0, q1 = p0, p1
+    return sign * a1[-1][-1], sign * a0[-1][-1]
 
 
 def c2_enumeration(n: int, lam: Partition) -> ChernResult:
@@ -274,18 +265,21 @@ def c2_enumeration(n: int, lam: Partition) -> ChernResult:
 
 
 def c2(n: int, lam: Partition, *, subshape: int | None = None) -> ChernResult:
-    """Front door: the closed form, cross-checked by the sub-shape sum when
-    the dimension is at most CROSS_CHECK_CEILING; a disagreement raises
-    CrossCheckError.
+    """Front door: the closed form, cross-checked by the Jacobi-Trudi
+    determinant when the dimension is at most CROSS_CHECK_CEILING; a
+    disagreement on the index or the dimension raises CrossCheckError.
 
-    ``subshape`` is a sum recorded earlier for (n, lam).  It stands in for
-    the sub-shape sum only when the dimension is at most the ceiling and it
-    equals the closed form; any other value is ignored and the sum runs.
+    ``subshape`` is an index recorded earlier for (n, lam) by the
+    determinant.  It stands in for the determinant only when the dimension
+    is at most the ceiling and it equals the closed form; any other value
+    is ignored and the determinant runs.
     """
     closed = c2_closed_form(n, lam)
     if closed.dim > CROSS_CHECK_CEILING:
         return closed
-    checked = subshape if subshape == closed.n_lambda else c2_subshape(n, lam)
-    if checked != closed.n_lambda:
-        raise CrossCheckError(n, partition(lam), closed.n_lambda, checked)
+    if subshape != closed.n_lambda:
+        checked = _jacobi_trudi(n, lam)
+        if checked != (closed.n_lambda, closed.dim):
+            raise CrossCheckError(n, partition(lam),
+                                  (closed.n_lambda, closed.dim), checked)
     return ChernResult(closed.n_lambda, True, closed.dim)

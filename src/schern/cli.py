@@ -3,23 +3,24 @@
 The parsed flags are the only settings; no shell variable is read.  With
 --cache PATH (and no --no-cache), c2 and table rows go through the result
 cache at PATH, via tables.cached_c2, which hands chern.c2 the recorded
-sub-shape sum; c2 lets it stand in only when it equals the closed form.
-Without --cache no command reads or writes a file.  dim, verify and
-conjecture accept the cache flags and never open the cache.  render_table
-and the cache write their own bytes, so no command imports json or csv.
-argv is read by parse_args against the COMMANDS table; -h/--help prints
-help and exits 0.
+index; c2 lets it stand in for the Jacobi-Trudi determinant only when it
+equals the closed form.  Without --cache no command reads or writes a
+file.  dim, verify and conjecture accept the cache flags and never open
+the cache.  render_table and the cache write their own bytes, so no
+command imports json or csv.  argv is read by parse_args against the
+COMMANDS table; -h/--help prints help and exits 0.
 
 Exit codes: 0 success, 1 an arithmetic invariant failed (InvariantError:
 verify found an index that is not a multiple of the H^4 generator, or the
-closed form or the hook-content dimension did not divide exactly), 2 bad
-arguments or violated preconditions (InputError: a usage error from the
-parser itself, unknown case, ell above its ceiling, malformed partition,
-unusable cache path), 3 a consistency check failed (the cross-check of c2,
-or a table row whose cross-check failed).  main() runs the atexit handlers,
-flushes stdio and ends the process with os._exit, skipping interpreter
-teardown; under a tracer or profiler, or when a flush fails, it exits
-through sys.exit instead.
+closed form, the hook-content dimension or the Bareiss elimination of the
+cross-check did not divide exactly), 2 bad arguments or violated
+preconditions (InputError: a usage error from the parser itself, unknown
+case, ell above its ceiling, malformed partition, unusable cache path), 3
+a consistency check failed (the determinant of c2 gave another index or
+dimension, or a table row's cross-check failed).  main() runs the atexit
+handlers, flushes stdio and ends the process with os._exit, skipping
+interpreter teardown; under a tracer or profiler, or when a flush fails,
+it exits through sys.exit instead.
 """
 import atexit
 import os

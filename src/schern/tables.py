@@ -43,7 +43,7 @@ class GeneratorTable(namedtuple("GeneratorTable", "spec rows gcd")):
         for r in self.rows:
             if r.error is not None:
                 e = r.error
-                raise CrossCheckError(e.n, e.lam, e.closed, e.subshape) from e
+                raise CrossCheckError(e.n, e.lam, e.closed, e.determinant) from e
 
 
 # rows: tuple[tuple[Weight, Partition, int], ...], the printed entries
@@ -135,9 +135,10 @@ for _n in range(2, 8):
 
 
 def cached_c2(n: int, lam: Partition, cache: ResultCache | None) -> ChernResult:
-    """:func:`c2`, handed the sub-shape sum that ``cache`` records for
-    ``(n, lam)``; c2 decides whether that record may stand in.  A sum that
-    ran and differs from the record is appended, and the later line wins.
+    """:func:`c2`, handed the index that ``cache`` records for ``(n, lam)``,
+    the determinant's value; c2 decides whether that record may stand in.
+    An index that the determinant confirmed and that differs from the
+    record is appended, and the later line wins.
     The key is the canonical shape, so lam and lam plus full columns of
     height n share one record.
     """

@@ -1,8 +1,10 @@
 """Oracles used only by the tests: brute-force scans over the descent
-monoid, and helpers that no command runs (conjugation, tableau counts,
-duals, Weyl's dimension product, the rational Casimir eigenvalue, weight
-arithmetic, a json reader of cache lines).  Bad input raises the package's
-InputError, checked by reduce_full_columns or partition."""
+monoid, the sub-shape sum of n_lam (one integer Jacobi-Trudi determinant
+per two-row sub-shape), and helpers that no command runs (conjugation,
+tableau counts, duals, Weyl's dimension product, the rational Casimir
+eigenvalue, weight arithmetic, a json reader of cache lines).  Bad input
+raises the package's InputError, checked by reduce_full_columns or
+partition."""
 from __future__ import annotations
 
 import json
@@ -13,7 +15,8 @@ from typing import Iterator
 
 from schern import __version__
 from schern.chern import reduce_full_columns
-from schern.partitions import Partition, _conjugate, partition, ssyt_stream
+from schern.partitions import (Partition, _conjugate, _shorter_side, partition,
+                               ssyt_stream)
 from schern.weights import GroupSpec, Weight, is_monoid_irreducible
 
 MEMBER_ENUMERATION_CEILING = 4_000_000
@@ -79,6 +82,87 @@ def json_decode(line: bytes) -> tuple[tuple[int, Partition], int] | None:
     if type(lam) is not list or any(type(v) is not int for v in [n, subshape, *lam]):
         return None
     return (n, tuple(lam)), subshape
+
+
+def _bareiss_determinant(a: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination; every division is exact, so no rationals appear.  The rows
+    of ``a`` are overwritten."""
+    size = len(a)
+    sign, prev = 1, 1
+    for k in range(size - 1):
+        if a[k][k] == 0:
+            swap = next((r for r in range(k + 1, size) if a[r][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot, row_k = a[k][k], a[k]
+        for row in a[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, size):
+                row[j] = (row[j] * pivot - lead * row_k[j]) // prev
+        prev = pivot
+    return sign * a[-1][-1] if size else 1
+
+
+def _skew_count(outer: Partition, inner: tuple[int, ...], entry: list[int]) -> int:
+    """Jacobi-Trudi determinant det[entry(outer_i - inner_j - i + j)] over
+    len(outer) x len(outer), with inner padded by zeros and entry(k) = 0
+    outside 0 <= k < len(entry)."""
+    size = len(outer)
+    inner = inner + (0,) * (size - len(inner))
+    top = len(entry)
+    return _bareiss_determinant([
+        [entry[k] if 0 <= (k := outer[i] - inner[j] - i + j) < top else 0
+         for j in range(size)]
+        for i in range(size)
+    ])
+
+
+def c2_subshape(n: int, lam: Partition) -> int:
+    """n_lam summed over the sub-shape nu that the entries 1 and 2 fill.
+
+    The streaming sum over tableau contents, sum of m1 * (m1 - m2), depends
+    only on the tableau's {1, 2} part: an SSYT of a shape nu within lam with
+    at most two rows and m1 ones, one for each m1 in nu2..nu1.  Their terms
+    m1 * (2 * m1 - nu1 - nu2) sum to C(nu1 - nu2 + 2, 3), which is zero when
+    nu1 = nu2.  The entries 3..n fill lam/nu in s_{lam/nu}(1^(n-2)) ways,
+    zero when lam/nu has a column taller than n - 2, so nu1 starts at
+    lam_(n-1), the number of columns of height n - 1; that count is a
+    Jacobi-Trudi determinant (Macdonald, Symmetric Functions and Hall
+    Polynomials, I.5) over the shorter side of lam.  When lam has at most as
+    many columns as rows, that is the column (dual) form
+    det[e(lam'_i - nu'_j - i + j)] over lam_1 x lam_1, with
+    nu' = (2^nu2, 1^(nu1 - nu2)) and e(k) = e_k(1^(n-2)) = C(n - 2, k);
+    otherwise the row form det[h(lam_i - nu_j - i + j)] over
+    len(lam) x len(lam), with h(k) = h_k(1^(n-2)) = C(n - 3 + k, k).  A
+    generator has few columns and a symmetric power one row, so both stay
+    small.  Exact integer arithmetic throughout; neither the Casimir nor the
+    tableaux are used.
+    """
+    outer, by_columns = _shorter_side(reduce_full_columns(n, lam))
+    m = n - 2
+    if by_columns:
+        # lam_1, lam_2 and lam_(n-1) count the columns of heights >= 1,
+        # >= 2 and n - 1; e_k(1^m) = C(m, k); e_0 = 1 also when m = 0, and
+        # e_k = 0 past m; the determinant reads no k past lam'_1 + lam_1
+        lam1, lam2 = len(outer), sum(h > 1 for h in outer)
+        tall = sum(h >= n - 1 for h in outer)
+        entry = [math.comb(m, k) for k in range(min(m, outer[0] + lam1) + 1)]
+    else:
+        # h_k(1^m) = C(m + k - 1, k); h_0 = 1 also when m = 0, and every
+        # later h_k is then 0, so the tail is built only when m > 0
+        lam1, lam2 = (outer + (0, 0))[:2]
+        tall = outer[n - 2] if 0 <= n - 2 < len(outer) else 0
+        top = lam1 + len(outer) if m > 0 else 1
+        entry = [1] + [math.comb(m + k - 1, k) for k in range(1, top)]
+    total = 0
+    for nu1 in range(max(1, tall), lam1 + 1):
+        for nu2 in range(min(nu1 - 1, lam2) + 1):  # nu2 = nu1 weighs 0
+            inner = (2,) * nu2 + (1,) * (nu1 - nu2) if by_columns else (nu1, nu2)
+            total += math.comb(nu1 - nu2 + 2, 3) * _skew_count(outer, inner, entry)
+    return total
 
 
 def weight_of(lam: Partition, n: int) -> Weight:

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import json_decode
-from schern import __version__, c2_subshape
+from schern import __version__, c2_closed_form
 from schern.cache import _decode, _line
 from schern.cli import run
 
@@ -156,7 +156,7 @@ def test_a_corrupt_cache_never_changes_the_printed_index(shape, data):
     # records that give the queried key a wrong sum: c2 recomputes and
     # prints what it prints without the cache
     n, lam = shape
-    true_sum = c2_subshape(n, lam)
+    true_sum = c2_closed_form(n, lam).n_lambda
     wrong = st.integers(-10**6, 10**6).filter(bool).map(lambda k: _line(n, lam, true_sum + k))
     lines = data.draw(st.lists(
         st.binary(max_size=40) | mutated(st.just((n, lam, true_sum))) | wrong

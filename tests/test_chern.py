@@ -9,14 +9,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import schern.chern as chern_mod
-from oracles import casimir, conjugate, dual_partition, dual_weight, weyl_dimension
+from oracles import (c2_subshape, casimir, conjugate, dual_partition, dual_weight,
+                     ssyt_count, weyl_dimension)
 from schern.chern import (
     ChernResult,
     CrossCheckError,
     c2,
     c2_closed_form,
     c2_enumeration,
-    c2_subshape,
     column_indices,
     reduce_full_columns,
     schur_dimension,
@@ -275,32 +275,69 @@ class TestEnumeration:
         assert c2_enumeration(n, lam).n_lambda == c2_closed_form(n, lam).n_lambda
 
 
+jacobi_trudi = chern_mod._jacobi_trudi
+
+
+def _closed(n, lam):
+    res = c2_closed_form(n, lam)
+    return res.n_lambda, res.dim
+
+
+def _binomials_read(monkeypatch, n, lam):
+    """The (top, bottom) of every math.comb call that the determinant makes
+    for (n, lam), after checking its (n_lam, dim) against the closed form."""
+    expected = _closed(n, lam)  # before the spy
+    calls = []
+    real = math.comb
+    with monkeypatch.context() as patch:
+        patch.setattr(chern_mod, "math", SimpleNamespace(
+            comb=lambda a, b: calls.append((a, b)) or real(a, b)))
+        assert jacobi_trudi(n, lam) == expected
+    return calls
+
+
+def _assert_reads_at_most_two_binomials_per_entry(monkeypatch, n, lam):
+    # k lines on the shorter side: a k x k matrix, two binomials an entry
+    k = min(lam[0], len(lam))
+    assert 0 < len(_binomials_read(monkeypatch, n, lam)) <= 2 * k * k
+
+
 class TestSubshape:
+    """The second route: one Jacobi-Trudi determinant over Z[eps]/(eps^2),
+    which gives (n_lam, dim)."""
+
     def test_reference_values(self):
-        assert c2_subshape(8, (2, 2, 2)) == 700
-        assert c2_subshape(6, (2, 1)) == 33
-        assert c2_subshape(9, (3, 3, 3, 3, 3)) == 116424
-        assert c2_subshape(8, (2, 2, 2, 2, 2, 2, 2, 2)) == 0
+        assert jacobi_trudi(8, (2, 2, 2)) == (700, 1176)
+        assert jacobi_trudi(6, (2, 1)) == (33, 70)
+        assert jacobi_trudi(9, (3, 3, 3, 3, 3)) == (116424, 116424)
+        assert jacobi_trudi(8, (2, 2, 2, 2, 2, 2, 2, 2)) == (0, 1)
 
     def test_small_n(self):
-        assert c2_subshape(1, (5,)) == 0
-        assert c2_subshape(2, (1,)) == 1
-        assert c2_subshape(2, (3,)) == c2_closed_form(2, (3,)).n_lambda == 10
-        assert c2_subshape(5, ()) == 0
+        assert jacobi_trudi(1, (5,)) == (0, 1)
+        assert jacobi_trudi(2, (1,)) == (1, 2)
+        assert jacobi_trudi(2, (3,)) == _closed(2, (3,)) == (10, 4)
+        assert jacobi_trudi(5, ()) == (0, 1)
 
     def test_rejects_too_many_rows(self):
         with pytest.raises(ValueError):
-            c2_subshape(3, (1, 1, 1, 1))
+            jacobi_trudi(3, (1, 1, 1, 1))
 
-    @given(st.integers(1, 12), partitions_up_to_ten)
+    @given(st.integers(1, 14), st.lists(st.integers(1, 9), max_size=14).map(
+        lambda xs: tuple(sorted(xs, reverse=True))))
     @settings(max_examples=150, deadline=None)
+    @example(4, (3, 1))        # rows: 3 > 2
+    @example(5, (2, 1, 1))     # columns: 2 <= 3
+    @example(14, (9,) * 14)    # reduced to (); its conjugate by 9 rows
     def test_matches_closed_form(self, n, lam):
-        assume(len(lam) <= n)
-        assert c2_subshape(n, lam) == c2_closed_form(n, lam).n_lambda
+        # lam and its conjugate run on opposite sides, one by its columns
+        # and one by its rows, unless lam is as wide as it is tall
+        for shape in (lam, conjugate(lam)):
+            if len(shape) <= n:
+                assert jacobi_trudi(n, shape) == _closed(n, shape)
 
     @given(st.integers(1, 12), partitions_up_to_ten)
     @settings(max_examples=60, deadline=None)
-    # exactly n - 1 rows, where lam_(n-1) > 0 bounds nu1 from below
+    # exactly n - 1 rows, the most that a reduced shape has
     @example(2, (7,))
     @example(3, (4, 2))
     @example(3, (5, 5))
@@ -310,65 +347,48 @@ class TestSubshape:
     @example(7, (2, 2, 2, 1, 1, 1))
     def test_matches_enumeration_when_small(self, n, lam):
         assume(len(lam) <= n and schur_dimension(n, lam) <= 20_000)
-        assert c2_subshape(n, lam) == c2_enumeration(n, lam).n_lambda
+        assert jacobi_trudi(n, lam) == (c2_enumeration(n, lam).n_lambda,
+                                        ssyt_count(n, lam))
 
-    def test_sum_skips_the_sub_shapes_below_lam_n_minus_1(self, monkeypatch):
-        # s_{lam/nu}(1^(n-2)) = 0 for nu1 < lam_(n-1): here nu1 = 445 only,
-        # one determinant per nu2 in 0..444, not 99,235 over all nu
-        calls = []
-        real = chern_mod._skew_count
+    @pytest.mark.parametrize("n, lam", [
+        (3, (10**20,)), (121, (2**60, 1)), (10**6, (1,) * 5000)])
+    def test_extreme_shapes_match_the_closed_form(self, n, lam):
+        assert jacobi_trudi(n, lam) == _closed(n, lam)
 
-        def spy(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(chern_mod, "_skew_count", spy)
-        assert c2_subshape(3, (445, 445)) == c2_closed_form(3, (445, 445)).n_lambda
-        assert len(calls) <= 446
+    def test_two_equal_rows_read_at_most_eight_binomials(self, monkeypatch):
+        # c2 3 445,445: dimension 99,681, a 2 x 2 determinant by the rows
+        _assert_reads_at_most_two_binomials_per_entry(monkeypatch, 3, (445, 445))
 
     @given(st.integers(1, 12), partitions_up_to_ten)
     @settings(max_examples=100, deadline=None)
     def test_duality_invariance(self, n, lam):
         assume(len(lam) <= n)
-        assert c2_subshape(n, dual_partition(n, lam)) == c2_subshape(n, lam)
+        assert jacobi_trudi(n, dual_partition(n, lam)) == jacobi_trudi(n, lam)
 
     @pytest.mark.parametrize("n, lam", [
         (2, (5000,)), (3, (300,)), (4, (60, 30)), (12, (40, 40, 3)),
         (30, (1,) * 29), (25, (5, 4, 4, 3, 3, 2, 2, 1, 1, 1, 1, 1)),
     ])
     def test_determinants_run_over_the_shorter_side(self, monkeypatch, n, lam):
-        # a one-row shape has one row and lam_1 columns: 1 x 1 determinants
-        sizes = []
-        real = chern_mod._bareiss_determinant
-
-        def spy(a):
-            sizes.append(len(a))
-            return real(a)
-
-        monkeypatch.setattr(chern_mod, "_bareiss_determinant", spy)
-        assert c2_subshape(n, lam) == c2_closed_form(n, lam).n_lambda
-        assert sizes and max(sizes) <= min(lam[0], len(lam))
+        # the matrix is min(rows, columns) square: its integer parts are
+        # C(n, t) over the k column heights or C(n + t - 1, t) over the k
+        # rows, read for the t = l_i - i + j > 0 of that k x k matrix only
+        by_columns = lam[0] <= len(lam)
+        lines = conjugate(lam) if by_columns else lam
+        k = len(lines)
+        assert k == min(lam[0], len(lam))
+        read = _binomials_read(monkeypatch, n, lam)
+        integer_parts = {b for a, b in read if a == (n if by_columns else n - 1 + b)}
+        assert integer_parts == {t for i, p in enumerate(lines)
+                                 for j in range(k) if (t := p - i + j) > 0}
 
     def test_tall_shapes_take_only_the_binomials_they_read(self, monkeypatch):
-        # the column form reads e_k only for k < lam_1 + len(lam'), not all
-        # n - 1 of them: c2 n 1 used to take seconds at n = 5,000
-        # (a stand-in binomial keeps the old 19,999 calls fast)
-        calls = []
-        monkeypatch.setattr(chern_mod, "math", SimpleNamespace(
-            comb=lambda a, b: calls.append((a, b)) or 1))
-        c2_subshape(20000, (1,))
-        assert len(calls) < 10
+        # c2 20000 1: one column, so E(1) alone, not all n - 1 entries
+        _assert_reads_at_most_two_binomials_per_entry(monkeypatch, 20000, (1,))
 
     def test_one_row_at_n_2_takes_no_zero_binomials(self, monkeypatch):
-        # h_k(1^0) = 0 for every k >= 1, so the row form of a 1 x 1
-        # determinant builds no tail; it used to build 99,998 zeros
-        calls = []
-        real = math.comb
-        closed = c2_closed_form(2, (99999,)).n_lambda  # before the spy
-        monkeypatch.setattr(chern_mod, "math", SimpleNamespace(
-            comb=lambda a, b: calls.append((a, b)) or real(a, b)))
-        assert c2_subshape(2, (99999,)) == closed
-        assert len(calls) < 10
+        # c2 2 99999: one row, so H(99999) alone (dimension 100000)
+        _assert_reads_at_most_two_binomials_per_entry(monkeypatch, 2, (99999,))
 
     def test_defining_representation_of_a_large_group_is_cross_checked(self):
         assert c2(100000, (1,)) == ChernResult(1, True, 100000)
@@ -382,12 +402,14 @@ class TestSubshape:
 
 
 def test_subshape_matches_closed_form_on_every_conjecture_5_row():
-    # all 1,558 generators of SL(25)/mu_5: at most 5 columns, up to 24 rows
+    # all 1,558 generators of SL(25)/mu_5: at most 5 columns, up to 24 rows;
+    # the determinant gives the sub-shape oracle's index and the closed
+    # form's dimension on each
     rows = [partition_of(w) for w in hilbert_basis(GroupSpec(25, 5))]
     assert len(rows) == 1558
     mismatched = [
         lam for lam in rows
-        if c2_subshape(25, lam) != c2_closed_form(25, lam).n_lambda
+        if jacobi_trudi(25, lam) != (c2_subshape(25, lam), schur_dimension(25, lam))
     ]
     assert mismatched == []
 
@@ -424,21 +446,22 @@ class TestFrontDoor:
         assert not res.cross_checked
         assert res.n_lambda == 116424
 
-    def test_cross_check_runs_the_subshape_sum(self, monkeypatch):
+    def test_cross_check_runs_the_determinant(self, monkeypatch):
         def no_tableaux(*args, **kwargs):
             raise AssertionError("the cross-check must not stream tableaux")
 
         monkeypatch.setattr(chern_mod, "c2_enumeration", no_tableaux)
-        monkeypatch.setattr(chern_mod, "c2_subshape", lambda n, lam: 701)
+        monkeypatch.setattr(chern_mod, "_jacobi_trudi", lambda n, lam: (701, 1176))
         with pytest.raises(CrossCheckError) as info:
             c2(8, (2, 2, 2))
-        assert (info.value.closed, info.value.subshape) == (700, 701)
+        assert (info.value.closed, info.value.determinant) == ((700, 1176), (701, 1176))
+        assert "(701, 1176) by the dual-number Jacobi-Trudi determinant" in str(info.value)
 
     def test_a_recorded_sum_stands_in_only_when_it_equals_the_closed_form(
             self, monkeypatch):
         calls = []
-        real = chern_mod.c2_subshape
-        monkeypatch.setattr(chern_mod, "c2_subshape",
+        real = chern_mod._jacobi_trudi
+        monkeypatch.setattr(chern_mod, "_jacobi_trudi",
                             lambda n, lam: calls.append(lam) or real(n, lam))
         certified = ChernResult(700, True, 1176)
         assert c2(8, (2, 2, 2), subshape=700) == certified
@@ -446,13 +469,14 @@ class TestFrontDoor:
         for other in (None, 699, 701, 0, -700):
             assert c2(8, (2, 2, 2), subshape=other) == certified
         assert len(calls) == 5
-        # above the ceiling no sum runs, and a recorded one certifies nothing
+        # above the ceiling no determinant runs, and a recorded index
+        # certifies nothing
         above = c2(9, (3, 3, 3, 3), subshape=116424)
         assert above == ChernResult(116424, False, schur_dimension(9, (3, 3, 3, 3)))
         assert len(calls) == 5
 
     def test_a_wrong_recorded_sum_cannot_hide_a_disagreement(self, monkeypatch):
-        monkeypatch.setattr(chern_mod, "c2_subshape", lambda n, lam: 701)
+        monkeypatch.setattr(chern_mod, "_jacobi_trudi", lambda n, lam: (701, 1176))
         for recorded in (None, 701, 699):
             with pytest.raises(CrossCheckError):
                 c2(8, (2, 2, 2), subshape=recorded)

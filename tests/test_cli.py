@@ -21,14 +21,13 @@ from hypothesis import strategies as st
 
 import schern.chern as chern_mod
 import schern.tables as tables_mod
-from oracles import casimir, dual_partition, ssyt_count
+from oracles import c2_subshape, casimir, dual_partition, ssyt_count
 from schern import (
     GroupSpec,
     __version__,
     c2,
     c2_closed_form,
     c2_enumeration,
-    c2_subshape,
     explore_conjecture,
     generator_table,
     hilbert_basis,
@@ -106,6 +105,7 @@ def test_c2_methods_agree(capsys):
     assert code == 0
     values = {out, f"{c2_closed_form(6, (2, 1)).n_lambda}\n",
               f"{c2_subshape(6, (2, 1))}\n",
+              f"{chern_mod._jacobi_trudi(6, (2, 1))[0]}\n",
               f"{c2_enumeration(6, (2, 1)).n_lambda}\n"}
     assert values == {"33\n"}
 
@@ -155,7 +155,7 @@ def test_integers_past_the_conversion_limit_print_in_full(capsys, argv, value):
 
 def test_an_index_past_the_conversion_limit_is_printed_and_not_cached(
         capsys, tmp_path):
-    # its dimension lies far above CROSS_CHECK_CEILING, so no sub-shape sum
+    # its dimension lies far above CROSS_CHECK_CEILING, so no determinant
     # runs and there is nothing to record: every record stays below 4,300
     # digits
     cache = tmp_path / "F"
@@ -179,8 +179,8 @@ def test_settings_come_from_the_command_line_only(capsys, monkeypatch, tmp_path)
     assert invoke(capsys, "conjecture", "5")[0] == 0
     assert invoke(capsys, "c2", "4", "1,1")[:2] == (0, "2\n")
     assert list(tmp_path.iterdir()) == []  # no SCHERN_CACHE, no default cache
-    # a named cache records the sub-shape sum, which only a cross-check
-    # writes: no ceiling of 5
+    # a named cache records the index, which only a cross-check writes:
+    # no ceiling of 5
     named = tmp_path / "F"
     assert invoke(capsys, "c2", "4", "1,1", "--cache", str(named))[:2] == (0, "2\n")
     assert '"subshape":2' in named.read_text()
@@ -329,18 +329,29 @@ def test_image_index(capsys):
     ],
 )
 def test_failed_cross_check_exits_3(capsys, monkeypatch, argv):
-    real = chern_mod.c2_subshape
+    real = chern_mod._jacobi_trudi
 
     def disagree(n, lam):
-        value = real(n, lam)
-        return value + 1 if lam == (1, 1) else value
+        value, dim = real(n, lam)
+        return (value + 1 if lam == (1, 1) else value), dim
 
-    monkeypatch.setattr(chern_mod, "c2_subshape", disagree)
+    monkeypatch.setattr(chern_mod, "_jacobi_trudi", disagree)
     code, out, err = invoke(capsys, *argv, "--no-cache")
     assert code == 3
-    assert "closed form 6, sub-shape sum 7" in err
+    assert ("(n_lam, dim) is (6, 28) by the closed form, (7, 28) by the "
+            "dual-number Jacobi-Trudi determinant") in err
     if argv[0] in ("image-index", "verify"):
         assert out == ""
+
+
+def test_a_dimension_that_the_determinant_disputes_exits_3(capsys, monkeypatch):
+    # the index agrees and only the dimension differs
+    real = chern_mod._jacobi_trudi
+    monkeypatch.setattr(chern_mod, "_jacobi_trudi",
+                        lambda n, lam: (real(n, lam)[0], real(n, lam)[1] + 1))
+    code, out, err = invoke(capsys, "c2", "8", "2,2,2", "--no-cache")
+    assert (code, out) == (3, "")
+    assert "(700, 1176) by the closed form, (700, 1177) by the" in err
 
 
 # ---------------------------------------------------------------- rendering
@@ -408,9 +419,9 @@ def test_a_large_table_renders_the_stdlib_bytes():
 
 
 def test_a_row_whose_cross_check_failed_renders_the_stdlib_bytes(monkeypatch):
-    real = chern_mod.c2_subshape
-    monkeypatch.setattr(chern_mod, "c2_subshape", lambda n, lam: real(n, lam)
-                        + (lam == (1, 1)))
+    real = chern_mod._jacobi_trudi
+    monkeypatch.setattr(chern_mod, "_jacobi_trudi", lambda n, lam: (
+        real(n, lam)[0] + (lam == (1, 1)), real(n, lam)[1]))
     table = generator_table(GroupSpec(8, 2))
     [bad] = [r for r in table.rows if r.error is not None]
     payload = {"n": 8, "d": 2, "gcd": table.gcd, "case": "x",
@@ -419,7 +430,7 @@ def test_a_row_whose_cross_check_failed_renders_the_stdlib_bytes(monkeypatch):
     assert out == _stdlib_json(payload) + "\n"
     [row] = [r for r in json.loads(out)["rows"] if "error" in r]
     assert row["n_lambda"] is None
-    assert row["error"] == str(bad.error) and "sub-shape sum 7" in row["error"]
+    assert row["error"] == str(bad.error) and "(7, 28) by the dual-number" in row["error"]
     rows = [["weight", "partition", "n_lambda", "flagged"]] + [
         [weight_str(r.weight), "(" + ",".join(map(str, r.partition)) + ")",
          "" if r.n_lambda is None else str(r.n_lambda), str(r.flagged).lower()]
@@ -662,7 +673,7 @@ def test_cache_round_trip(capsys, tmp_path):
 
 
 def test_cache_hit_short_circuits_c2(capsys, tmp_path, monkeypatch):
-    # a record that the closed form reproduces is served: no sub-shape sum
+    # a record that the closed form reproduces is served: no determinant
     # runs and nothing is appended
     cache = tmp_path / "c.jsonl"
     argvs = [("c2", "8", "2,2,2"), ("generators", "9", "3", "--format", "json")]
@@ -670,10 +681,10 @@ def test_cache_hit_short_circuits_c2(capsys, tmp_path, monkeypatch):
     assert [invoke(capsys, *argv, "--cache", str(cache)) for argv in argvs] == clean
     warm = cache.read_bytes()
 
-    def no_subshape(n, lam):
-        raise AssertionError("a served hit must not run the sub-shape sum")
+    def no_determinant(n, lam):
+        raise AssertionError("a served hit must not run the determinant")
 
-    monkeypatch.setattr(chern_mod, "c2_subshape", no_subshape)
+    monkeypatch.setattr(chern_mod, "_jacobi_trudi", no_determinant)
     assert [invoke(capsys, *argv, "--cache", str(cache)) for argv in argvs] == clean
     assert cache.read_bytes() == warm
 
@@ -761,8 +772,8 @@ def test_a_respaced_json_record_is_recomputed(capsys, tmp_path, monkeypatch):
     argv = ("c2", "8", "2,2,2")
     clean = invoke(capsys, *argv, "--no-cache")
     calls = []
-    real = chern_mod.c2_subshape
-    monkeypatch.setattr(chern_mod, "c2_subshape",
+    real = chern_mod._jacobi_trudi
+    monkeypatch.setattr(chern_mod, "_jacobi_trudi",
                         lambda n, lam: calls.append(lam) or real(n, lam))
     assert invoke(capsys, *argv, "--cache", str(cache)) == clean
     assert calls == [(2, 2, 2)]
@@ -822,7 +833,7 @@ def test_cache_hit_from_another_ceiling_is_recomputed(capsys, tmp_path, ceiling)
 def test_cache_line_with_malformed_d_is_skipped(capsys, tmp_path, field, value):
     """A line with any field of the wrong JSON type or not in a record, or a
     partition that is not canonical, is never coerced onto a real key or taken for a sum: the
-    sub-shape sum of c2 4 1 runs and its record is appended.  The same line
+    determinant of c2 4 1 runs and its record is appended.  The same line
     well formed is served and appends nothing."""
     cache = tmp_path / "c.jsonl"
     rec = {"n": 4, "partition": [1], "subshape": 1, "version": __version__}
@@ -864,14 +875,14 @@ def test_a_c2_record_serves_the_matching_table_row(capsys, tmp_path, monkeypatch
     cache = tmp_path / "c.jsonl"
     assert invoke(capsys, "c2", "8", "1,1", "--cache", str(cache))[:2] == (0, "6\n")
     first = cache.read_text()
-    real = chern_mod.c2_subshape
+    real = chern_mod._jacobi_trudi
 
     def not_for_the_record(n, lam):
         if (n, lam) == (8, (1, 1)):
-            raise AssertionError("the recorded sum must stand in")
+            raise AssertionError("the recorded index must stand in")
         return real(n, lam)
 
-    monkeypatch.setattr(chern_mod, "c2_subshape", not_for_the_record)
+    monkeypatch.setattr(chern_mod, "_jacobi_trudi", not_for_the_record)
     argv = ("image-index", "8", "2", "--cache", str(cache))
     assert invoke(capsys, *argv)[:2] == (0, "2\n")
     blob = cache.read_text()
@@ -904,8 +915,8 @@ def test_an_old_format_line_is_skipped(capsys, tmp_path, monkeypatch, method):
     cache.write_text(json.dumps(old, sort_keys=True, separators=(",", ":")) + "\n")
     planted = cache.read_text()
     calls = []
-    real = chern_mod.c2_subshape
-    monkeypatch.setattr(chern_mod, "c2_subshape",
+    real = chern_mod._jacobi_trudi
+    monkeypatch.setattr(chern_mod, "_jacobi_trudi",
                         lambda n, lam: calls.append(lam) or real(n, lam))
     assert invoke(capsys, "c2", "8", "1,1", "--cache", str(cache))[:2] == (0, "6\n")
     assert calls == [(1, 1)]
@@ -1323,6 +1334,7 @@ def test_benchmark_argvs_parse_to_the_argparse_namespaces():
     lambda: dual_partition(0, ()),
     lambda: c2(0, ()),
     lambda: c2_subshape(0, ()),
+    lambda: chern_mod._jacobi_trudi(0, ()),
     lambda: GroupSpec(1, 1),
     lambda: GroupSpec(4, 0),
     lambda: GroupSpec(9, 2),
@@ -1334,7 +1346,7 @@ def test_benchmark_argvs_parse_to_the_argparse_namespaces():
     lambda: explore_conjecture(11),
     lambda: parse_partition("2,x"),
 ], ids=["dim-n", "ssyt-n", "increasing", "rows-reduce", "rows-dual",
-        "rows-casimir", "casimir-n", "dual-n", "c2-n", "subshape-n", "spec-n",
+        "rows-casimir", "casimir-n", "dual-n", "c2-n", "subshape-n", "determinant-n", "spec-n",
         "spec-d", "spec-divide", "weight-type", "weight-sign", "table-case",
         "verify-case", "ell-prime", "ell-ceiling", "partition-text"])
 def test_every_bad_input_raises_input_error(call):

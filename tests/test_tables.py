@@ -114,22 +114,22 @@ class TestGeneratorTable:
 
     def test_lookup_hook_short_circuits_and_record_hook_fires(
             self, tmp_path, monkeypatch):
-        # a recorded sum that equals the closed form stands in for the
-        # sub-shape sum; a canned one that does not is recomputed, and every
+        # a recorded index that equals the closed form stands in for the
+        # determinant; a canned one that does not is recomputed, and every
         # other row appended
         spec = GroupSpec(4, 2)
         path = tmp_path / "c.jsonl"
         planted = ResultCache(path)
         planted.put(4, (1, 1), 2)
         planted.put(4, (2,), 999)
-        real = chern_mod.c2_subshape
+        real = chern_mod._jacobi_trudi
 
-        def subshape_not_on_a_hit(n, lam):
+        def determinant_not_on_a_hit(n, lam):
             if lam == (1, 1):
                 raise AssertionError("the hit must be served")
             return real(n, lam)
 
-        monkeypatch.setattr(chern_mod, "c2_subshape", subshape_not_on_a_hit)
+        monkeypatch.setattr(chern_mod, "_jacobi_trudi", determinant_not_on_a_hit)
         t = generator_table(spec, cache=ResultCache(path))
         byw = {r.partition: r for r in t.rows}
         assert (byw[(1, 1)].n_lambda, byw[(2,)].n_lambda) == (2, 6)
@@ -144,7 +144,7 @@ class TestGeneratorTable:
 
         def broken(n, lam, **kwargs):
             if lam == (1, 1):
-                raise CrossCheckError(n, lam, 4, 5)
+                raise CrossCheckError(n, lam, (4, 6), (5, 6))
             return real(n, lam, **kwargs)
 
         monkeypatch.setattr(tables_mod, "c2", broken)
@@ -160,7 +160,7 @@ class TestGeneratorTable:
 class TestImageIndex:
     def test_failed_row_raises_with_the_values_that_disagree(self, monkeypatch):
         real = tables_mod.c2
-        original = CrossCheckError(4, (1, 1), 4, 5)
+        original = CrossCheckError(4, (1, 1), (4, 6), (5, 6))
 
         def broken(n, lam, **kwargs):
             if lam == (1, 1):
@@ -170,8 +170,8 @@ class TestImageIndex:
         monkeypatch.setattr(tables_mod, "c2", broken)
         with pytest.raises(CrossCheckError) as info:
             image_index(GroupSpec(4, 2))
-        assert (info.value.lam, info.value.closed, info.value.subshape) == (
-            (1, 1), 4, 5
+        assert (info.value.lam, info.value.closed, info.value.determinant) == (
+            (1, 1), (4, 6), (5, 6)
         )
         assert info.value.__cause__ is original
 

@@ -224,3 +224,20 @@ def test_readme_cli_lines_print_the_value_they_document(capsys):
     for argv, value in documented:
         assert cli.run(argv) == 0, argv
         assert capsys.readouterr().out == f"{value}\n", argv
+
+
+def test_the_determinant_shares_no_code_with_the_closed_form(monkeypatch):
+    # the cross-check of c2 is a second route only while it never reaches
+    # the closed-form loop: with that loop broken it still gives (n_lam, dim)
+    # by the columns and by the rows
+    import schern.chern as chern_mod
+
+    shapes = [(8, (2, 2, 2)), (9, (1,) * 8), (3, (445, 445)), (25, (5, 5, 4, 1))]
+    expected = [(res.n_lambda, res.dim) for res in
+                (chern_mod.c2_closed_form(n, lam) for n, lam in shapes)]
+
+    def broken(*args):
+        raise AssertionError("the determinant ran the closed-form loop")
+
+    monkeypatch.setattr(chern_mod, "_line_indices", broken)
+    assert [chern_mod._jacobi_trudi(n, lam) for n, lam in shapes] == expected
