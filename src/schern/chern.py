@@ -22,7 +22,8 @@ n_lam:
 The front door :func:`c2` runs the closed form and, while the dimension is
 at most CROSS_CHECK_CEILING, recomputes the index and the dimension by the
 determinant as a cross-check; it alone decides whether an index was
-cross-checked.  Enumeration costs time linear in the dimension; no command
+cross-checked, and it alone reads and writes the records of a cache it is
+handed.  Enumeration costs time linear in the dimension; no command
 reaches it, and it serves the tests as an oracle.  No route leaves the
 integers: the closed form divides n times the Casimir eigenvalue exactly,
 and the determinant divides only by pivots with a nonzero integer part.
@@ -264,22 +265,29 @@ def c2_enumeration(n: int, lam: Partition) -> ChernResult:
     return ChernResult(total, False, dim)
 
 
-def c2(n: int, lam: Partition, *, subshape: int | None = None) -> ChernResult:
+def c2(n: int, lam: Partition, *, cache=None) -> ChernResult:
     """Front door: the closed form, cross-checked by the Jacobi-Trudi
     determinant when the dimension is at most CROSS_CHECK_CEILING; a
     disagreement on the index or the dimension raises CrossCheckError.
 
-    ``subshape`` is an index recorded earlier for (n, lam) by the
-    determinant.  It stands in for the determinant only when the dimension
-    is at most the ceiling and it equals the closed form; any other value
-    is ignored and the determinant runs.
+    ``cache`` is any object with ``get(n, lam)`` and ``put(n, lam, index)``,
+    keyed by the reduced lam, so lam and lam plus full columns of height n
+    share one record.  A recorded index stands in for the determinant only
+    when the dimension is at most the ceiling and it equals the closed form;
+    any other record is ignored and the determinant runs.  An index the
+    determinant confirmed is put when it differs from the record, and the
+    later record wins.
     """
+    lam = reduce_full_columns(n, lam)
+    known = cache.get(n, lam) if cache is not None else None
     closed = c2_closed_form(n, lam)
     if closed.dim > CROSS_CHECK_CEILING:
         return closed
-    if subshape != closed.n_lambda:
+    if known != closed.n_lambda:
         checked = _jacobi_trudi(n, lam)
         if checked != (closed.n_lambda, closed.dim):
-            raise CrossCheckError(n, partition(lam),
-                                  (closed.n_lambda, closed.dim), checked)
+            raise CrossCheckError(n, lam, (closed.n_lambda, closed.dim),
+                                  checked)
+        if cache is not None:
+            cache.put(n, lam, closed.n_lambda)
     return ChernResult(closed.n_lambda, True, closed.dim)

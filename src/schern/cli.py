@@ -1,14 +1,15 @@
 """Command-line front end.
 
 The parsed flags are the only settings; no shell variable is read.  With
---cache PATH (and no --no-cache), c2 and table rows go through the result
-cache at PATH, via tables.cached_c2, which hands chern.c2 the recorded
-index; c2 lets it stand in for the Jacobi-Trudi determinant only when it
-equals the closed form.  Without --cache no command reads or writes a
-file.  dim, verify and conjecture accept the cache flags and never open
-the cache.  render_table and the cache write their own bytes, so no
-command imports json or csv.  argv is read by parse_args against the
-COMMANDS table; -h/--help prints help and exits 0.
+--cache PATH (and no --no-cache), the command opens the result cache at
+PATH and hands it to chern.c2, through which the c2 command and every
+table row pass; c2 alone reads and writes its records, and lets a record
+stand in for the Jacobi-Trudi determinant only when it equals the closed
+form.  Without --cache no command reads or writes a file.  dim, verify
+and conjecture accept the cache flags and never open the cache.
+render_table and the cache write their own bytes, so no command imports
+json or csv.  argv is read by parse_args against the COMMANDS table;
+-h/--help prints help and exits 0.
 
 Exit codes: 0 success, 1 an arithmetic invariant failed (InvariantError:
 verify found an index that is not a multiple of the H^4 generator, or the
@@ -29,10 +30,10 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from .cache import ResultCache
-from .chern import CrossCheckError, schur_dimension
+from .chern import CrossCheckError, c2, schur_dimension
 from .partitions import (InputError, InvariantError, Partition, PartitionError,
                          partition)
-from .tables import (CASES, REFERENCE_TABLES, GeneratorTable, cached_c2,
+from .tables import (CASES, REFERENCE_TABLES, GeneratorTable,
                      explore_conjecture, generator_table, image_index,
                      table_against_reference, verify_case)
 from .weights import GroupSpec, weight_str
@@ -152,7 +153,7 @@ def render_table(table: GeneratorTable, fmt: str, case_id: str | None = None) ->
 
 def _cmd_c2(args) -> int:
     lam = parse_partition(args.partition)
-    print(cached_c2(args.n, lam, _cache(args)).n_lambda)
+    print(c2(args.n, lam, cache=_cache(args)).n_lambda)
     return 0
 
 

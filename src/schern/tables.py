@@ -15,9 +15,8 @@ from collections.abc import Iterable
 from math import gcd, isqrt
 
 from .cache import ResultCache
-from .chern import (ChernResult, CrossCheckError, c2, column_indices,
-                    reduce_full_columns)
-from .partitions import InputError, InvariantError, Partition
+from .chern import CrossCheckError, c2, column_indices
+from .partitions import InputError, InvariantError
 from .weights import (
     GroupSpec,
     Weight,
@@ -38,12 +37,11 @@ class GeneratorTable(namedtuple("GeneratorTable", "spec rows gcd")):
     __slots__ = ()
 
     def raise_on_error(self) -> None:
-        """Raise the first row's cross-check failure, chained to the original,
-        so that no gcd over the remaining rows passes as certified."""
+        """Raise the first row's cross-check failure, so that no gcd over
+        the remaining rows passes as certified."""
         for r in self.rows:
             if r.error is not None:
-                e = r.error
-                raise CrossCheckError(e.n, e.lam, e.closed, e.determinant) from e
+                raise r.error
 
 
 # rows: tuple[tuple[Weight, Partition, int], ...], the printed entries
@@ -134,22 +132,6 @@ for _n in range(2, 8):
     CASES[f"pgl{_n}"] = CaseExpectation(_spec, h4_multiplier(_spec))
 
 
-def cached_c2(n: int, lam: Partition, cache: ResultCache | None) -> ChernResult:
-    """:func:`c2`, handed the index that ``cache`` records for ``(n, lam)``,
-    the determinant's value; c2 decides whether that record may stand in.
-    An index that the determinant confirmed and that differs from the
-    record is appended, and the later line wins.
-    The key is the canonical shape, so lam and lam plus full columns of
-    height n share one record.
-    """
-    lam = reduce_full_columns(n, lam)
-    known = cache.get(n, lam) if cache is not None else None
-    res = c2(n, lam, subshape=known)
-    if cache is not None and res.cross_checked and res.n_lambda != known:
-        cache.put(n, lam, res.n_lambda)
-    return res
-
-
 def _compute_table(
     spec: GroupSpec, weights: Iterable[Weight], cache: ResultCache | None
 ) -> GeneratorTable:
@@ -159,7 +141,7 @@ def _compute_table(
     for w in weights:
         lam = partition_of(w)
         try:
-            res = cached_c2(spec.n, lam, cache)
+            res = c2(spec.n, lam, cache=cache)
         except CrossCheckError as exc:
             rows.append(TableRow(w, lam, None, False, False,
                                  printed.get(w), error=exc))
@@ -181,7 +163,8 @@ def generator_table(
     A row is flagged when a bundled reference value exists for its weight and
     disagrees with the recomputation.  Cross-check failures are carried on
     the row (error set, index None) without aborting the table.  Each row
-    goes through :func:`cached_c2`.
+    goes through :func:`c2`, handed ``cache``, which alone decides whether
+    a recorded index may stand in and what gets recorded.
     """
     return _compute_table(spec, hilbert_basis(spec), cache)
 

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 import schern.chern as chern_mod
 from oracles import (c2_subshape, casimir, conjugate, dual_partition, dual_weight,
                      ssyt_count, weyl_dimension)
+from schern import __version__
+from schern.cache import ResultCache
 from schern.chern import (
     ChernResult,
     CrossCheckError,
@@ -458,34 +460,55 @@ class TestFrontDoor:
         assert "(701, 1176) by the dual-number Jacobi-Trudi determinant" in str(info.value)
 
     def test_a_recorded_sum_stands_in_only_when_it_equals_the_closed_form(
-            self, monkeypatch):
+            self, monkeypatch, tmp_path):
         calls = []
         real = chern_mod._jacobi_trudi
         monkeypatch.setattr(chern_mod, "_jacobi_trudi",
                             lambda n, lam: calls.append(lam) or real(n, lam))
         certified = ChernResult(700, True, 1176)
-        assert c2(8, (2, 2, 2), subshape=700) == certified
-        assert calls == []
-        for other in (None, 699, 701, 0, -700):
-            assert c2(8, (2, 2, 2), subshape=other) == certified
-        assert len(calls) == 5
-        # above the ceiling no determinant runs, and a recorded index
-        # certifies nothing
-        above = c2(9, (3, 3, 3, 3), subshape=116424)
-        assert above == ChernResult(116424, False, schur_dimension(9, (3, 3, 3, 3)))
-        assert len(calls) == 5
+        path = tmp_path / "F"
 
-    def test_a_wrong_recorded_sum_cannot_hide_a_disagreement(self, monkeypatch):
+        def recorded(value):
+            path.write_bytes(b"")
+            ResultCache(path).put(8, (2, 2, 2), value)
+            return ResultCache(path), path.read_bytes()
+
+        cache, before = recorded(700)
+        assert c2(8, (2, 2, 2), cache=cache) == certified
+        assert calls == [] and path.read_bytes() == before
+        confirmed = (f'{{"n":8,"partition":[2,2,2],"subshape":700,'
+                     f'"version":"{__version__}"}}\n').encode()
+        for runs, other in enumerate((699, 701, 0, -700), 1):
+            cache, before = recorded(other)
+            assert c2(8, (2, 2, 2), cache=cache) == certified
+            assert len(calls) == runs
+            assert path.read_bytes() == before + confirmed
+        # above the ceiling no determinant runs, a recorded index certifies
+        # nothing and nothing is appended
+        path.write_bytes(b"")
+        ResultCache(path).put(9, (3, 3, 3, 3), 116424)
+        before = path.read_bytes()
+        above = c2(9, (3, 3, 3, 3), cache=ResultCache(path))
+        assert above == ChernResult(116424, False, schur_dimension(9, (3, 3, 3, 3)))
+        assert len(calls) == 4 and path.read_bytes() == before
+
+    def test_a_wrong_recorded_sum_cannot_hide_a_disagreement(
+            self, monkeypatch, tmp_path):
         monkeypatch.setattr(chern_mod, "_jacobi_trudi", lambda n, lam: (701, 1176))
         for recorded in (None, 701, 699):
+            path = tmp_path / f"F{recorded}"
+            if recorded is not None:
+                ResultCache(path).put(8, (2, 2, 2), recorded)
+            before = path.read_bytes() if path.exists() else b""
             with pytest.raises(CrossCheckError):
-                c2(8, (2, 2, 2), subshape=recorded)
+                c2(8, (2, 2, 2), cache=ResultCache(path))
+            assert (path.read_bytes() if path.exists() else b"") == before
 
-    def test_the_recorded_sum_is_keyword_only(self):
+    def test_the_cache_is_keyword_only(self, tmp_path):
         # a third positional argument is what perfbench/tracer.py reads as
         # the method of an older front door
         with pytest.raises(TypeError):
-            c2(8, (2, 2, 2), 700)
+            c2(8, (2, 2, 2), ResultCache(tmp_path / "F"))
 
     def test_exterior_power_identity(self):
         cases = [(n, k) for n in range(2, 14) for k in range(1, n)]

@@ -173,7 +173,7 @@ class TestImageIndex:
         assert (info.value.lam, info.value.closed, info.value.determinant) == (
             (1, 1), (4, 6), (5, 6)
         )
-        assert info.value.__cause__ is original
+        assert info.value is original
 
     def test_headline_values(self):
         assert image_index(GroupSpec(8, 2)) == 2

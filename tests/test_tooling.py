@@ -141,21 +141,51 @@ def test_perfbench_tracer_wraps_every_target_and_restores_it():
 def test_perfbench_tracer_counts_the_rows_and_skips_of_the_front_door(capsys, tmp_path):
     # The tracer reads a third positional argument of chern.c2 as a method
     # and counts a ceiling skip only without one, so c2 must take only
-    # (n, lam) positionally, the recorded sum by keyword, for a traced run
-    # to count its skips, with or without a cache.
+    # (n, lam) positionally and the cache by its keyword, cache=, for a
+    # traced run to count its skips, with or without a cache.  The second
+    # cached run is served by the 27 records the first one put.
     from schern import cli
 
     t = _load_tracer().Tracer()
     t.install()
     try:
         assert cli.run(["image-index", "9", "3", "--no-cache"]) == 0
-        assert cli.run(["image-index", "9", "3", "--cache", str(tmp_path / "F")]) == 0
+        for _ in range(2):
+            assert cli.run(["image-index", "9", "3", "--cache", str(tmp_path / "F")]) == 0
     finally:
         t.uninstall()
-    assert capsys.readouterr().out == "3\n3\n"
-    assert t.counts["tables.rows"] == 2 * 31
-    assert t.counts["tables.cross_checked_rows"] == 2 * 27
-    assert t.counts["chern.ceiling_skips"] == 2 * 4
+    assert capsys.readouterr().out == "3\n3\n3\n"
+    assert t.counts["tables.rows"] == 3 * 31
+    assert t.counts["tables.cross_checked_rows"] == 3 * 27
+    assert t.counts["chern.ceiling_skips"] == 3 * 4
+    assert t.counts["cache.get.calls"] == 62
+    assert t.counts["cache.put.calls"] == 27
+    assert t.counts["cache.hits"] == 27
+
+
+def test_only_the_command_line_opens_a_cache():
+    # chern.c2 reads and writes records only through the object it is
+    # handed, so the math module imports nothing from the cache and opens
+    # no file; only --cache constructs a ResultCache.  Each import and each
+    # construction is reported by file and line.
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    cache_imports = [
+        node.lineno for node in ast.walk(trees["chern.py"])
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("cache")
+        or isinstance(node, ast.Import)
+        and any(a.name.split(".")[-1] == "cache" for a in node.names)
+    ]
+    assert cache_imports == []
+    built = [
+        f"{name}:{node.lineno}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (node.func.id if isinstance(node.func, ast.Name)
+             else getattr(node.func, "attr", None)) == "ResultCache"
+    ]
+    assert [site.split(":")[0] for site in built] == ["cli.py"], built
 
 
 def test_tables_and_cli_import_no_private_name_from_another_module():
