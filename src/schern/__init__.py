@@ -15,7 +15,6 @@ from .chern import (
     CrossCheckError,
     c2,
     c2_closed_form,
-    c2_enumeration,
     schur_dimension,
 )
 from .partitions import (
@@ -24,11 +23,9 @@ from .partitions import (
     Partition,
     PartitionError,
     partition,
-    ssyt_stream,
 )
 from .tables import (
     CASES,
-    REFERENCE_TABLES,
     CaseReport,
     ConjectureReport,
     GeneratorTable,
@@ -43,7 +40,6 @@ from .weights import (
     GroupSpec,
     Weight,
     hilbert_basis,
-    is_monoid_irreducible,
     partition_of,
     weight_str,
 )
@@ -60,21 +56,17 @@ __all__ = [
     "InvariantError",
     "Partition",
     "PartitionError",
-    "REFERENCE_TABLES",
     "TableRow",
     "Weight",
     "c2",
     "c2_closed_form",
-    "c2_enumeration",
     "explore_conjecture",
     "generator_table",
     "hilbert_basis",
     "image_index",
-    "is_monoid_irreducible",
     "partition",
     "partition_of",
     "schur_dimension",
-    "ssyt_stream",
     "table_against_reference",
     "verify_case",
     "weight_str",

@@ -6,13 +6,14 @@ the representation ring.  Sums and tensor products only produce integer
 combinations of existing indices (first Chern classes vanish), so the gcd
 over the monoid generators equals the gcd over all descending weights.
 
-Bundled reference tables ship as plain data; :func:`generator_table`
-recomputes every row and flags disagreements instead of silently trusting
-either side.
+CASES is the one registry of bundled cases: each names its group, its
+expected image index and, for SL(8)/mu_2 and SL(9)/mu_3, the printed
+reference table as plain data.  :func:`generator_table` recomputes every
+row and flags disagreements instead of silently trusting either side.
 """
 from collections import namedtuple
 from collections.abc import Iterable
-from math import gcd, isqrt
+from math import gcd
 
 from .cache import ResultCache
 from .chern import CrossCheckError, c2, column_indices
@@ -44,71 +45,12 @@ class GeneratorTable(namedtuple("GeneratorTable", "spec rows gcd")):
                 raise r.error
 
 
-# rows: tuple[tuple[Weight, Partition, int], ...], the printed entries
-ReferenceTable = namedtuple("ReferenceTable", "spec rows")
-CaseExpectation = namedtuple("CaseExpectation", "spec expected_gcd")
+# spec: GroupSpec, expected_gcd: int, reference: the printed rows, if any
+Case = namedtuple("Case", "spec expected_gcd reference", defaults=((),))
 CaseReport = namedtuple("CaseReport", "case_id spec computed_index expected_gcd "
                         "h4_multiplier verdict matches_expected source")
 ConjectureReport = namedtuple("ConjectureReport", "ell spec basis_size image_index "
                               "matches_ell all_rows_divisible duality_invariant")
-
-
-# Rows are (weight, partition, printed index), lex sorted by weight.  Two
-# printed entries, (2) for SL(8)/mu_2 and (3) for SL(9)/mu_3, disagree with
-# their own dual rows (2^7) and (3^8); duals always share an index, so the
-# recomputation flags those rows and reports the dual value.
-REFERENCE_TABLES: dict[str, ReferenceTable] = {
-    "sl8-mu2": ReferenceTable(
-        spec=GroupSpec(8, 2),
-        rows=(
-            ((0, 0, 0, 0, 0, 0, 2), (2, 2, 2, 2, 2, 2, 2), 10),
-            ((0, 0, 0, 0, 0, 1, 0), (1, 1, 1, 1, 1, 1), 6),
-            ((0, 0, 0, 0, 1, 0, 1), (2, 2, 2, 2, 2, 1, 1), 156),
-            ((0, 0, 0, 0, 2, 0, 0), (2, 2, 2, 2, 2), 700),
-            ((0, 0, 0, 1, 0, 0, 0), (1, 1, 1, 1), 20),
-            ((0, 0, 1, 0, 0, 0, 1), (2, 2, 2, 1, 1, 1, 1), 170),
-            ((0, 0, 1, 0, 1, 0, 0), (2, 2, 2, 1, 1), 1344),
-            ((0, 0, 2, 0, 0, 0, 0), (2, 2, 2), 700),
-            ((0, 1, 0, 0, 0, 0, 0), (1, 1), 6),
-            ((1, 0, 0, 0, 0, 0, 1), (2, 1, 1, 1, 1, 1, 1), 16),
-            ((1, 0, 0, 0, 1, 0, 0), (2, 1, 1, 1, 1), 170),
-            ((1, 0, 1, 0, 0, 0, 0), (2, 1, 1), 156),
-            ((2, 0, 0, 0, 0, 0, 0), (2,), 16),
-        ),
-    ),
-    "sl9-mu3": ReferenceTable(
-        spec=GroupSpec(9, 3),
-        rows=(
-            ((0, 0, 0, 0, 0, 0, 0, 3), (3, 3, 3, 3, 3, 3, 3, 3), 66),
-            ((0, 0, 0, 0, 0, 0, 1, 1), (2, 2, 2, 2, 2, 2, 2, 1), 78),
-            ((0, 0, 0, 0, 0, 0, 3, 0), (3, 3, 3, 3, 3, 3, 3), 3465),
-            ((0, 0, 0, 0, 0, 1, 0, 0), (1, 1, 1, 1, 1, 1), 21),
-            ((0, 0, 0, 0, 1, 0, 1, 0), (2, 2, 2, 2, 2, 1, 1), 1701),
-            ((0, 0, 0, 0, 2, 0, 0, 1), (3, 3, 3, 3, 3, 1, 1, 1), 29106),
-            ((0, 0, 0, 0, 3, 0, 0, 0), (3, 3, 3, 3, 3), 116424),
-            ((0, 0, 0, 1, 0, 0, 0, 1), (2, 2, 2, 2, 1, 1, 1, 1), 420),
-            ((0, 0, 0, 1, 1, 0, 0, 0), (2, 2, 2, 2, 1), 5292),
-            ((0, 0, 0, 2, 0, 0, 1, 0), (3, 3, 3, 3, 1, 1, 1), 117810),
-            ((0, 0, 0, 3, 0, 0, 0, 0), (3, 3, 3, 3), 116424),
-            ((0, 0, 1, 0, 0, 0, 0, 0), (1, 1, 1), 21),
-            ((0, 1, 0, 0, 0, 0, 1, 0), (2, 2, 1, 1, 1, 1, 1), 486),
-            ((0, 1, 0, 1, 0, 0, 0, 0), (2, 2, 1, 1), 1701),
-            ((0, 2, 0, 0, 0, 0, 0, 1), (3, 3, 1, 1, 1, 1, 1, 1), 2541),
-            ((0, 2, 0, 0, 1, 0, 0, 0), (3, 3, 1, 1, 1), 37125),
-            ((0, 3, 0, 0, 0, 0, 0, 0), (3, 3), 3465),
-            ((1, 0, 0, 0, 0, 0, 0, 1), (2, 1, 1, 1, 1, 1, 1, 1), 18),
-            ((1, 0, 0, 0, 1, 0, 0, 0), (2, 1, 1, 1, 1), 420),
-            ((1, 1, 0, 0, 0, 0, 0, 0), (2, 1), 78),
-            ((2, 0, 0, 0, 0, 0, 1, 0), (3, 1, 1, 1, 1, 1, 1), 693),
-            ((2, 0, 0, 1, 0, 0, 0, 0), (3, 1, 1, 1), 2541),
-            ((3, 0, 0, 0, 0, 0, 0, 0), (3,), 165),
-        ),
-    ),
-}
-
-_REFERENCE_BY_GROUP = {
-    (t.spec.n, t.spec.d): t for t in REFERENCE_TABLES.values()
-}
 
 
 def h4_multiplier(spec: GroupSpec) -> int:
@@ -122,21 +64,71 @@ def h4_multiplier(spec: GroupSpec) -> int:
     return den // gcd(n * (n - 1), den)
 
 
-# The expected image index of each case; for PGL(n) it is the multiplier.
-CASES: dict[str, CaseExpectation] = {
-    f"sl{n}-mu{d}": CaseExpectation(GroupSpec(n, d), g)
-    for n, d, g in ((4, 2, 2), (6, 2, 4), (6, 3, 3), (8, 2, 2), (9, 3, 3))
+# Each bundled case: its group, its expected image index and, for the two
+# counterexamples, the printed reference table.  Reference rows are
+# (weight, partition, printed index), lex sorted by weight.  Two printed
+# entries, (2) for SL(8)/mu_2 and (3) for SL(9)/mu_3, disagree with their
+# own dual rows (2^7) and (3^8); duals always share an index, so the
+# recomputation flags those rows and reports the dual value.
+CASES: dict[str, Case] = {
+    "sl4-mu2": Case(GroupSpec(4, 2), 2),
+    "sl6-mu2": Case(GroupSpec(6, 2), 4),
+    "sl6-mu3": Case(GroupSpec(6, 3), 3),
+    "sl8-mu2": Case(GroupSpec(8, 2), 2, reference=(
+        ((0, 0, 0, 0, 0, 0, 2), (2, 2, 2, 2, 2, 2, 2), 10),
+        ((0, 0, 0, 0, 0, 1, 0), (1, 1, 1, 1, 1, 1), 6),
+        ((0, 0, 0, 0, 1, 0, 1), (2, 2, 2, 2, 2, 1, 1), 156),
+        ((0, 0, 0, 0, 2, 0, 0), (2, 2, 2, 2, 2), 700),
+        ((0, 0, 0, 1, 0, 0, 0), (1, 1, 1, 1), 20),
+        ((0, 0, 1, 0, 0, 0, 1), (2, 2, 2, 1, 1, 1, 1), 170),
+        ((0, 0, 1, 0, 1, 0, 0), (2, 2, 2, 1, 1), 1344),
+        ((0, 0, 2, 0, 0, 0, 0), (2, 2, 2), 700),
+        ((0, 1, 0, 0, 0, 0, 0), (1, 1), 6),
+        ((1, 0, 0, 0, 0, 0, 1), (2, 1, 1, 1, 1, 1, 1), 16),
+        ((1, 0, 0, 0, 1, 0, 0), (2, 1, 1, 1, 1), 170),
+        ((1, 0, 1, 0, 0, 0, 0), (2, 1, 1), 156),
+        ((2, 0, 0, 0, 0, 0, 0), (2,), 16),
+    )),
+    "sl9-mu3": Case(GroupSpec(9, 3), 3, reference=(
+        ((0, 0, 0, 0, 0, 0, 0, 3), (3, 3, 3, 3, 3, 3, 3, 3), 66),
+        ((0, 0, 0, 0, 0, 0, 1, 1), (2, 2, 2, 2, 2, 2, 2, 1), 78),
+        ((0, 0, 0, 0, 0, 0, 3, 0), (3, 3, 3, 3, 3, 3, 3), 3465),
+        ((0, 0, 0, 0, 0, 1, 0, 0), (1, 1, 1, 1, 1, 1), 21),
+        ((0, 0, 0, 0, 1, 0, 1, 0), (2, 2, 2, 2, 2, 1, 1), 1701),
+        ((0, 0, 0, 0, 2, 0, 0, 1), (3, 3, 3, 3, 3, 1, 1, 1), 29106),
+        ((0, 0, 0, 0, 3, 0, 0, 0), (3, 3, 3, 3, 3), 116424),
+        ((0, 0, 0, 1, 0, 0, 0, 1), (2, 2, 2, 2, 1, 1, 1, 1), 420),
+        ((0, 0, 0, 1, 1, 0, 0, 0), (2, 2, 2, 2, 1), 5292),
+        ((0, 0, 0, 2, 0, 0, 1, 0), (3, 3, 3, 3, 1, 1, 1), 117810),
+        ((0, 0, 0, 3, 0, 0, 0, 0), (3, 3, 3, 3), 116424),
+        ((0, 0, 1, 0, 0, 0, 0, 0), (1, 1, 1), 21),
+        ((0, 1, 0, 0, 0, 0, 1, 0), (2, 2, 1, 1, 1, 1, 1), 486),
+        ((0, 1, 0, 1, 0, 0, 0, 0), (2, 2, 1, 1), 1701),
+        ((0, 2, 0, 0, 0, 0, 0, 1), (3, 3, 1, 1, 1, 1, 1, 1), 2541),
+        ((0, 2, 0, 0, 1, 0, 0, 0), (3, 3, 1, 1, 1), 37125),
+        ((0, 3, 0, 0, 0, 0, 0, 0), (3, 3), 3465),
+        ((1, 0, 0, 0, 0, 0, 0, 1), (2, 1, 1, 1, 1, 1, 1, 1), 18),
+        ((1, 0, 0, 0, 1, 0, 0, 0), (2, 1, 1, 1, 1), 420),
+        ((1, 1, 0, 0, 0, 0, 0, 0), (2, 1), 78),
+        ((2, 0, 0, 0, 0, 0, 1, 0), (3, 1, 1, 1, 1, 1, 1), 693),
+        ((2, 0, 0, 1, 0, 0, 0, 0), (3, 1, 1, 1), 2541),
+        ((3, 0, 0, 0, 0, 0, 0, 0), (3,), 165),
+    )),
 }
+# For PGL(n) the expected index is the multiplier.
 for _n in range(2, 8):
     _spec = GroupSpec(_n, _n)
-    CASES[f"pgl{_n}"] = CaseExpectation(_spec, h4_multiplier(_spec))
+    CASES[f"pgl{_n}"] = Case(_spec, h4_multiplier(_spec))
+
+# The printed index of each reference row, by group then weight.
+_PRINTED = {c.spec: {w: v for w, _, v in c.reference}
+            for c in CASES.values() if c.reference}
 
 
 def _compute_table(
     spec: GroupSpec, weights: Iterable[Weight], cache: ResultCache | None
 ) -> GeneratorTable:
-    ref = _REFERENCE_BY_GROUP.get((spec.n, spec.d))
-    printed = {w: v for w, _, v in ref.rows} if ref else {}
+    printed = _PRINTED.get(spec, {})
     rows = []
     for w in weights:
         lam = partition_of(w)
@@ -172,17 +164,17 @@ def generator_table(
 def table_against_reference(
     case_id: str, cache: ResultCache | None = None
 ) -> GeneratorTable:
-    """Recompute exactly the rows of a bundled reference table.
+    """Recompute exactly the printed rows of a bundled case,
+    ``CASES[case_id].reference``.
 
     This is a diff against the bundled reference rows, not a re-derivation of the
     generating set; use :func:`generator_table` for the full minimal basis.
     """
-    if case_id not in REFERENCE_TABLES:
-        raise InputError(
-            f"unknown table {case_id!r}; known: {sorted(REFERENCE_TABLES)}"
-        )
-    ref = REFERENCE_TABLES[case_id]
-    return _compute_table(ref.spec, [w for w, _, _ in ref.rows], cache)
+    case = CASES.get(case_id)
+    if case is None or not case.reference:
+        known = sorted(k for k, c in CASES.items() if c.reference)
+        raise InputError(f"unknown table {case_id!r}; known: {known}")
+    return _compute_table(case.spec, [w for w, _, _ in case.reference], cache)
 
 
 def image_index(spec: GroupSpec, cache: ResultCache | None = None) -> int:
@@ -198,7 +190,7 @@ def verify_case(case_id: str) -> CaseReport:
     against the H^4 multiplier of the case's group."""
     if case_id not in CASES:
         raise InputError(f"unknown case {case_id!r}; known: {sorted(CASES)}")
-    spec, expected = CASES[case_id]
+    spec, expected, _ = CASES[case_id]
     n, d = spec.n, spec.d
     idx, mult = image_index(spec), h4_multiplier(spec)
     if idx % mult:
@@ -232,9 +224,12 @@ def explore_conjecture(ell: int) -> ConjectureReport:
     Reports whether the computed gcd equals ell; it never asserts that it
     must.  Only odd primes up to MAX_CONJECTURE_ELL are accepted: for ell = 2
     the relevant quotients are already settled, and composite ell is outside
-    the pattern probed.
+    the pattern probed.  Trial division stops at the ceiling: an ell below 3
+    or with a factor up to it is not an odd prime, and any other ell above it
+    exceeds the ceiling, prime or not, so no ell takes long to refuse.
     """
-    if ell == 2 or ell < 2 or any(ell % p == 0 for p in range(2, isqrt(ell) + 1)):
+    if ell < 3 or any(ell % p == 0
+                      for p in range(2, min(ell, MAX_CONJECTURE_ELL + 1))):
         raise InputError(f"ell must be an odd prime, got {ell}")
     if ell > MAX_CONJECTURE_ELL:
         raise InputError(f"ell={ell} exceeds the ceiling {MAX_CONJECTURE_ELL}")

@@ -27,7 +27,6 @@ from schern import (
     __version__,
     c2,
     c2_closed_form,
-    c2_enumeration,
     explore_conjecture,
     generator_table,
     hilbert_basis,
@@ -38,7 +37,7 @@ from schern import (
     weight_str,
 )
 from schern.cache import ResultCache
-from schern.chern import reduce_full_columns
+from schern.chern import c2_enumeration, reduce_full_columns
 from schern.cli import (COMMANDS, SHARED, _csv_field, _json, _row_payload,
                         parse_args, parse_partition, render_table, run)
 from schern.partitions import InputError, InvariantError, PartitionError, partition
@@ -600,13 +599,25 @@ def test_conjecture_above_ceiling_exits_2(capsys):
 
 
 def test_conjecture_large_prime_exits_2_at_once(capsys):
-    # the odd-prime test trial-divides only up to isqrt(ell)
+    # the odd-prime test trial-divides only up to the ceiling
     start = time.perf_counter()
     code, out, err = invoke(capsys, "conjecture", "100000007")
     assert time.perf_counter() - start < 1
     assert code == 2
     assert out == ""
     assert "exceeds the ceiling 7" in err
+
+
+@pytest.mark.parametrize("ell", ["1000000000000000003", "121", str(10**30 + 57)],
+                         ids=["prime-1e18", "square-of-11", "1e30"])
+def test_conjecture_exits_2_at_once_past_the_ceiling(capsys, ell):
+    # trial division stops at the ceiling, so no ell above it is factored
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "conjecture", ell)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err == f"error: ell={ell} exceeds the ceiling 7\n"
 
 
 # ------------------------------------------------------------- determinism

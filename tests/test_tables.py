@@ -4,6 +4,7 @@ import json
 import math
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -12,10 +13,12 @@ import schern.partitions as partitions_mod
 import schern.tables as tables_mod
 from oracles import descends, dual_weight, monoid_members_up_to
 from schern.cache import ResultCache
-from schern.chern import CROSS_CHECK_CEILING, CrossCheckError, c2_closed_form
+from schern.chern import (CROSS_CHECK_CEILING, CrossCheckError, c2_closed_form,
+                          column_indices)
+from schern.cli import COMMANDS
+from schern.partitions import InputError
 from schern.tables import (
     CASES,
-    REFERENCE_TABLES,
     explore_conjecture,
     generator_table,
     h4_multiplier,
@@ -23,24 +26,35 @@ from schern.tables import (
     table_against_reference,
     verify_case,
 )
-from schern.weights import GroupSpec, hilbert_basis, partition_of
+from schern.weights import GroupSpec, generator_heights, hilbert_basis, partition_of
 
 
 class TestReferenceData:
     def test_row_counts(self):
-        assert len(REFERENCE_TABLES["sl8-mu2"].rows) == 13
-        assert len(REFERENCE_TABLES["sl9-mu3"].rows) == 23
+        assert len(CASES["sl8-mu2"].reference) == 13
+        assert len(CASES["sl9-mu3"].reference) == 23
 
     def test_weights_and_partitions_are_consistent(self):
-        for ref in REFERENCE_TABLES.values():
-            for w, lam, _ in ref.rows:
+        for case in CASES.values():
+            for w, lam, _ in case.reference:
                 assert partition_of(w) == lam
-                assert descends(lam, ref.spec)
+                assert descends(lam, case.spec)
 
     def test_rows_are_lex_sorted(self):
-        for ref in REFERENCE_TABLES.values():
-            weights = [w for w, _, _ in ref.rows]
+        for case in CASES.values():
+            weights = [w for w, _, _ in case.reference]
             assert weights == sorted(weights)
+
+    def test_table_choices_are_the_cases_with_a_reference(self):
+        with_reference = tuple(sorted(k for k, c in CASES.items() if c.reference))
+        assert with_reference == ("sl8-mu2", "sl9-mu3")
+        assert COMMANDS["table"][2]["--case"] == with_reference
+
+    def test_a_case_without_a_reference_is_an_unknown_table(self):
+        with pytest.raises(InputError) as info:
+            table_against_reference("sl4-mu2")
+        assert str(info.value) == (
+            "unknown table 'sl4-mu2'; known: ['sl8-mu2', 'sl9-mu3']")
 
 
 class TestTableAgainstReference:
@@ -267,6 +281,36 @@ class TestH4Multiplier:
         assert all(rest == 0 for _, rest in ratios.values())
         assert sorted(k for k, (q, _) in ratios.items() if q != 1) == [
             (8, 2), (9, 3), (16, 2), (16, 4)]
+
+
+def _valuation(p: int, k: int) -> int:
+    v = 0
+    while k % p == 0:
+        k, v = k // p, v + 1
+    return v
+
+
+class TestIndexFormula:
+    """A tested hypothesis, not a certificate: the image index of
+    SL(n)/mu_d is m * prod over primes p | d of p^e_p, with m the
+    denominator of n(n - 1)/(2 d^2) and
+    e_p = max(0, min(v_p(d), v_p(n/d) - [p = 2])).  src/ does not use it."""
+
+    def test_formula_gives_the_row_gcd_for_every_group_up_to_20(self):
+        groups = [GroupSpec(n, d) for n in range(2, 21)
+                  for d in range(2, n + 1) if n % d == 0]
+        assert len(groups) == 46
+        mismatches = []
+        for n, d in groups:
+            predicted = Fraction(n * (n - 1), 2 * d * d).denominator
+            for p in range(2, d + 1):
+                if d % p == 0 and all(p % q for q in range(2, p)):
+                    predicted *= p ** max(0, min(_valuation(p, d),
+                                                 _valuation(p, n // d) - (p == 2)))
+            index = math.gcd(*column_indices(n, generator_heights(GroupSpec(n, d))))
+            if index != predicted:
+                mismatches.append((n, d, index, predicted))
+        assert mismatches == []
 
 
 class TestExploreConjecture:
