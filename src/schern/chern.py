@@ -26,7 +26,7 @@ cross-checked, and it alone reads and writes the records of a cache it is
 handed.  Enumeration costs time linear in the dimension; no command
 reaches it, and it serves the tests as an oracle.  No route leaves the
 integers: the closed form divides n times the Casimir eigenvalue exactly,
-and the determinant divides only by pivots with a nonzero integer part.
+and the determinant only by pivots whose integer part is a dimension.
 """
 import math
 from collections import namedtuple
@@ -194,11 +194,13 @@ def _jacobi_trudi(n: int, lam: Partition) -> tuple[int, int]:
     the k rows, is dim + eps n_lam; k = min(rows, columns), by the shorter
     side, and each entry is computed on first use.  Bareiss elimination
     (Bareiss, Math. Comp. 22, 1968) keeps every intermediate a minor, since
-    Sylvester's identity holds over any commutative ring; it pivots on a
-    nonzero integer part p0, so dividing by p0 + eps p1 is exact:
-    a0 / p0, then (a1 - (a0 / p0) p1) / p0, which is (a1 p0 - a0 p1) / p0^2.
-    A remainder raises InvariantError.  Neither the hook content formula
-    nor the Casimir is used.
+    Sylvester's identity holds over any commutative ring: with no row
+    exchange, the pivot after c steps is the leading (c + 1)-square minor,
+    whose integer part p0 is the dimension of the shape made of the first
+    c + 1 lines of lam, so positive, and dividing by p0 + eps p1 is exact:
+    a0 / p0, then (a1 p0 - a0 p1) / p0^2.  A pivot p0 <= 0 or a remainder
+    raises InvariantError.  Neither the hook content formula nor the Casimir
+    is used.
     """
     lines, by_columns = _shorter_side(reduce_full_columns(n, lam))
     k = len(lines)
@@ -221,18 +223,13 @@ def _jacobi_trudi(n: int, lam: Partition) -> tuple[int, int]:
     rows = [[entry(p - i + j) for j in range(k)] for i, p in enumerate(lines)]
     a0 = [[e[0] for e in row] for row in rows]
     a1 = [[e[1] for e in row] for row in rows]
-    sign, q0, q1 = 1, 1, 0
+    q0, q1 = 1, 0
     for c in range(k - 1):
-        pivot = next((r for r in range(c, k) if a0[r][c]), None)
-        if pivot is None:
-            raise InvariantError(
-                f"Jacobi-Trudi determinant vanishes for n={n} lam={lam}")
-        if pivot != c:
-            a0[c], a0[pivot] = a0[pivot], a0[c]
-            a1[c], a1[pivot] = a1[pivot], a1[c]
-            sign = -sign
         top0, top1 = a0[c], a1[c]
         p0, p1 = top0[c], top1[c]
+        if p0 <= 0:
+            raise InvariantError(
+                f"Jacobi-Trudi pivot {p0} is not positive for n={n} lam={lam}")
         for row0, row1 in zip(a0[c + 1:], a1[c + 1:]):
             l0, l1 = row0[c], row1[c]
             for j in range(c + 1, k):
@@ -244,7 +241,7 @@ def _jacobi_trudi(n: int, lam: Partition) -> tuple[int, int]:
                         f"Bareiss division is not exact for n={n} lam={lam}")
                 row0[j], row1[j] = v0, v1
         q0, q1 = p0, p1
-    return sign * a1[-1][-1], sign * a0[-1][-1]
+    return a1[-1][-1], a0[-1][-1]
 
 
 def c2_enumeration(n: int, lam: Partition) -> ChernResult:

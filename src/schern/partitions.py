@@ -20,9 +20,9 @@ class InputError(ValueError):
 
 
 class InvariantError(ArithmeticError):
-    """An exact division that the mathematics guarantees left a remainder:
-    the engine or its data is broken, which the command line reports with
-    exit code 1."""
+    """An exact division that the mathematics guarantees left a remainder,
+    or a pivot it guarantees positive was not: the engine or its data is
+    broken, which the command line reports with exit code 1."""
 
 
 class PartitionError(InputError):

@@ -9,8 +9,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import schern.chern as chern_mod
-from oracles import (c2_subshape, casimir, conjugate, dual_partition, dual_weight,
-                     ssyt_count, weyl_dimension)
+from oracles import (_bareiss_determinant, c2_subshape, casimir, conjugate,
+                     dual_partition, dual_weight, ssyt_count, weyl_dimension)
 from schern import __version__
 from schern.cache import ResultCache
 from schern.chern import (
@@ -302,6 +302,45 @@ def _assert_reads_at_most_two_binomials_per_entry(monkeypatch, n, lam):
     # k lines on the shorter side: a k x k matrix, two binomials an entry
     k = min(lam[0], len(lam))
     assert 0 < len(_binomials_read(monkeypatch, n, lam)) <= 2 * k * k
+
+
+def _leading_minors_and_dimensions(n, lam):
+    """Each leading c x c minor of the integer Jacobi-Trudi matrix over the
+    shorter side of the reduced lam, C(n, t) over the column heights or
+    C(n + t - 1, t) over the rows, with the dimension of the shape made of
+    the first c lines; the pivots of the determinant's elimination."""
+    if len(lam) == n:
+        lam = tuple(p - lam[-1] for p in lam if p > lam[-1])
+    by_columns = bool(lam) and lam[0] <= len(lam)
+    lines = conjugate(lam) if by_columns else lam
+    k = len(lines)
+
+    def entry(t):
+        return 0 if t < 0 else math.comb(n, t) if by_columns else math.comb(n + t - 1, t)
+
+    pairs = []
+    for c in range(k + 1):
+        block = [[entry(lines[i] - i + j) for j in range(c)] for i in range(c)]
+        shape = conjugate(lines[:c]) if by_columns else lines[:c]
+        pairs.append((_bareiss_determinant(block), weyl_dimension(n, shape)))
+    return pairs
+
+
+class TestLeadingMinors:
+    """The determinant eliminates with no row exchange because each leading
+    minor of its integer part is a dimension, so positive (Macdonald I.3)."""
+
+    @given(st.integers(1, 14), st.lists(st.integers(1, 9), max_size=14).map(
+        lambda xs: tuple(sorted(xs, reverse=True))))
+    @settings(max_examples=150, deadline=None)
+    @example(4, (3, 1))        # rows
+    @example(5, (2, 1, 1))     # columns
+    @example(14, (9,) * 14)    # reduced to (); its conjugate by 9 rows
+    def test_every_leading_minor_is_a_positive_dimension(self, n, lam):
+        for shape in (lam, conjugate(lam)):
+            if len(shape) <= n:
+                for minor, dim in _leading_minors_and_dimensions(n, shape):
+                    assert minor == dim > 0
 
 
 class TestSubshape:

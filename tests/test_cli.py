@@ -353,6 +353,22 @@ def test_a_dimension_that_the_determinant_disputes_exits_3(capsys, monkeypatch):
     assert "(700, 1176) by the closed form, (700, 1177) by the" in err
 
 
+@pytest.mark.parametrize("pivot", [0, -56])
+def test_a_non_positive_jacobi_trudi_pivot_exits_1(capsys, monkeypatch, pivot):
+    # c2 8 2,2,2 eliminates over the column heights (3, 3), whose first pivot
+    # is E(3) = C(8, 3) = 56, a dimension; the closed form reads only
+    # C(9, t), so the planted entry reaches the determinant alone
+    def comb(a, b):
+        return pivot if (a, b) == (8, 3) else math.comb(a, b)
+
+    monkeypatch.setattr(chern_mod, "math",
+                        SimpleNamespace(**{**vars(math), "comb": comb}))
+    code, out, err = invoke(capsys, "c2", "8", "2,2,2", "--no-cache")
+    assert (code, out) == (1, "")
+    assert err == (f"error: Jacobi-Trudi pivot {pivot} is not positive for "
+                   "n=8 lam=(2, 2, 2)\n")
+
+
 # ---------------------------------------------------------------- rendering
 
 # Printable ASCII, which json escapes only at '"' and '\\', and text with

@@ -262,7 +262,11 @@ def test_the_determinant_shares_no_code_with_the_closed_form(monkeypatch):
     # by the columns and by the rows
     import schern.chern as chern_mod
 
-    shapes = [(8, (2, 2, 2)), (9, (1,) * 8), (3, (445, 445)), (25, (5, 5, 4, 1))]
+    # the last two take 19 and 4 elimination steps: the 20-line staircase,
+    # and the generator of SL(25)/mu_5 with column heights (24, 19, 14, 9, 4)
+    shapes = [(8, (2, 2, 2)), (9, (1,) * 8), (3, (445, 445)), (25, (5, 5, 4, 1)),
+              (21, tuple(range(20, 0, -1))),
+              (25, (5,) * 4 + (4,) * 5 + (3,) * 5 + (2,) * 5 + (1,) * 5)]
     expected = [(res.n_lambda, res.dim) for res in
                 (chern_mod.c2_closed_form(n, lam) for n, lam in shapes)]
 
