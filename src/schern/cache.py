@@ -12,9 +12,12 @@ identical runs produce byte-identical files.  A line is read only if it is
 exactly the line its fields write: a hand-edited or respaced line, another
 version or another field is skipped and its index recomputed.  Appends take
 an advisory lock; concurrent writers interleave whole lines.  A path that
-cannot be read or appended to raises InputError, as a bad --cache argument.
+is absent reads as an empty cache; one that is not a regular file (a
+directory, a FIFO, a device), or cannot be read or appended to, raises
+InputError, as a bad --cache argument.
 """
 from pathlib import Path
+from stat import S_ISREG
 
 from . import __version__
 from .partitions import InputError, Partition
@@ -56,10 +59,13 @@ class ResultCache:
         self.path = path
         self._data: dict[CacheKey, int] = {}
         try:
+            # a FIFO would block the read and /dev/zero never end it
+            if not S_ISREG(path.stat().st_mode):
+                raise InputError(f"unusable cache path: {path} is not a regular file")
             blob = path.read_bytes()
         except FileNotFoundError:
             return
-        except OSError as exc:  # a directory, a path under a file, ...
+        except OSError as exc:  # a path under a file, no read permission, ...
             raise InputError(f"unusable cache path: {exc}") from exc
         for line in blob.splitlines():
             if decoded := _decode(line):

@@ -18,7 +18,8 @@ cross-check did not divide exactly, or a Bareiss pivot was not positive), 2
 bad arguments or violated preconditions (InputError: a usage error from the
 parser itself, unknown case, ell above its ceiling, malformed partition,
 unusable cache path), 3 a consistency check failed (the determinant of c2
-gave another index or dimension, or a table row's cross-check failed).
+gave another index or dimension than the closed form, for c2 or any table
+row; no command then prints on stdout).
 main() runs the atexit handlers, flushes stdio and ends the process with
 os._exit, skipping interpreter teardown; under a tracer or profiler, or
 when a flush fails, it exits through sys.exit instead.
@@ -66,8 +67,6 @@ def _row_payload(row) -> dict:
            "flagged": row.flagged, "cross_checked": row.cross_checked}
     if row.reference_value is not None:
         out["reference"] = row.reference_value
-    if row.error is not None:
-        out["error"] = str(row.error)
     return out
 
 
@@ -130,18 +129,14 @@ def render_table(table: GeneratorTable, fmt: str, case_id: str | None = None) ->
         return _json(payload) + "\n"
     if fmt == "csv":
         rows = [["weight", "partition", "n_lambda", "flagged"]]
-        rows += ([weight_str(r.weight), _shape(r.partition),
-                  "" if r.n_lambda is None else str(r.n_lambda),
+        rows += ([weight_str(r.weight), _shape(r.partition), str(r.n_lambda),
                   "true" if r.flagged else "false"] for r in table.rows)
         return "".join(",".join(map(_csv_field, row)) + "\n" for row in rows)
     # text
     header = ["weight", "partition", "n_lambda", "note"]
-    body = []
-    for r in table.rows:
-        note = (f"ERROR {r.error}" if r.error is not None
-                else f"reference prints {r.reference_value}" if r.flagged else "")
-        body.append([weight_str(r.weight), _shape(r.partition),
-                     "?" if r.n_lambda is None else str(r.n_lambda), note])
+    body = [[weight_str(r.weight), _shape(r.partition), str(r.n_lambda),
+             f"reference prints {r.reference_value}" if r.flagged else ""]
+            for r in table.rows]
     widths = [max(len(row[i]) for row in [header] + body) for i in range(4)]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
              for row in [header] + body]
@@ -166,7 +161,6 @@ def _cmd_generators(args) -> int:
     spec = GroupSpec(args.n, args.d)
     table = generator_table(spec, cache=_cache(args))
     sys.stdout.write(render_table(table, args.format))
-    table.raise_on_error()
     return 0
 
 
@@ -189,7 +183,6 @@ def _cmd_verify(args) -> int:
 def _cmd_table(args) -> int:
     table = table_against_reference(args.case, _cache(args))
     sys.stdout.write(render_table(table, args.format, case_id=args.case))
-    table.raise_on_error()
     return 0
 
 

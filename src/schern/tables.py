@@ -16,7 +16,7 @@ from collections.abc import Iterable
 from math import gcd
 
 from .cache import ResultCache
-from .chern import CrossCheckError, c2, column_indices
+from .chern import c2, column_indices
 from .partitions import InputError, InvariantError
 from .weights import (
     GroupSpec,
@@ -27,22 +27,13 @@ from .weights import (
 )
 
 
-# weight: Weight, partition: Partition, n_lambda: int | None, flagged: bool,
-# cross_checked: bool, reference_value: int | None, error: CrossCheckError | None
+# weight: Weight, partition: Partition, n_lambda: int, flagged: bool,
+# cross_checked: bool, reference_value: int | None
 TableRow = namedtuple("TableRow", "weight partition n_lambda flagged "
-                      "cross_checked reference_value error", defaults=(None, None))
-
+                      "cross_checked reference_value")
 
 # spec: GroupSpec, rows: tuple[TableRow, ...], gcd: int
-class GeneratorTable(namedtuple("GeneratorTable", "spec rows gcd")):
-    __slots__ = ()
-
-    def raise_on_error(self) -> None:
-        """Raise the first row's cross-check failure, so that no gcd over
-        the remaining rows passes as certified."""
-        for r in self.rows:
-            if r.error is not None:
-                raise r.error
+GeneratorTable = namedtuple("GeneratorTable", "spec rows gcd")
 
 
 # spec: GroupSpec, expected_gcd: int, reference: the printed rows, if any
@@ -132,19 +123,13 @@ def _compute_table(
     rows = []
     for w in weights:
         lam = partition_of(w)
-        try:
-            res = c2(spec.n, lam, cache=cache)
-        except CrossCheckError as exc:
-            rows.append(TableRow(w, lam, None, False, False,
-                                 printed.get(w), error=exc))
-            continue
+        res = c2(spec.n, lam, cache=cache)
         value = res.n_lambda
         flag = w in printed and printed[w] != value
         rows.append(
             TableRow(w, lam, value, flag, res.cross_checked, printed.get(w))
         )
-    g = gcd(*(r.n_lambda for r in rows if r.n_lambda is not None))
-    return GeneratorTable(spec, tuple(rows), g)
+    return GeneratorTable(spec, tuple(rows), gcd(*(r.n_lambda for r in rows)))
 
 
 def generator_table(
@@ -153,8 +138,8 @@ def generator_table(
     """Index table over the minimal generating set of the descent monoid.
 
     A row is flagged when a bundled reference value exists for its weight and
-    disagrees with the recomputation.  Cross-check failures are carried on
-    the row (error set, index None) without aborting the table.  Each row
+    disagrees with the recomputation.  A row whose cross-check fails raises
+    its CrossCheckError, so no table, and no gcd, is returned.  Each row
     goes through :func:`c2`, handed ``cache``, which alone decides whether
     a recorded index may stand in and what gets recorded.
     """
@@ -180,9 +165,7 @@ def table_against_reference(
 def image_index(spec: GroupSpec, cache: ResultCache | None = None) -> int:
     """gcd of the indices n_lam over the generating set: the image of the
     degree-2 Chern class map is this multiple of c2."""
-    table = generator_table(spec, cache=cache)
-    table.raise_on_error()
-    return table.gcd
+    return generator_table(spec, cache=cache).gcd
 
 
 def verify_case(case_id: str) -> CaseReport:

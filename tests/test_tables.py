@@ -120,7 +120,6 @@ class TestGeneratorTable:
         again = generator_table(GroupSpec(8, 2)).rows[0]
         assert row == again and hash(row) == hash(again)
         assert row != again._replace(flagged=not row.flagged)
-        assert row.error is None  # defaults kept: reference_value, error
 
     def test_rows_in_lex_weight_order(self):
         t = generator_table(GroupSpec(6, 3))
@@ -153,22 +152,20 @@ class TestGeneratorTable:
         assert [rec["subshape"] for rec in seen if rec["partition"] == [2]] == [6]
         assert len(seen) == len(t.rows) - 1
 
-    def test_cross_check_failure_marks_row_without_aborting(self, monkeypatch):
+    def test_cross_check_failure_aborts_the_table(self, monkeypatch):
+        # no table, and so no gcd over the rows that passed, comes back
         real = tables_mod.c2
+        original = CrossCheckError(4, (1, 1), (4, 6), (5, 6))
 
         def broken(n, lam, **kwargs):
             if lam == (1, 1):
-                raise CrossCheckError(n, lam, (4, 6), (5, 6))
+                raise original
             return real(n, lam, **kwargs)
 
         monkeypatch.setattr(tables_mod, "c2", broken)
-        t = generator_table(GroupSpec(4, 2))
-        bad = [r for r in t.rows if r.error]
-        assert [r.partition for r in bad] == [(1, 1)]
-        assert bad[0].n_lambda is None
-        assert t.gcd == math.gcd(
-            *(r.n_lambda for r in t.rows if r.n_lambda is not None)
-        )
+        with pytest.raises(CrossCheckError) as info:
+            generator_table(GroupSpec(4, 2))
+        assert info.value is original
 
 
 class TestImageIndex:

@@ -188,6 +188,25 @@ def test_only_the_command_line_opens_a_cache():
     assert [site.split(":")[0] for site in built] == ["cli.py"], built
 
 
+def test_only_the_command_line_catches_a_failed_cross_check():
+    # a CrossCheckError ends the command: cli.run prints it to stderr and
+    # exits 3 before anything reaches stdout.  A layer below that caught it
+    # could carry on and yield a gcd over the rows that passed.  Each except
+    # clause that names it is reported by file and enclosing definition.
+    found = [
+        f"{path.name}:{getattr(top, 'name', top.lineno)}"
+        for path in sorted(SRC.glob("*.py"))
+        for top in ast.parse(path.read_text(), filename=str(path)).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.ExceptHandler) and node.type is not None
+        and "CrossCheckError" in {
+            sub.id if isinstance(sub, ast.Name) else sub.attr
+            for sub in ast.walk(node.type)
+            if isinstance(sub, (ast.Name, ast.Attribute))}
+    ]
+    assert found == ["cli.py:run"]
+
+
 def test_tables_and_cli_import_no_private_name_from_another_module():
     # a _-prefixed helper is its module's own business: the command line
     # and the tables reach another module through its public names only
