@@ -9,7 +9,7 @@ n_lam:
   taken in one loop over the lines of lam, its rows or its column heights.
   :func:`c2_closed_form` and :func:`schur_dimension` run it on the shorter
   side of one shape, so the longer side is never walked;
-  :func:`column_indices` runs it on a batch of generator rows by the column
+  :func:`column_rows` runs it on a batch of generator rows by the column
   heights that the basis search yields (at most d, by the Davenport bound);
 * determinant: one Jacobi-Trudi determinant over the shorter side of lam
   with entries in Z[eps]/(eps^2), the elementary or complete symmetric
@@ -19,10 +19,10 @@ n_lam:
 * enumeration: stream every semistandard tableau content and read off the
   quadratic part of the splitting-principle product modulo (x1+...+xn).
 
-The front door :func:`c2` runs the closed form and, while the dimension is
-at most CROSS_CHECK_CEILING, recomputes the index and the dimension by the
-determinant as a cross-check; it alone decides whether an index was
-cross-checked, and it alone reads and writes the records of a cache it is
+The front door :func:`c2`, one shape, and :func:`column_rows`, a batch,
+both run the closed form and one private rule, :func:`_settle`, which alone
+cross-checks by the determinant while the dimension is at most
+CROSS_CHECK_CEILING and alone reads and writes the records of a cache it is
 handed.  Enumeration costs time linear in the dimension; no command
 reaches it, and it serves the tests as an oracle.  No route leaves the
 integers: the closed form divides n times the Casimir eigenvalue exactly,
@@ -157,13 +157,6 @@ def c2_closed_form(n: int, lam: Partition) -> ChernResult:
     return ChernResult(value, False, dim)
 
 
-def column_indices(n: int, rows: Iterable[Partition]) -> list[int]:
-    """Closed-form n_lam of each shape in ``rows``, each given by its column
-    heights, all below n: the generator rows of the basis search, in one
-    batch, so each line count builds its tables once."""
-    return [value for value, _ in _line_indices(n, rows, True)]
-
-
 def schur_dimension(n: int, lam: Partition) -> int:
     """Dimension of the irreducible GL(n) (equivalently SL(n)) module of shape lam.
 
@@ -262,29 +255,42 @@ def c2_enumeration(n: int, lam: Partition) -> ChernResult:
     return ChernResult(total, False, dim)
 
 
-def c2(n: int, lam: Partition, *, cache=None) -> ChernResult:
-    """Front door: the closed form, cross-checked by the Jacobi-Trudi
-    determinant when the dimension is at most CROSS_CHECK_CEILING; a
-    disagreement on the index or the dimension raises CrossCheckError.
+def _settle(n: int, shapes: list[Partition], by_columns: bool,
+            cache) -> list[ChernResult]:
+    """The closed form of each reduced shape in ``shapes``, given by its
+    column heights (by_columns) or rows, in one batch, and the one
+    cross-check rule: while the dimension is at most CROSS_CHECK_CEILING,
+    the Jacobi-Trudi determinant recomputes the index and the dimension, and
+    a disagreement raises CrossCheckError.  ``cache``, any object with
+    ``get(n, lam)`` and ``put(n, lam, index)`` keyed by the reduced lam,
+    stands in for the determinant only under the ceiling with a record equal
+    to the closed form; each index the determinant confirms is put, and the
+    later record wins.  lam is built only for a cache or the determinant."""
+    rows = []
+    for lines, (value, dim) in zip(shapes, _line_indices(n, shapes, by_columns)):
+        checked = dim <= CROSS_CHECK_CEILING
+        if checked or cache is not None:
+            lam = _conjugate(lines) if by_columns else lines
+            known = cache.get(n, lam) if cache is not None else None
+            if checked and known != value:
+                determinant = _jacobi_trudi(n, lam)
+                if determinant != (value, dim):
+                    raise CrossCheckError(n, lam, (value, dim), determinant)
+                if cache is not None:
+                    cache.put(n, lam, value)
+        rows.append(ChernResult(value, checked, dim))
+    return rows
 
-    ``cache`` is any object with ``get(n, lam)`` and ``put(n, lam, index)``,
-    keyed by the reduced lam, so lam and lam plus full columns of height n
-    share one record.  A recorded index stands in for the determinant only
-    when the dimension is at most the ceiling and it equals the closed form;
-    any other record is ignored and the determinant runs.  An index the
-    determinant confirmed is put when it differs from the record, and the
-    later record wins.
-    """
-    lam = reduce_full_columns(n, lam)
-    known = cache.get(n, lam) if cache is not None else None
-    closed = c2_closed_form(n, lam)
-    if closed.dim > CROSS_CHECK_CEILING:
-        return closed
-    if known != closed.n_lambda:
-        checked = _jacobi_trudi(n, lam)
-        if checked != (closed.n_lambda, closed.dim):
-            raise CrossCheckError(n, lam, (closed.n_lambda, closed.dim),
-                                  checked)
-        if cache is not None:
-            cache.put(n, lam, closed.n_lambda)
-    return ChernResult(closed.n_lambda, True, closed.dim)
+
+def column_rows(n: int, heights: list[Partition], cache=None) -> list[ChernResult]:
+    """What :func:`c2` gives each shape in ``heights``, given by its column
+    heights, all below n: the generator rows of the basis search, in one
+    batch, so each line count builds its tables once, handed ``cache``."""
+    return _settle(n, heights, True, cache)
+
+
+def c2(n: int, lam: Partition, *, cache=None) -> ChernResult:
+    """Front door: the closed form over the shorter side of the reduced lam,
+    settled by :func:`_settle`, handed ``cache``."""
+    lines, by_columns = _shorter_side(reduce_full_columns(n, lam))
+    return _settle(n, [lines], by_columns, cache)[0]

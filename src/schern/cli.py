@@ -2,11 +2,9 @@
 
 The parsed flags are the only settings; no shell variable is read.  With
 --cache PATH (and no --no-cache), the command opens the result cache at
-PATH and hands it to chern.c2, through which the c2 command and every
-table row pass; c2 alone reads and writes its records, and lets a record
-stand in for the Jacobi-Trudi determinant only when it equals the closed
-form.  Without --cache no command reads or writes a file.  dim, verify
-and conjecture accept the cache flags and never open the cache.
+PATH and hands it to chern, whose one cross-check rule alone reads and
+writes its records.  Without --cache no command reads or writes a file.
+dim, verify and conjecture accept the cache flags and never open the cache.
 render_table and the cache write their own bytes, so no command imports
 json or csv.  argv is read by parse_args against the COMMANDS table;
 -h/--help prints help and exits 0.

@@ -10,21 +10,16 @@ CASES is the one registry of bundled cases: each names its group, its
 expected image index and, for SL(8)/mu_2 and SL(9)/mu_3, the printed
 reference table as plain data.  :func:`generator_table` recomputes every
 row and flags disagreements instead of silently trusting either side.
+Every index comes from one :func:`chern.column_rows` batch over column
+heights, with c2's cross-check; only printed tables build weights.
 """
 from collections import namedtuple
-from collections.abc import Iterable
 from math import gcd
 
 from .cache import ResultCache
-from .chern import c2, column_indices
-from .partitions import InputError, InvariantError
-from .weights import (
-    GroupSpec,
-    Weight,
-    generator_heights,
-    hilbert_basis,
-    partition_of,
-)
+from .chern import column_rows
+from .partitions import InputError, InvariantError, Partition
+from .weights import GroupSpec, generator_heights, partition_of, weight_of
 
 
 # weight: Weight, partition: Partition, n_lambda: int, flagged: bool,
@@ -116,39 +111,34 @@ _PRINTED = {c.spec: {w: v for w, _, v in c.reference}
             for c in CASES.values() if c.reference}
 
 
-def _compute_table(
-    spec: GroupSpec, weights: Iterable[Weight], cache: ResultCache | None
-) -> GeneratorTable:
+def _compute_table(spec: GroupSpec, heights: list[Partition],
+                   cache: ResultCache | None) -> GeneratorTable:
     printed = _PRINTED.get(spec, {})
     rows = []
-    for w in weights:
-        lam = partition_of(w)
-        res = c2(spec.n, lam, cache=cache)
-        value = res.n_lambda
+    for h, res in zip(heights, column_rows(spec.n, heights, cache)):
+        w, value = weight_of(spec.n, h), res.n_lambda
         flag = w in printed and printed[w] != value
-        rows.append(
-            TableRow(w, lam, value, flag, res.cross_checked, printed.get(w))
-        )
+        rows.append(TableRow(w, partition_of(w), value, flag,
+                             res.cross_checked, printed.get(w)))
+    rows.sort(key=lambda r: r.weight)
     return GeneratorTable(spec, tuple(rows), gcd(*(r.n_lambda for r in rows)))
 
 
-def generator_table(
-    spec: GroupSpec, cache: ResultCache | None = None
-) -> GeneratorTable:
-    """Index table over the minimal generating set of the descent monoid.
+def generator_table(spec: GroupSpec,
+                    cache: ResultCache | None = None) -> GeneratorTable:
+    """Index table over the minimal generating set of the descent monoid,
+    lex sorted by weight.
 
     A row is flagged when a bundled reference value exists for its weight and
     disagrees with the recomputation.  A row whose cross-check fails raises
-    its CrossCheckError, so no table, and no gcd, is returned.  Each row
-    goes through :func:`c2`, handed ``cache``, which alone decides whether
-    a recorded index may stand in and what gets recorded.
+    its CrossCheckError, so no table, and no gcd, is returned.  The rows come
+    from one :func:`column_rows` batch, handed ``cache``.
     """
-    return _compute_table(spec, hilbert_basis(spec), cache)
+    return _compute_table(spec, generator_heights(spec), cache)
 
 
-def table_against_reference(
-    case_id: str, cache: ResultCache | None = None
-) -> GeneratorTable:
+def table_against_reference(case_id: str,
+                            cache: ResultCache | None = None) -> GeneratorTable:
     """Recompute exactly the printed rows of a bundled case,
     ``CASES[case_id].reference``.
 
@@ -159,13 +149,18 @@ def table_against_reference(
     if case is None or not case.reference:
         known = sorted(k for k, c in CASES.items() if c.reference)
         raise InputError(f"unknown table {case_id!r}; known: {known}")
-    return _compute_table(case.spec, [w for w, _, _ in case.reference], cache)
+    # a_i columns of height i, tallest first
+    heights = [tuple(i for i in range(len(w), 0, -1) for _ in range(w[i - 1]))
+               for w, _, _ in case.reference]
+    return _compute_table(case.spec, heights, cache)
 
 
 def image_index(spec: GroupSpec, cache: ResultCache | None = None) -> int:
     """gcd of the indices n_lam over the generating set: the image of the
-    degree-2 Chern class map is this multiple of c2."""
-    return generator_table(spec, cache=cache).gcd
+    degree-2 Chern class map is this multiple of c2.  No table row, weight
+    or partition is built."""
+    rows = column_rows(spec.n, generator_heights(spec), cache)
+    return gcd(*(r.n_lambda for r in rows))
 
 
 def verify_case(case_id: str) -> CaseReport:
@@ -199,11 +194,10 @@ MAX_CONJECTURE_ELL = 7
 
 
 def explore_conjecture(ell: int) -> ConjectureReport:
-    """Image index of SL(ell^2)/mu_ell, closed form only.
+    """Image index of SL(ell^2)/mu_ell.
 
-    Every generator's index comes from one :func:`column_indices` call over
-    the column heights of the basis search, and each row is looked up
-    against its dual row, whose heights are n - h in reverse order.
+    Every generator's index, cross-checked as in :func:`image_index`, is
+    looked up against its dual row, whose heights are n - h reversed.
     Reports whether the computed gcd equals ell; it never asserts that it
     must.  Only odd primes up to MAX_CONJECTURE_ELL are accepted: for ell = 2
     the relevant quotients are already settled, and composite ell is outside
@@ -219,7 +213,7 @@ def explore_conjecture(ell: int) -> ConjectureReport:
     spec = GroupSpec(ell * ell, ell)
     n = spec.n
     heights = generator_heights(spec)
-    values = column_indices(n, heights)
+    values = [r.n_lambda for r in column_rows(n, heights)]
     index_of = dict(zip(heights, values))  # duals, n - h reversed, are too
     duals = [tuple([n - c for c in h[::-1]]) for h in heights]
     duality_ok = list(map(index_of.get, duals)) == values

@@ -105,23 +105,25 @@ def generator_heights(spec: GroupSpec) -> list[Partition]:
             out.append((g,) + below)
         for i in range(lo, n):
             r = i % d
-            grown = sums | ((sums << r | sums >> (d - r)) & full) | 1 << r
-            if grown & 1:  # a zero-sum subsequence; residue-0 tokens end here
+            if not r or sums >> (d - r) & 1:  # i would close a zero-sum
                 continue
+            grown = sums | ((sums << r | sums >> (d - r)) & full) | 1 << r
             grow(i, total + r, grown, (i,) + below)
 
     grow(1, 0, 0, ())
     return out
 
 
+def weight_of(n: int, heights: Partition) -> Weight:
+    """The SL(n) weight whose partition has these column heights, all below
+    n: a_i counts the columns of height i."""
+    counts = [0] * (n - 1)
+    for c in heights:
+        counts[c - 1] += 1
+    return tuple(counts)
+
+
 def hilbert_basis(spec: GroupSpec) -> tuple[Weight, ...]:
-    """Minimal generating set of the descending dominant weights, lex sorted;
-    a_i counts the height-i columns of a :func:`generator_heights` entry, the
-    column form that generator rows run in, as it has at most d columns."""
-    out = []
-    for heights in generator_heights(spec):
-        counts = [0] * (spec.n - 1)
-        for c in heights:
-            counts[c - 1] += 1
-        out.append(tuple(counts))
-    return tuple(sorted(out))
+    """Minimal generating set of the descending dominant weights, lex sorted:
+    the :func:`weight_of` of each :func:`generator_heights` entry."""
+    return tuple(sorted(weight_of(spec.n, h) for h in generator_heights(spec)))

@@ -19,7 +19,7 @@ from schern.chern import (
     c2,
     c2_closed_form,
     c2_enumeration,
-    column_indices,
+    column_rows,
     reduce_full_columns,
     schur_dimension,
 )
@@ -196,10 +196,47 @@ def _oracle_indices(n, shapes):
     return [weyl_dimension(n, lam) * casimir(n, lam) / (n * n - 1) for lam in shapes]
 
 
+def column_indices(n, rows):
+    # the indices alone, which is what the oracle below gives
+    return [res.n_lambda for res in column_rows(n, rows)]
+
+
+class _RecordingCache:
+    """A dict cache that logs every get and put, in order."""
+
+    def __init__(self):
+        self.data, self.calls = {}, []
+
+    def get(self, n, lam):
+        self.calls.append(("get", n, lam))
+        return self.data.get((n, lam))
+
+    def put(self, n, lam, index):
+        self.calls.append(("put", n, lam, index))
+        self.data[(n, lam)] = index
+
+
+_GROUPS_TO_16 = [
+    (n, d) for n in range(2, 17) for d in range(1, n + 1) if n % d == 0
+] + [(25, 5)]
+
+
 class TestColumnIndices:
-    @pytest.mark.parametrize("n, d", [
-        (n, d) for n in range(2, 17) for d in range(1, n + 1) if n % d == 0
-    ] + [(25, 5)])
+    @pytest.mark.parametrize("n, d", _GROUPS_TO_16)
+    def test_rows_are_what_c2_gives_each_shape(self, n, d):
+        # the batch settles each row by the rule c2 uses: the same
+        # (n_lam, cross_checked, dim) and, handed a cache, the same gets and
+        # puts in the same order, cold and then served by the records
+        rows = generator_heights(GroupSpec(n, d))
+        assert column_rows(n, rows) == [c2(n, conjugate(h)) for h in rows]
+        batch, single = _RecordingCache(), _RecordingCache()
+        for _ in range(2):
+            assert column_rows(n, rows, cache=batch) == [
+                c2(n, conjugate(h), cache=single) for h in rows]
+            assert batch.calls == single.calls
+        assert len(batch.data) == sum(r.cross_checked for r in column_rows(n, rows))
+
+    @pytest.mark.parametrize("n, d", _GROUPS_TO_16)
     def test_matches_the_closed_form_on_every_generator_row(self, n, d):
         # every d | n <= 16 (ell = 3 is (9, 3)) and ell = 5
         rows = generator_heights(GroupSpec(n, d))

@@ -540,20 +540,36 @@ def test_conjecture_7(capsys):
 
 def test_conjecture_a_row_that_ell_does_not_divide(capsys, monkeypatch):
     # one row off by one: ell no longer divides it, nor then the gcd
-    real = tables_mod.column_indices
+    real = tables_mod.column_rows
     seen = []
 
     def first_row_off_by_one(n, rows):
         seen.extend(rows)
-        values = real(n, rows)
-        return [values[0] + 1] + values[1:]
+        results = real(n, rows)
+        return [results[0]._replace(n_lambda=results[0].n_lambda + 1)] + results[1:]
 
-    monkeypatch.setattr(tables_mod, "column_indices", first_row_off_by_one)
+    monkeypatch.setattr(tables_mod, "column_rows", first_row_off_by_one)
     code, out, _ = invoke(capsys, "conjecture", "3")
     assert code == 0 and len(seen) == 31
     assert "image index: 1\n" in out
     assert "index equals ell: no\n" in out
     assert "all rows divisible by ell: no\n" in out
+
+
+def test_conjecture_a_row_that_the_determinant_disputes_exits_3(capsys, monkeypatch):
+    # lam = (1,1,1), dimension 84, lies under the ceiling, so its
+    # conjecture row is cross-checked, and a disagreement prints nothing
+    real = chern_mod._jacobi_trudi
+
+    def disagree(n, lam):
+        value, dim = real(n, lam)
+        return (value + 1 if lam == (1, 1, 1) else value), dim
+
+    monkeypatch.setattr(chern_mod, "_jacobi_trudi", disagree)
+    code, out, err = invoke(capsys, "conjecture", "3")
+    assert (code, out) == (3, "")
+    assert ("lam=(1, 1, 1): (n_lam, dim) is (21, 84) by the closed form, "
+            "(22, 84) by the dual-number Jacobi-Trudi determinant") in err
 
 
 @pytest.mark.parametrize("kernel_math,message", [

@@ -14,7 +14,7 @@ import schern.tables as tables_mod
 from oracles import descends, dual_weight, monoid_members_up_to
 from schern.cache import ResultCache
 from schern.chern import (CROSS_CHECK_CEILING, CrossCheckError, c2_closed_form,
-                          column_indices)
+                          column_rows)
 from schern.cli import COMMANDS
 from schern.partitions import InputError
 from schern.tables import (
@@ -154,15 +154,15 @@ class TestGeneratorTable:
 
     def test_cross_check_failure_aborts_the_table(self, monkeypatch):
         # no table, and so no gcd over the rows that passed, comes back
-        real = tables_mod.c2
+        real = tables_mod.column_rows
         original = CrossCheckError(4, (1, 1), (4, 6), (5, 6))
 
-        def broken(n, lam, **kwargs):
-            if lam == (1, 1):
+        def broken(n, heights, cache=None):
+            if (2,) in heights:  # lam = (1, 1)
                 raise original
-            return real(n, lam, **kwargs)
+            return real(n, heights, cache)
 
-        monkeypatch.setattr(tables_mod, "c2", broken)
+        monkeypatch.setattr(tables_mod, "column_rows", broken)
         with pytest.raises(CrossCheckError) as info:
             generator_table(GroupSpec(4, 2))
         assert info.value is original
@@ -170,21 +170,43 @@ class TestGeneratorTable:
 
 class TestImageIndex:
     def test_failed_row_raises_with_the_values_that_disagree(self, monkeypatch):
-        real = tables_mod.c2
+        real = tables_mod.column_rows
         original = CrossCheckError(4, (1, 1), (4, 6), (5, 6))
 
-        def broken(n, lam, **kwargs):
-            if lam == (1, 1):
+        def broken(n, heights, cache=None):
+            if (2,) in heights:  # lam = (1, 1)
                 raise original
-            return real(n, lam, **kwargs)
+            return real(n, heights, cache)
 
-        monkeypatch.setattr(tables_mod, "c2", broken)
+        monkeypatch.setattr(tables_mod, "column_rows", broken)
         with pytest.raises(CrossCheckError) as info:
             image_index(GroupSpec(4, 2))
         assert (info.value.lam, info.value.closed, info.value.determinant) == (
             (1, 1), (4, 6), (5, 6)
         )
         assert info.value is original
+
+    def test_equals_the_gcd_of_the_table_for_every_group_up_to_20(self):
+        groups = [GroupSpec(n, d) for n in range(2, 21)
+                  for d in range(1, n + 1) if n % d == 0]
+        assert len(groups) == 65
+        assert ([image_index(spec) for spec in groups]
+                == [generator_table(spec).gcd for spec in groups])
+
+    def test_builds_no_table_row_weight_or_partition(self, monkeypatch):
+        built = []
+
+        def spy(name, real):
+            monkeypatch.setattr(tables_mod, name,
+                                lambda *args: built.append(name) or real(*args))
+
+        for name in ("TableRow", "partition_of", "weight_of"):
+            spy(name, getattr(tables_mod, name))
+        assert image_index(GroupSpec(9, 3)) == 3
+        assert verify_case("sl8-mu2").computed_index == 2
+        assert built == []
+        assert generator_table(GroupSpec(9, 3)).gcd == 3
+        assert built.count("TableRow") == 31
 
     def test_headline_values(self):
         assert image_index(GroupSpec(8, 2)) == 2
@@ -304,7 +326,8 @@ class TestIndexFormula:
                 if d % p == 0 and all(p % q for q in range(2, p)):
                     predicted *= p ** max(0, min(_valuation(p, d),
                                                  _valuation(p, n // d) - (p == 2)))
-            index = math.gcd(*column_indices(n, generator_heights(GroupSpec(n, d))))
+            rows = column_rows(n, generator_heights(GroupSpec(n, d)))
+            index = math.gcd(*(r.n_lambda for r in rows))
             if index != predicted:
                 mismatches.append((n, d, index, predicted))
         assert mismatches == []
@@ -319,6 +342,20 @@ class TestExploreConjecture:
         assert rep.matches_ell
         assert rep.all_rows_divisible
         assert rep.duality_invariant
+
+    @pytest.mark.parametrize("ell, checked", [(3, 27), (5, 6)])
+    def test_rows_under_the_ceiling_are_cross_checked(self, monkeypatch, ell,
+                                                       checked):
+        # each row whose dimension is at most the ceiling, and only those
+        real = chern_mod._jacobi_trudi
+        shapes = []
+        monkeypatch.setattr(chern_mod, "_jacobi_trudi",
+                            lambda n, lam: shapes.append(lam) or real(n, lam))
+        explore_conjecture(ell)
+        assert len(shapes) == len(set(shapes)) == checked
+        n = ell * ell
+        dims = {c2_closed_form(n, lam).dim for lam in shapes}
+        assert max(dims) <= CROSS_CHECK_CEILING
 
     def test_closed_form_rows_validate_their_partition_at_most_twice(
         self, monkeypatch
@@ -361,14 +398,14 @@ class TestExploreConjecture:
         )
 
     def test_row_disagreeing_with_its_dual_row_breaks_duality(self, monkeypatch):
-        real = tables_mod.column_indices
+        real = tables_mod.column_rows
 
         def skewed(n, rows):
             # lam = (1,1,1); dual (6,) keeps its value 21
-            return [value + 3 if heights == (3,) else value
-                    for heights, value in zip(rows, real(n, rows))]
+            return [res._replace(n_lambda=res.n_lambda + 3) if heights == (3,)
+                    else res for heights, res in zip(rows, real(n, rows))]
 
-        monkeypatch.setattr(tables_mod, "column_indices", skewed)
+        monkeypatch.setattr(tables_mod, "column_rows", skewed)
         rep = explore_conjecture(3)
         assert rep.image_index == 3 and rep.all_rows_divisible
         assert not rep.duality_invariant

@@ -139,25 +139,25 @@ def test_perfbench_tracer_wraps_every_target_and_restores_it():
 
 
 def test_perfbench_tracer_counts_the_rows_and_skips_of_the_front_door(capsys, tmp_path):
-    # The tracer reads a third positional argument of chern.c2 as a method
-    # and counts a ceiling skip only without one, so c2 must take only
-    # (n, lam) positionally and the cache by its keyword, cache=, for a
-    # traced run to count its skips, with or without a cache.  The second
-    # cached run is served by the 27 records the first one put.
+    # The tracer counts the rows and the cross-checked rows of each table
+    # that generator_table returns; every other row was skipped by the
+    # ceiling.  The rows come from chern.column_rows, not per-row chern.c2
+    # calls, so the skips are read as rows less cross-checked rows.  The
+    # second cached run is served by the 27 records the first one put.
     from schern import cli
 
     t = _load_tracer().Tracer()
     t.install()
     try:
-        assert cli.run(["image-index", "9", "3", "--no-cache"]) == 0
+        assert cli.run(["generators", "9", "3", "--no-cache"]) == 0
         for _ in range(2):
-            assert cli.run(["image-index", "9", "3", "--cache", str(tmp_path / "F")]) == 0
+            assert cli.run(["generators", "9", "3", "--cache", str(tmp_path / "F")]) == 0
     finally:
         t.uninstall()
-    assert capsys.readouterr().out == "3\n3\n3\n"
+    assert capsys.readouterr().out.count("\ngcd 3\n") == 3
     assert t.counts["tables.rows"] == 3 * 31
     assert t.counts["tables.cross_checked_rows"] == 3 * 27
-    assert t.counts["chern.ceiling_skips"] == 3 * 4
+    assert t.counts["tables.rows"] - t.counts["tables.cross_checked_rows"] == 3 * 4
     assert t.counts["cache.get.calls"] == 62
     assert t.counts["cache.put.calls"] == 27
     assert t.counts["cache.hits"] == 27
