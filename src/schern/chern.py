@@ -9,7 +9,7 @@ n_lam:
   taken in one loop over the lines of lam, its rows or its column heights.
   :func:`c2_closed_form` and :func:`schur_dimension` run it on the shorter
   side of one shape, so the longer side is never walked;
-  :func:`column_rows` runs it on a batch of generator rows by the column
+  :func:`column_rows` streams it over the generator rows by the column
   heights that the basis search yields (at most d, by the Davenport bound);
 * determinant: one Jacobi-Trudi determinant over the shorter side of lam
   with entries in Z[eps]/(eps^2), the elementary or complete symmetric
@@ -19,18 +19,20 @@ n_lam:
 * enumeration: stream every semistandard tableau content and read off the
   quadratic part of the splitting-principle product modulo (x1+...+xn).
 
-The front door :func:`c2`, one shape, and :func:`column_rows`, a batch,
-both run the closed form and one private rule, :func:`_settle`, which alone
-cross-checks by the determinant while the dimension is at most
-CROSS_CHECK_CEILING and alone reads and writes the records of a cache it is
-handed.  Enumeration costs time linear in the dimension; no command
-reaches it, and it serves the tests as an oracle.  No route leaves the
+The front door :func:`c2`, one shape, and :func:`column_rows`, a lazy
+stream of plain (n_lam, cross_checked, dim) tuples, both run the closed form
+and one private rule, :func:`_settle`, which alone cross-checks by the
+determinant while the dimension is at most CROSS_CHECK_CEILING and alone
+reads and writes, under that ceiling only, the records of a cache it is
+handed.  Only the single-shape routes build a ChernResult.  Enumeration
+costs time linear in the dimension; no command reaches it, and it serves
+the tests as an oracle.  No route leaves the
 integers: the closed form divides n times the Casimir eigenvalue exactly,
 and the determinant only by pivots whose integer part is a dimension.
 """
 import math
 from collections import namedtuple
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 from .partitions import (
     InputError,
@@ -80,8 +82,8 @@ def reduce_full_columns(n: int, lam: Partition) -> Partition:
 
 
 def _line_indices(n: int, batch: Iterable[Partition],
-                  by_columns: bool) -> list[tuple[int, int]]:
-    """(n_lam, dim) of each shape in ``batch``, each given by its column
+                  by_columns: bool) -> Iterator[tuple[int, int]]:
+    """Yield (n_lam, dim) of each shape in ``batch``, each given by its column
     heights (by_columns) or its rows l_0 >= l_1 >= ... >= l_(k-1), at most n
     rows; the one evaluation of the closed form
     n_lam = dim * casimir / (n^2 - 1).
@@ -106,7 +108,6 @@ def _line_indices(n: int, batch: Iterable[Partition],
     # B(m) = C(top + step * m, m) and E_k = prod perm(top + step * i, i)
     step, sign = (0, -1) if by_columns else (1, 1)
     tables = {}
-    values = []
     for lines in batch:
         k = len(lines)
         table = tables.get(k)
@@ -144,8 +145,7 @@ def _line_indices(n: int, batch: Iterable[Partition],
                 f"lam={_conjugate(lines) if by_columns else lines}; "
                 "formula misapplied"
             )
-        values.append((value, dim))
-    return values
+        yield value, dim
 
 
 def c2_closed_form(n: int, lam: Partition) -> ChernResult:
@@ -256,36 +256,35 @@ def c2_enumeration(n: int, lam: Partition) -> ChernResult:
 
 
 def _settle(n: int, shapes: list[Partition], by_columns: bool,
-            cache) -> list[ChernResult]:
-    """The closed form of each reduced shape in ``shapes``, given by its
-    column heights (by_columns) or rows, in one batch, and the one
-    cross-check rule: while the dimension is at most CROSS_CHECK_CEILING,
-    the Jacobi-Trudi determinant recomputes the index and the dimension, and
-    a disagreement raises CrossCheckError.  ``cache``, any object with
-    ``get(n, lam)`` and ``put(n, lam, index)`` keyed by the reduced lam,
-    stands in for the determinant only under the ceiling with a record equal
-    to the closed form; each index the determinant confirms is put, and the
-    later record wins.  lam is built only for a cache or the determinant."""
-    rows = []
+            cache) -> Iterator[tuple[int, bool, int]]:
+    """Yield (n_lam, cross_checked, dim) of each reduced shape in ``shapes``,
+    given by its column heights (by_columns) or rows, by the closed form, and
+    the one cross-check rule: while the dimension is at most
+    CROSS_CHECK_CEILING, the Jacobi-Trudi determinant recomputes the index
+    and the dimension, and a disagreement raises CrossCheckError as that row
+    is drawn.  Only under the ceiling is lam built and ``cache`` consulted,
+    any object with ``get(n, lam)`` and ``put(n, lam, index)`` keyed by the
+    reduced lam: a record equal to the closed form stands in for the
+    determinant, each index the determinant confirms is put, and the later
+    record wins."""
     for lines, (value, dim) in zip(shapes, _line_indices(n, shapes, by_columns)):
         checked = dim <= CROSS_CHECK_CEILING
-        if checked or cache is not None:
+        if checked:
             lam = _conjugate(lines) if by_columns else lines
-            known = cache.get(n, lam) if cache is not None else None
-            if checked and known != value:
+            if cache is None or cache.get(n, lam) != value:
                 determinant = _jacobi_trudi(n, lam)
                 if determinant != (value, dim):
                     raise CrossCheckError(n, lam, (value, dim), determinant)
                 if cache is not None:
                     cache.put(n, lam, value)
-        rows.append(ChernResult(value, checked, dim))
-    return rows
+        yield value, checked, dim
 
 
-def column_rows(n: int, heights: list[Partition], cache=None) -> list[ChernResult]:
-    """What :func:`c2` gives each shape in ``heights``, given by its column
-    heights, all below n: the generator rows of the basis search, in one
-    batch, so each line count builds its tables once, handed ``cache``."""
+def column_rows(n: int, heights: list[Partition], cache=None) -> Iterator[tuple]:
+    """Lazily, what :func:`c2` gives each shape in ``heights``, given by its
+    column heights, all below n, as a plain (n_lam, cross_checked, dim)
+    tuple, handed ``cache``: the generator rows of the basis search, in one
+    pass, so each line count builds its tables once."""
     return _settle(n, heights, True, cache)
 
 
@@ -293,4 +292,4 @@ def c2(n: int, lam: Partition, *, cache=None) -> ChernResult:
     """Front door: the closed form over the shorter side of the reduced lam,
     settled by :func:`_settle`, handed ``cache``."""
     lines, by_columns = _shorter_side(reduce_full_columns(n, lam))
-    return _settle(n, [lines], by_columns, cache)[0]
+    return ChernResult(*next(_settle(n, [lines], by_columns, cache)))

@@ -289,7 +289,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
                 fail(f"argument {flag} takes no value, got {text!r}")
             texts[flag] = True
         else:
-            if not eq and (text := next(tokens, "--")).startswith("--"):
+            if not eq and (text := next(tokens, "--")).startswith("--") or not text:
                 fail(f"argument {flag} expects a value")
             texts[flag] = text
     if missing := [a for a in args if a not in texts and a not in DEFAULTS]:

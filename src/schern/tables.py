@@ -10,10 +10,11 @@ CASES is the one registry of bundled cases: each names its group, its
 expected image index and, for SL(8)/mu_2 and SL(9)/mu_3, the printed
 reference table as plain data.  :func:`generator_table` recomputes every
 row and flags disagreements instead of silently trusting either side.
-Every index comes from one :func:`chern.column_rows` batch over column
-heights, with c2's cross-check; only printed tables build weights.
+Every index comes from one :func:`chern.column_rows` stream over column
+heights, with c2's cross-check; only printed tables build weights or keep rows.
 """
 from collections import namedtuple
+from functools import reduce
 from math import gcd
 
 from .cache import ResultCache
@@ -115,11 +116,10 @@ def _compute_table(spec: GroupSpec, heights: list[Partition],
                    cache: ResultCache | None) -> GeneratorTable:
     printed = _PRINTED.get(spec, {})
     rows = []
-    for h, res in zip(heights, column_rows(spec.n, heights, cache)):
-        w, value = weight_of(spec.n, h), res.n_lambda
+    for h, (value, checked, _) in zip(heights, column_rows(spec.n, heights, cache)):
+        w = weight_of(spec.n, h)
         flag = w in printed and printed[w] != value
-        rows.append(TableRow(w, partition_of(w), value, flag,
-                             res.cross_checked, printed.get(w)))
+        rows.append(TableRow(w, partition_of(w), value, flag, checked, printed.get(w)))
     rows.sort(key=lambda r: r.weight)
     return GeneratorTable(spec, tuple(rows), gcd(*(r.n_lambda for r in rows)))
 
@@ -132,7 +132,7 @@ def generator_table(spec: GroupSpec,
     A row is flagged when a bundled reference value exists for its weight and
     disagrees with the recomputation.  A row whose cross-check fails raises
     its CrossCheckError, so no table, and no gcd, is returned.  The rows come
-    from one :func:`column_rows` batch, handed ``cache``.
+    from one :func:`column_rows` stream, handed ``cache``.
     """
     return _compute_table(spec, generator_heights(spec), cache)
 
@@ -157,10 +157,10 @@ def table_against_reference(case_id: str,
 
 def image_index(spec: GroupSpec, cache: ResultCache | None = None) -> int:
     """gcd of the indices n_lam over the generating set: the image of the
-    degree-2 Chern class map is this multiple of c2.  No table row, weight
-    or partition is built."""
+    degree-2 Chern class map is this multiple of c2, a running gcd over the
+    rows as they stream: no row is kept, nor any weight or partition."""
     rows = column_rows(spec.n, generator_heights(spec), cache)
-    return gcd(*(r.n_lambda for r in rows))
+    return reduce(gcd, (value for value, _, _ in rows), 0)
 
 
 def verify_case(case_id: str) -> CaseReport:
@@ -197,13 +197,14 @@ def explore_conjecture(ell: int) -> ConjectureReport:
     """Image index of SL(ell^2)/mu_ell.
 
     Every generator's index, cross-checked as in :func:`image_index`, is
-    looked up against its dual row, whose heights are n - h reversed.
-    Reports whether the computed gcd equals ell; it never asserts that it
-    must.  Only odd primes up to MAX_CONJECTURE_ELL are accepted: for ell = 2
-    the relevant quotients are already settled, and composite ell is outside
-    the pattern probed.  Trial division stops at the ceiling: an ell below 3
-    or with a factor up to it is not an odd prime, and any other ell above it
-    exceeds the ceiling, prime or not, so no ell takes long to refuse.
+    kept in one dict by heights and looked up against its dual row, whose
+    heights are n - h reversed.  Reports whether the computed gcd equals
+    ell; it never asserts that it must.  Only odd primes up to
+    MAX_CONJECTURE_ELL are accepted: for ell = 2 the relevant quotients are
+    already settled, and composite ell is outside the pattern probed.
+    Trial division stops at the ceiling: an ell below 3 or with a factor up
+    to it is not an odd prime, and any other ell above it exceeds the
+    ceiling, prime or not, so no ell takes long to refuse.
     """
     if ell < 3 or any(ell % p == 0
                       for p in range(2, min(ell, MAX_CONJECTURE_ELL + 1))):
@@ -213,10 +214,9 @@ def explore_conjecture(ell: int) -> ConjectureReport:
     spec = GroupSpec(ell * ell, ell)
     n = spec.n
     heights = generator_heights(spec)
-    values = [r.n_lambda for r in column_rows(n, heights)]
-    index_of = dict(zip(heights, values))  # duals, n - h reversed, are too
-    duals = [tuple([n - c for c in h[::-1]]) for h in heights]
-    duality_ok = list(map(index_of.get, duals)) == values
-    g = gcd(*values)
+    index_of = {h: value for h, (value, _, _) in zip(heights, column_rows(n, heights))}
+    duality_ok = all(index_of.get(tuple([n - c for c in h[::-1]])) == value
+                     for h, value in index_of.items())
+    g = reduce(gcd, index_of.values(), 0)
     # ell divides every row exactly when it divides their gcd
     return ConjectureReport(ell, spec, len(heights), g, g == ell, g % ell == 0, duality_ok)

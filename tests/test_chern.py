@@ -198,7 +198,7 @@ def _oracle_indices(n, shapes):
 
 def column_indices(n, rows):
     # the indices alone, which is what the oracle below gives
-    return [res.n_lambda for res in column_rows(n, rows)]
+    return [value for value, _, _ in column_rows(n, rows)]
 
 
 class _RecordingCache:
@@ -228,13 +228,29 @@ class TestColumnIndices:
         # (n_lam, cross_checked, dim) and, handed a cache, the same gets and
         # puts in the same order, cold and then served by the records
         rows = generator_heights(GroupSpec(n, d))
-        assert column_rows(n, rows) == [c2(n, conjugate(h)) for h in rows]
+        assert list(column_rows(n, rows)) == [tuple(c2(n, conjugate(h))) for h in rows]
         batch, single = _RecordingCache(), _RecordingCache()
         for _ in range(2):
-            assert column_rows(n, rows, cache=batch) == [
-                c2(n, conjugate(h), cache=single) for h in rows]
+            assert list(column_rows(n, rows, cache=batch)) == [
+                tuple(c2(n, conjugate(h), cache=single)) for h in rows]
             assert batch.calls == single.calls
-        assert len(batch.data) == sum(r.cross_checked for r in column_rows(n, rows))
+        assert len(batch.data) == sum(checked for _, checked, _ in column_rows(n, rows))
+
+    def test_a_disputed_row_raises_only_when_it_is_drawn(self, monkeypatch):
+        # the rows stream: with the determinant planted to disagree on the
+        # fifth row under the ceiling, the four before it come out and only
+        # drawing the fifth raises
+        n, rows = 8, generator_heights(GroupSpec(8, 2))
+        expected = [tuple(c2(n, conjugate(h))) for h in rows]
+        k = [i for i, (_, checked, _) in enumerate(expected) if checked][4]
+        disputed, real = conjugate(rows[k]), chern_mod._jacobi_trudi
+        monkeypatch.setattr(chern_mod, "_jacobi_trudi", lambda n, lam: (
+            (0, 0) if lam == disputed else real(n, lam)))
+        stream = column_rows(n, rows)
+        assert [next(stream) for _ in range(k)] == expected[:k]
+        with pytest.raises(CrossCheckError) as info:
+            next(stream)
+        assert (info.value.lam, info.value.determinant) == (disputed, (0, 0))
 
     @pytest.mark.parametrize("n, d", _GROUPS_TO_16)
     def test_matches_the_closed_form_on_every_generator_row(self, n, d):
@@ -273,9 +289,9 @@ class TestColumnIndices:
         n, shapes = case
         expected = [(index, weyl_dimension(n, lam))
                     for index, lam in zip(_oracle_indices(n, shapes), shapes)]
-        assert chern_mod._line_indices(n, shapes, False) == expected
+        assert list(chern_mod._line_indices(n, shapes, False)) == expected
         heights = [conjugate(lam) for lam in shapes]
-        assert chern_mod._line_indices(n, heights, True) == expected
+        assert list(chern_mod._line_indices(n, heights, True)) == expected
 
 
 class TestEnumeration:

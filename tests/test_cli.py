@@ -316,28 +316,35 @@ def test_image_index(capsys):
     assert invoke(capsys, "image-index", "9", "3", "--no-cache")[1] == "3\n"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("image-index", "8", "2"),
-        ("generators", "8", "2"),
-        ("generators", "8", "2", "--format", "json"),
-        ("table", "--case", "sl8-mu2", "--format", "csv"),
-        ("verify", "sl8-mu2"),
-    ],
-)
-def test_failed_cross_check_exits_3(capsys, monkeypatch, argv):
+_ROW_ARGVS = [
+    ("image-index", "8", "2"),
+    ("generators", "8", "2"),
+    ("generators", "8", "2", "--format", "json"),
+    ("table", "--case", "sl8-mu2", "--format", "csv"),
+    ("verify", "sl8-mu2"),
+]
+
+
+# the first and the last row of SL(8)/mu_2 in search order, so the stream
+# fails at its start and at its end
+@pytest.mark.parametrize("argv, lam, closed", [
+    pytest.param(argv, lam, closed, id=f"argv{i}{suffix}")
+    for lam, closed, suffix in [((1, 1), (6, 28), ""), ((2,) * 7, (10, 36), "-last-row")]
+    for i, argv in enumerate(_ROW_ARGVS)])
+def test_failed_cross_check_exits_3(capsys, monkeypatch, argv, lam, closed):
     real = chern_mod._jacobi_trudi
 
-    def disagree(n, lam):
-        value, dim = real(n, lam)
-        return (value + 1 if lam == (1, 1) else value), dim
+    def disagree(n, shape):
+        value, dim = real(n, shape)
+        return (value + 1 if shape == lam else value), dim
 
     monkeypatch.setattr(chern_mod, "_jacobi_trudi", disagree)
     code, out, err = invoke(capsys, *argv, "--no-cache")
     assert code == 3
-    assert ("(n_lam, dim) is (6, 28) by the closed form, (7, 28) by the "
-            "dual-number Jacobi-Trudi determinant") in err
+    value, dim = closed
+    assert (f"(n_lam, dim) is ({value}, {dim}) by the closed form, "
+            f"({value + 1}, {dim}) by the dual-number Jacobi-Trudi "
+            "determinant") in err
     # no table and no gcd over the rows that passed
     assert out == ""
 
@@ -546,7 +553,9 @@ def test_conjecture_a_row_that_ell_does_not_divide(capsys, monkeypatch):
     def first_row_off_by_one(n, rows):
         seen.extend(rows)
         results = real(n, rows)
-        return [results[0]._replace(n_lambda=results[0].n_lambda + 1)] + results[1:]
+        value, *rest = next(results)
+        yield value + 1, *rest
+        yield from results
 
     monkeypatch.setattr(tables_mod, "column_rows", first_row_off_by_one)
     code, out, _ = invoke(capsys, "conjecture", "3")
@@ -1257,6 +1266,7 @@ def malformed(cmd):
         ("abbreviated-flag", valid + ["--no-c"]),  # prefixes are not expanded
         ("extra-positional", valid + ["7"]),
         ("missing-value", valid + ["--cache"]),
+        ("empty-value", valid + ["--cache="]),
         ("flag-as-value", valid + ["--cache", "--no-cache"]),
         ("value-on-flag", valid + ["--no-cache=yes"]),
         ("removed-flag", valid + ["--verify-cache"]),  # a record is always checked

@@ -327,7 +327,7 @@ class TestIndexFormula:
                     predicted *= p ** max(0, min(_valuation(p, d),
                                                  _valuation(p, n // d) - (p == 2)))
             rows = column_rows(n, generator_heights(GroupSpec(n, d)))
-            index = math.gcd(*(r.n_lambda for r in rows))
+            index = math.gcd(*(value for value, _, _ in rows))
             if index != predicted:
                 mismatches.append((n, d, index, predicted))
         assert mismatches == []
@@ -402,8 +402,8 @@ class TestExploreConjecture:
 
         def skewed(n, rows):
             # lam = (1,1,1); dual (6,) keeps its value 21
-            return [res._replace(n_lambda=res.n_lambda + 3) if heights == (3,)
-                    else res for heights, res in zip(rows, real(n, rows))]
+            return ((value + 3, *rest) if heights == (3,) else (value, *rest)
+                    for heights, (value, *rest) in zip(rows, real(n, rows)))
 
         monkeypatch.setattr(tables_mod, "column_rows", skewed)
         rep = explore_conjecture(3)

@@ -143,7 +143,8 @@ def test_perfbench_tracer_counts_the_rows_and_skips_of_the_front_door(capsys, tm
     # that generator_table returns; every other row was skipped by the
     # ceiling.  The rows come from chern.column_rows, not per-row chern.c2
     # calls, so the skips are read as rows less cross-checked rows.  The
-    # second cached run is served by the 27 records the first one put.
+    # second cached run is served by the 27 records the first one put.  The
+    # cache is looked up only under the ceiling: 27 rows in each cached run.
     from schern import cli
 
     t = _load_tracer().Tracer()
@@ -158,7 +159,7 @@ def test_perfbench_tracer_counts_the_rows_and_skips_of_the_front_door(capsys, tm
     assert t.counts["tables.rows"] == 3 * 31
     assert t.counts["tables.cross_checked_rows"] == 3 * 27
     assert t.counts["tables.rows"] - t.counts["tables.cross_checked_rows"] == 3 * 4
-    assert t.counts["cache.get.calls"] == 62
+    assert t.counts["cache.get.calls"] == 2 * 27
     assert t.counts["cache.put.calls"] == 27
     assert t.counts["cache.hits"] == 27
 
@@ -294,3 +295,34 @@ def test_the_determinant_shares_no_code_with_the_closed_form(monkeypatch):
 
     monkeypatch.setattr(chern_mod, "_line_indices", broken)
     assert [chern_mod._jacobi_trudi(n, lam) for n, lam in shapes] == expected
+
+
+def test_the_row_pipeline_is_lazy_and_only_single_shapes_build_a_chern_result():
+    # _line_indices and _settle yield their rows and column_rows hands on
+    # _settle's stream, so no layer holds a list of rows; a ChernResult is
+    # built only by the three single-shape routes.  Each stray construction
+    # is reported by function and line.
+    import inspect
+
+    import schern.chern as chern_mod
+
+    tree = ast.parse((SRC / "chern.py").read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("_line_indices", "_settle"):
+        assert any(isinstance(sub, ast.Yield) for sub in ast.walk(defs[name])), name
+    (ret,) = [sub for sub in ast.walk(defs["column_rows"]) if isinstance(sub, ast.Return)]
+    assert isinstance(ret.value, ast.Call) and ret.value.func.id == "_settle"
+    assert inspect.isgenerator(chern_mod.column_rows(3, [(1,)]))
+    assert inspect.isgenerator(chern_mod._line_indices(3, [(1,)], True))
+    found = [
+        (path.name, getattr(top, "name", "<module>"), node.lineno)
+        for path in sorted(SRC.glob("*.py"))
+        for top in ast.parse(path.read_text(), filename=str(path)).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and (node.func.id if isinstance(node.func, ast.Name)
+             else getattr(node.func, "attr", None)) == "ChernResult"
+    ]
+    assert sorted(name for _, name, _ in found) == [
+        "c2", "c2_closed_form", "c2_enumeration"], found
+    assert {path for path, _, _ in found} == {"chern.py"}, found
