@@ -11,12 +11,13 @@ json.dumps(rec, sort_keys=True, separators=(",", ":")), no timestamps, so
 identical runs produce byte-identical files.  A line is read only if it is
 exactly the line its fields write: a hand-edited or respaced line, another
 version or another field is skipped and its index recomputed.  Appends take
-an advisory lock; concurrent writers interleave whole lines.  A path that
-is absent reads as an empty cache; one that is not a regular file (a
-directory, a FIFO, a device), or cannot be read or appended to, raises
-InputError, as a bad --cache argument.
+an advisory lock; concurrent writers interleave whole lines.  The path is a
+str or any path-like, used as given.  A path that is absent reads as an
+empty cache; one that ends in "/" or is not a regular file (a directory, a
+FIFO, a device), or cannot be read or appended to, raises InputError, as a
+bad --cache argument.
 """
-from pathlib import Path
+import os
 from stat import S_ISREG
 
 from . import __version__
@@ -55,14 +56,16 @@ class ResultCache:
     determinant only when it equals the closed form.
     """
 
-    def __init__(self, path: Path):
+    def __init__(self, path: str | os.PathLike):
         self.path = path
         self._data: dict[CacheKey, int] = {}
         try:
-            # a FIFO would block the read and /dev/zero never end it
-            if not S_ISREG(path.stat().st_mode):
+            # a FIFO would block the read and /dev/zero never end it; a
+            # trailing "/" names a directory, whether or not one is there
+            if not os.path.basename(path) or not S_ISREG(os.stat(path).st_mode):
                 raise InputError(f"unusable cache path: {path} is not a regular file")
-            blob = path.read_bytes()
+            with open(path, "rb") as fh:
+                blob = fh.read()
         except FileNotFoundError:
             return
         except OSError as exc:  # a path under a file, no read permission, ...
@@ -85,7 +88,7 @@ class ResultCache:
     def _append(self, line: bytes) -> None:
         import fcntl  # only an append needs it; keep it off start-up
 
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+        os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
         with open(self.path, "ab+") as fh:
             fcntl.flock(fh, fcntl.LOCK_EX)
             try:

@@ -25,7 +25,6 @@ when a flush fails, it exits through sys.exit instead.
 import atexit
 import os
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 from .cache import ResultCache
@@ -201,9 +200,9 @@ def _cmd_conjecture(args) -> int:
 
 # Each command's handler, help line and arguments: positionals in order,
 # then its own options; every command also takes the SHARED flags.  A kind
-# reads the text (int, str, Path), lists the choices (a tuple) or marks a
-# flag that takes no value (bool).
-SHARED = {"--cache": Path, "--no-cache": bool}
+# reads the text (int, str), names the value of an option kept as its text
+# (a str: "PATH"), lists the choices (a tuple) or marks a bare flag (bool).
+SHARED = {"--cache": "PATH", "--no-cache": bool}
 FORMAT = ("text", "csv", "json")
 COMMANDS = {
     "c2": (_cmd_c2, "index n_lambda of one representation",
@@ -243,7 +242,7 @@ def _usage(name: str | None, full: bool = False) -> str:
         args = {**COMMANDS[name][2], **SHARED}
         rows = [(a if kind is bool or a[0] != "-"
                  else f"{a} {{{','.join(kind)}}}" if isinstance(kind, tuple)
-                 else f"{a} {kind.__name__.upper()}", HELP.get(a, ""))
+                 else f"{a} {kind}", HELP.get(a, ""))
                 for a, kind in args.items()]
         usage = " ".join([f"usage: schern {name} [-h]", *(
             f"[{word}]" if a in DEFAULTS else word
@@ -300,8 +299,6 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
         if arg in texts and isinstance(kind, tuple) and value not in kind:
             fail(f"argument {arg}: invalid choice {value!r} "
                  f"(choose from {', '.join(kind)})")
-        if arg in texts and kind is Path:
-            value = Path(value)
         if arg in texts and kind is int:
             # int() alone would also take "1_0", "+8" and non-ASCII digits
             digits = value.removeprefix("-")

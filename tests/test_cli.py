@@ -811,15 +811,17 @@ def test_a_respaced_json_record_is_recomputed(capsys, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("where", ["directory", "under-a-file", "dangling-link",
-                                   "fifo", "device"])
+                                   "fifo", "device", "file-with-slash"])
 def test_unusable_cache_path_exits_2(capsys, tmp_path, where):
     (tmp_path / "file").write_text("")
     # a dangling link reads as no file yet, so only the append fails
     (tmp_path / "link").symlink_to(tmp_path / "missing")
     os.mkfifo(tmp_path / "fifo")
+    # a trailing "/" names a directory: the file before it is not the cache
     cache = {"directory": tmp_path, "under-a-file": tmp_path / "file" / "c.jsonl",
              "dangling-link": tmp_path / "link" / "c.jsonl",
-             "fifo": tmp_path / "fifo", "device": Path(os.devnull)}[where]
+             "fifo": tmp_path / "fifo", "device": os.devnull,
+             "file-with-slash": f"{tmp_path / 'file'}/"}[where]
     argv = ("c2", "8", "2,2,2", "--cache", str(cache))
     if where == "fifo":
         # reading a FIFO waits for a writer, so a child runs it, under a timeout
@@ -830,6 +832,7 @@ def test_unusable_cache_path_exits_2(capsys, tmp_path, where):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+    assert (tmp_path / "file").read_text() == ""
 
 
 @pytest.mark.parametrize("ceiling", [0, 200_000], ids=["0", "200000"])
@@ -1021,13 +1024,14 @@ def test_start_up_imports_no_unused_heavy_modules():
 def test_text_and_uncached_commands_load_no_unneeded_modules(tmp_path):
     # argparse and gettext are replaced by parse_args; render_table writes
     # --format json and --format csv itself and the cache reads and writes
-    # its own lines, so nothing loads json or csv; fcntl only serves a
+    # its own lines, so nothing loads json or csv; --cache stays a str, so
+    # nothing loads pathlib (nor the re it pulls in); fcntl only serves a
     # cache append, so a flag-less c2 or image-index loads none of them
     # (isolated_env gives the child a temporary HOME and XDG_CACHE_HOME);
     # no module uses fractions, nor __future__ postponed annotations, which are
-    # gone.  Then a c2 miss that appends, the hit that follows and a cached
-    # table load no json either.  Counted in a fresh interpreter, where site
-    # has loaded none of them.
+    # gone.  Then a c2 miss that appends, the hit that follows, a cached dim
+    # and a cached table load only fcntl.  Counted in a fresh interpreter
+    # under -S: a site hook may import pathlib or re before schern starts.
     cache = tmp_path / "F"
     script = (
         "import sys\n"
@@ -1043,22 +1047,23 @@ def test_text_and_uncached_commands_load_no_unneeded_modules(tmp_path):
         "         schern.cli.run(['table', '--case', 'sl8-mu2', '--format', 'csv',\n"
         "                         '--no-cache'])]\n"
         "unneeded = ['argparse', 'gettext', 'json', 'csv', 'fractions', 'fcntl',\n"
-        "            '__future__']\n"
+        "            '__future__', 'pathlib', 're']\n"
         "print(codes, [m for m in unneeded if m in sys.modules])\n"
         f"cached = [schern.cli.run(['c2', '8', '2,2,2', '--cache', {str(cache)!r}]),\n"
         f"          schern.cli.run(['c2', '8', '2,2,2', '--cache', {str(cache)!r}]),\n"
+        f"          schern.cli.run(['dim', '8', '2,1', '--cache', {str(cache)!r}]),\n"
         f"          schern.cli.run(['image-index', '8', '2', '--cache', {str(cache)!r}])]\n"
-        "print(cached, 'json' in sys.modules)\n"
+        "print(cached, [m for m in unneeded if m in sys.modules])\n"
     )
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-S", "-c", script],
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": str(root / "src")},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-5:] == ["[0, 0, 0, 0, 0, 0, 0, 0] []",
-                                             "700", "700", "2", "[0, 0, 0] False"]
+    assert proc.stdout.splitlines()[-6:] == ["[0, 0, 0, 0, 0, 0, 0, 0] []", "700",
+                                             "700", "168", "2", "[0, 0, 0, 0] ['fcntl']"]
     # one line from the c2 miss, then the 12 other rows of SL(8)/mu_2
     assert cache.read_bytes().count(b"\n") == 13
 
@@ -1336,9 +1341,9 @@ def test_benchmark_argvs_parse_to_the_argparse_namespaces():
         (["c2", "3", "2,1", "--no-cache"],
          {"command": "c2", "n": 3, "partition": "2,1", "no_cache": True}),
         (["dim", "5", "1,1", "--cache", "F"],
-         {"command": "dim", "n": 5, "partition": "1,1", "cache": Path("F")}),
+         {"command": "dim", "n": 5, "partition": "1,1", "cache": "F"}),
         (["c2", "5", "2", "--cache", "F"],
-         {"command": "c2", "n": 5, "partition": "2", "cache": Path("F")}),
+         {"command": "c2", "n": 5, "partition": "2", "cache": "F"}),
         (["generators", "9", "3", "--format", "json", "--no-cache"],
          {"command": "generators", "n": 9, "d": 3, "format": "json",
           "no_cache": True}),
@@ -1352,7 +1357,7 @@ def test_benchmark_argvs_parse_to_the_argparse_namespaces():
         (["conjecture", "3"], {"command": "conjecture", "ell": 3}),
         (["generators", "9", "3", "--format", "csv", "--cache", "F"],
          {"command": "generators", "n": 9, "d": 3, "format": "csv",
-          "cache": Path("F")}),
+          "cache": "F"}),
     ]
     for argv, fields in cases:
         ns = vars(parse_args(argv))
