@@ -7,7 +7,7 @@ n_lam:
 
 * closed form: dimension times Casimir eigenvalue divided by n^2 - 1, both
   taken in one loop over the lines of lam, its rows or its column heights.
-  :func:`c2_closed_form` and :func:`schur_dimension` run it on the shorter
+  :func:`c2` and the unchecked :func:`c2_closed_form` run it on the shorter
   side of one shape, so the longer side is never walked;
   :func:`column_rows` streams it over the generator rows by the column
   heights that the basis search yields (at most d, by the Davenport bound);
@@ -24,11 +24,12 @@ stream of plain (n_lam, cross_checked, dim) tuples, both run the closed form
 and one private rule, :func:`_settle`, which alone cross-checks by the
 determinant while the dimension is at most CROSS_CHECK_CEILING and alone
 reads and writes, under that ceiling only, the records of a cache it is
-handed.  Only the single-shape routes build a ChernResult.  Enumeration
-costs time linear in the dimension; no command reaches it, and it serves
-the tests as an oracle.  No route leaves the
-integers: the closed form divides n times the Casimir eigenvalue exactly,
-and the determinant only by pivots whose integer part is a dimension.
+handed; :func:`schur_dimension` is c2's dimension.  Only the single-shape
+routes build a ChernResult.  Enumeration costs time linear in the
+dimension; no command reaches it, and it serves the tests as an oracle.
+No route leaves the integers: the closed form divides n times the Casimir
+eigenvalue exactly, and the determinant only by pivots whose integer part
+is a dimension.
 """
 import math
 from collections import namedtuple
@@ -40,6 +41,7 @@ from .partitions import (
     Partition,
     _conjugate,
     _shorter_side,
+    integer,
     partition,
     ssyt_stream,
 )
@@ -69,11 +71,9 @@ ChernResult = namedtuple("ChernResult", "n_lambda cross_checked dim")
 
 
 def reduce_full_columns(n: int, lam: Partition) -> Partition:
-    """Canonical lam, checked to be an SL(n) highest weight (n positive, at
-    most n rows), less its determinant factors: lam_n off every part."""
-    if n < 1:
-        raise InputError(f"n must be positive, got {n}")
-    lam = partition(lam)
+    """Canonical lam, checked to be an SL(n) highest weight (n a positive
+    integer, at most n rows), less its determinant factors: lam_n off each."""
+    n, lam = integer(n, "n"), partition(lam)
     if len(lam) > n:
         raise InputError(f"partition {lam} has more than n={n} rows")
     if len(lam) == n and lam[-1] > 0:
@@ -151,25 +151,10 @@ def _line_indices(n: int, batch: Iterable[Partition],
 def c2_closed_form(n: int, lam: Partition) -> ChernResult:
     """n_lam = dim * casimir / (n^2 - 1), computed as the integer quotient
     dim * (n * casimir) / (n * (n^2 - 1)) over the shorter side of the
-    reduced lam; the division is always exact."""
+    reduced lam; the division is always exact.  Never cross-checked."""
     lines, by_columns = _shorter_side(reduce_full_columns(n, lam))
     (value, dim), = _line_indices(n, [lines], by_columns)
     return ChernResult(value, False, dim)
-
-
-def schur_dimension(n: int, lam: Partition) -> int:
-    """Dimension of the irreducible GL(n) (equivalently SL(n)) module of shape lam.
-
-    Returns 0 when lam has more than n rows.
-    """
-    if n < 1:
-        raise InputError(f"n must be positive, got {n}")
-    lam = partition(lam)
-    if len(lam) > n:
-        return 0
-    lines, by_columns = _shorter_side(lam)
-    (_, dim), = _line_indices(n, [lines], by_columns)
-    return dim
 
 
 def _jacobi_trudi(n: int, lam: Partition) -> tuple[int, int]:
@@ -238,17 +223,15 @@ def _jacobi_trudi(n: int, lam: Partition) -> tuple[int, int]:
 
 
 def c2_enumeration(n: int, lam: Partition) -> ChernResult:
-    """Splitting principle over tableau contents.
-
-    Each tableau contributes a Chern root with multiplicities m = content;
-    the product of (1 + m.x) truncated at degree 2, reduced modulo the
-    vanishing first Chern class, has e2-coefficient
-    sum over tableaux of m1^2 - m1*m2.
-    """
+    """Splitting principle over tableau contents: each tableau contributes a
+    Chern root with multiplicities m = content; the product of (1 + m.x)
+    truncated at degree 2, reduced modulo the vanishing first Chern class,
+    has e2-coefficient sum over tableaux of m1^2 - m1*m2.  The dimension is
+    the tableau count, so neither part touches the closed form."""
     lam = reduce_full_columns(n, lam)
-    dim = schur_dimension(n, lam)
-    total = 0
+    total = dim = 0
     for c in ssyt_stream(n, lam):
+        dim += 1
         m1 = c[0]
         if m1:
             total += m1 * (m1 - c[1])
@@ -293,3 +276,11 @@ def c2(n: int, lam: Partition, *, cache=None) -> ChernResult:
     settled by :func:`_settle`, handed ``cache``."""
     lines, by_columns = _shorter_side(reduce_full_columns(n, lam))
     return ChernResult(*next(_settle(n, [lines], by_columns, cache)))
+
+
+def schur_dimension(n: int, lam: Partition) -> int:
+    """Dimension of the irreducible GL(n) (equivalently SL(n)) module of
+    shape lam, 0 when lam has more than n rows: else the dimension of
+    :func:`c2`, cross-checked by the determinant up to the ceiling."""
+    n, lam = integer(n, "n"), partition(lam)
+    return 0 if len(lam) > n else c2(n, lam).dim

@@ -10,14 +10,14 @@ json or csv.  argv is read by parse_args against the COMMANDS table;
 -h/--help prints help and exits 0.
 
 Exit codes: 0 success, 1 an arithmetic invariant failed (InvariantError:
-verify found an index that is not a multiple of the H^4 generator, the
-closed form, the hook-content dimension or the Bareiss elimination of the
-cross-check did not divide exactly, or a Bareiss pivot was not positive), 2
-bad arguments or violated preconditions (InputError: a usage error from the
-parser itself, unknown case, ell above its ceiling, malformed partition,
-unusable cache path), 3 a consistency check failed (the determinant of c2
-gave another index or dimension than the closed form, for c2 or any table
-row; no command then prints on stdout).
+verify found an index that is not a multiple of the H^4 generator, or the
+closed form, the hook-content dimension or the cross-check's Bareiss
+elimination did not divide exactly or met a non-positive pivot, in c2, dim
+or any table row), 2 bad arguments or violated preconditions (InputError: a
+usage error from the parser itself, unknown case, ell above its ceiling,
+malformed partition, unusable cache path), 3 a consistency check failed
+(the determinant gave another index or dimension than the closed form, for
+c2, dim or any table row; no command then prints on stdout).
 main() runs the atexit handlers, flushes stdio and ends the process with
 os._exit, skipping interpreter teardown; under a tracer or profiler, or
 when a flush fails, it exits through sys.exit instead.

@@ -1,9 +1,9 @@
 """Partitions, conjugation, and semistandard tableau enumeration.
 
 A partition is a tuple of weakly decreasing positive integers.  The empty
-partition is ().  The public functions accept any part sequence and validate
-it once through :func:`partition`, which strips trailing zeros; the private
-helpers behind them trust that canonical form and do not check it again.
+partition is ().  The public functions check a part sequence once through
+:func:`partition`, which strips trailing zeros, and an integer through
+:func:`integer`; the private helpers behind them trust what they checked.
 The dimension of a shape is taken in :mod:`schern.chern`, by the loop that
 also takes its index, over the side that :func:`_shorter_side` picks.
 """
@@ -27,6 +27,18 @@ class InvariantError(ArithmeticError):
 
 class PartitionError(InputError):
     pass
+
+
+def integer(value, name: str, least: int | None = 1) -> int:
+    """``value`` as an int of at least ``least`` (None: any), never truncated."""
+    try:
+        value = index(value)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        bound = "positive" if least == 1 else f"at least {least}"
+        raise InputError(f"{name} must be {bound}, got {value}")
+    return value
 
 
 def partition(parts: Iterable[int]) -> Partition:
@@ -81,9 +93,7 @@ def ssyt_stream(n: int, lam: Partition) -> Iterator[TableauContent]:
     which keeps memory at O(|lam| + n).  The iteration order is fixed (entries
     tried in increasing order), so two traversals agree element for element.
     """
-    if n < 1:
-        raise InputError(f"n must be positive, got {n}")
-    lam = partition(lam)
+    n, lam = integer(n, "n"), partition(lam)
     if len(lam) > n:
         return
     if not lam:

@@ -19,7 +19,7 @@ from math import gcd
 
 from .cache import ResultCache
 from .chern import column_rows
-from .partitions import InputError, InvariantError, Partition
+from .partitions import InputError, InvariantError, Partition, integer
 from .weights import GroupSpec, generator_heights, partition_of, weight_of
 
 
@@ -206,6 +206,7 @@ def explore_conjecture(ell: int) -> ConjectureReport:
     to it is not an odd prime, and any other ell above it exceeds the
     ceiling, prime or not, so no ell takes long to refuse.
     """
+    ell = integer(ell, "ell", None)
     if ell < 3 or any(ell % p == 0
                       for p in range(2, min(ell, MAX_CONJECTURE_ELL + 1))):
         raise InputError(f"ell must be an odd prime, got {ell}")

@@ -13,7 +13,7 @@ from collections import namedtuple
 from itertools import accumulate, product
 from operator import index
 
-from .partitions import InputError, Partition
+from .partitions import InputError, Partition, integer
 
 Weight = tuple[int, ...]
 
@@ -25,10 +25,7 @@ class GroupSpec(namedtuple("GroupSpec", "n d")):
     __slots__ = ()
 
     def __new__(cls, n: int, d: int) -> "GroupSpec":
-        if n < 2:
-            raise InputError(f"n must be at least 2, got {n}")
-        if d < 1:
-            raise InputError(f"d must be positive, got {d}")
+        n, d = integer(n, "n", 2), integer(d, "d")
         if n % d:
             raise InputError(f"d must divide n, got n={n} d={d}")
         return super().__new__(cls, n, d)

@@ -350,29 +350,32 @@ def test_failed_cross_check_exits_3(capsys, monkeypatch, argv, lam, closed):
 
 
 def test_a_dimension_that_the_determinant_disputes_exits_3(capsys, monkeypatch):
-    # the index agrees and only the dimension differs
+    # the index agrees and only the dimension differs; dim prints the dimension
+    # that c2 cross-checks, so it stops on the same dispute
     real = chern_mod._jacobi_trudi
     monkeypatch.setattr(chern_mod, "_jacobi_trudi",
                         lambda n, lam: (real(n, lam)[0], real(n, lam)[1] + 1))
-    code, out, err = invoke(capsys, "c2", "8", "2,2,2", "--no-cache")
-    assert (code, out) == (3, "")
-    assert "(700, 1176) by the closed form, (700, 1177) by the" in err
+    for command in ("c2", "dim"):
+        code, out, err = invoke(capsys, command, "8", "2,2,2", "--no-cache")
+        assert (code, out) == (3, ""), command
+        assert "(700, 1176) by the closed form, (700, 1177) by the" in err, command
 
 
 @pytest.mark.parametrize("pivot", [0, -56])
 def test_a_non_positive_jacobi_trudi_pivot_exits_1(capsys, monkeypatch, pivot):
-    # c2 8 2,2,2 eliminates over the column heights (3, 3), whose first pivot
-    # is E(3) = C(8, 3) = 56, a dimension; the closed form reads only
-    # C(9, t), so the planted entry reaches the determinant alone
+    # c2 8 2,2,2 and dim 8 2,2,2 eliminate over the column heights (3, 3),
+    # whose first pivot is E(3) = C(8, 3) = 56, a dimension; the closed form
+    # reads only C(9, t), so the planted entry reaches the determinant alone
     def comb(a, b):
         return pivot if (a, b) == (8, 3) else math.comb(a, b)
 
     monkeypatch.setattr(chern_mod, "math",
                         SimpleNamespace(**{**vars(math), "comb": comb}))
-    code, out, err = invoke(capsys, "c2", "8", "2,2,2", "--no-cache")
-    assert (code, out) == (1, "")
-    assert err == (f"error: Jacobi-Trudi pivot {pivot} is not positive for "
-                   "n=8 lam=(2, 2, 2)\n")
+    for command in ("c2", "dim"):
+        code, out, err = invoke(capsys, command, "8", "2,2,2", "--no-cache")
+        assert (code, out) == (1, ""), command
+        assert err == (f"error: Jacobi-Trudi pivot {pivot} is not positive for "
+                       "n=8 lam=(2, 2, 2)\n"), command
 
 
 # ---------------------------------------------------------------- rendering
@@ -1389,10 +1392,25 @@ def test_benchmark_argvs_parse_to_the_argparse_namespaces():
     lambda: explore_conjecture(9),
     lambda: explore_conjecture(11),
     lambda: parse_partition("2,x"),
+    # a non-integer n, d or ell, checked once per entry point
+    lambda: GroupSpec(4, 2.0),
+    lambda: GroupSpec(4.0, 2),
+    lambda: c2(8.0, (2, 2, 2)),
+    lambda: c2_closed_form(8.0, (2,)),
+    lambda: explore_conjecture(5.0),
+    lambda: reduce_full_columns(2.5, (1,)),
+    lambda: schur_dimension(2.5, (1, 1, 1)),
+    lambda: schur_dimension("3", (1,)),
+    lambda: c2_enumeration(2.5, (1,)),
+    lambda: chern_mod._jacobi_trudi(2.5, (1,)),
+    lambda: ssyt_count(2.5, (1,)),
 ], ids=["dim-n", "ssyt-n", "increasing", "rows-reduce", "rows-dual",
         "rows-casimir", "casimir-n", "dual-n", "c2-n", "subshape-n", "determinant-n", "spec-n",
         "spec-d", "spec-divide", "weight-type", "weight-sign", "table-case",
-        "verify-case", "ell-prime", "ell-ceiling", "partition-text"])
+        "verify-case", "ell-prime", "ell-ceiling", "partition-text",
+        "spec-d-float", "spec-n-float", "c2-n-float", "closed-form-n-float",
+        "ell-float", "reduce-n-float", "dim-n-float", "dim-n-str",
+        "enumeration-n-float", "determinant-n-float", "ssyt-n-float"])
 def test_every_bad_input_raises_input_error(call):
     with pytest.raises(InputError):
         call()

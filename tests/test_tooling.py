@@ -298,6 +298,34 @@ def test_the_determinant_shares_no_code_with_the_closed_form(monkeypatch):
     assert [chern_mod._jacobi_trudi(n, lam) for n, lam in shapes] == expected
 
 
+def test_the_enumeration_shares_no_code_with_the_closed_form(monkeypatch):
+    # the tableau oracle counts its own dimension, so it still answers with
+    # the closed-form loop broken
+    import schern.chern as chern_mod
+
+    def broken(*args):
+        raise AssertionError("the enumeration ran the closed-form loop")
+
+    monkeypatch.setattr(chern_mod, "_line_indices", broken)
+    assert tuple(chern_mod.c2_enumeration(8, (2, 2, 2))) == (700, False, 1176)
+
+
+def test_only_the_settle_rule_and_the_unchecked_closed_form_run_the_loop():
+    # every other route to a printed index or dimension, schur_dimension
+    # included, goes through c2 and so through the cross-check
+    callers = sorted(
+        getattr(top, "name", "<module>")
+        for top in ast.parse((SRC / "chern.py").read_text()).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "_line_indices"
+    )
+    assert callers == ["_settle", "c2_closed_form"]
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "chern.py":
+            assert "_line_indices" not in path.read_text(), path.name
+
+
 def test_the_row_pipeline_is_lazy_and_only_single_shapes_build_a_chern_result():
     # _line_indices and _settle yield their rows and column_rows hands on
     # _settle's stream, so no layer holds a list of rows; a ChernResult is
