@@ -6,8 +6,8 @@ sets of the representation rings of the quotients SL(n)/mu_d, and
 certifies the gcd of the indices over such a set.
 """
 # The one version string: the cache stamps its records with it and
-# pyproject.toml reads it.  Set before the imports below, since .cache
-# imports it while this package is still initialising.
+# pyproject.toml reads it.  No module imported below imports .cache, so
+# .cache reads it only from a package that has finished initialising.
 __version__ = "0.1.0"
 
 from .chern import (

@@ -19,17 +19,17 @@ n_lam:
 * enumeration: stream every semistandard tableau content and read off the
   quadratic part of the splitting-principle product modulo (x1+...+xn).
 
-The front door :func:`c2`, one shape, and :func:`column_rows`, a lazy
-stream of plain (n_lam, cross_checked, dim) tuples, both run the closed form
-and one private rule, :func:`_settle`, which alone cross-checks by the
-determinant while the dimension is at most CROSS_CHECK_CEILING and alone
-reads and writes, under that ceiling only, the records of a cache it is
-handed; :func:`schur_dimension` is c2's dimension.  Only the single-shape
-routes build a ChernResult.  Enumeration costs time linear in the
-dimension; no command reaches it, and it serves the tests as an oracle.
-No route leaves the integers: the closed form divides n times the Casimir
-eigenvalue exactly, and the determinant only by pivots whose integer part
-is a dimension.
+The front door :func:`c2`, one shape, and :func:`column_rows`, a lazy stream
+of plain (heights, n_lam, cross_checked, dim) tuples that reads its heights
+once, both run the closed form and one private rule, :func:`_settle`, which
+alone cross-checks by the determinant while the dimension is at most
+CROSS_CHECK_CEILING and alone reads and writes, under that ceiling only, the
+records of a cache it is handed; :func:`schur_dimension` is c2's dimension.
+No row is paired with its shape by position, and only the single-shape
+routes build a ChernResult.  Enumeration costs time linear in the dimension;
+no command reaches it, and it serves the tests as an oracle.  No route leaves
+the integers: the closed form divides n times the Casimir eigenvalue exactly,
+and the determinant only by pivots whose integer part is a dimension.
 """
 import math
 from collections import namedtuple
@@ -82,11 +82,11 @@ def reduce_full_columns(n: int, lam: Partition) -> Partition:
 
 
 def _line_indices(n: int, batch: Iterable[Partition],
-                  by_columns: bool) -> Iterator[tuple[int, int]]:
-    """Yield (n_lam, dim) of each shape in ``batch``, each given by its column
-    heights (by_columns) or its rows l_0 >= l_1 >= ... >= l_(k-1), at most n
-    rows; the one evaluation of the closed form
-    n_lam = dim * casimir / (n^2 - 1).
+                  by_columns: bool) -> Iterator[tuple[Partition, int, int]]:
+    """Yield (lines, n_lam, dim) of each shape ``lines`` in ``batch``, read
+    once, each given by its column heights (by_columns) or its rows
+    l_0 >= l_1 >= ... >= l_(k-1), at most n rows; the one evaluation of the
+    closed form n_lam = dim * casimir / (n^2 - 1).
 
     With m_j = l_j + k - 1 - j, the hook content formula reads
     dim = prod_(i<j) (m_i - m_j) * prod_j B(m_j) / E_k (Macdonald, Symmetric
@@ -145,15 +145,16 @@ def _line_indices(n: int, batch: Iterable[Partition],
                 f"lam={_conjugate(lines) if by_columns else lines}; "
                 "formula misapplied"
             )
-        yield value, dim
+        yield lines, value, dim
 
 
 def c2_closed_form(n: int, lam: Partition) -> ChernResult:
     """n_lam = dim * casimir / (n^2 - 1), computed as the integer quotient
     dim * (n * casimir) / (n * (n^2 - 1)) over the shorter side of the
     reduced lam; the division is always exact.  Never cross-checked."""
+    n = integer(n, "n")
     lines, by_columns = _shorter_side(reduce_full_columns(n, lam))
-    (value, dim), = _line_indices(n, [lines], by_columns)
+    (_, value, dim), = _line_indices(n, [lines], by_columns)
     return ChernResult(value, False, dim)
 
 
@@ -180,6 +181,7 @@ def _jacobi_trudi(n: int, lam: Partition) -> tuple[int, int]:
     raises InvariantError.  Neither the hook content formula nor the Casimir
     is used.
     """
+    n = integer(n, "n")
     lines, by_columns = _shorter_side(reduce_full_columns(n, lam))
     k = len(lines)
     if not k:
@@ -238,19 +240,19 @@ def c2_enumeration(n: int, lam: Partition) -> ChernResult:
     return ChernResult(total, False, dim)
 
 
-def _settle(n: int, shapes: list[Partition], by_columns: bool,
-            cache) -> Iterator[tuple[int, bool, int]]:
-    """Yield (n_lam, cross_checked, dim) of each reduced shape in ``shapes``,
-    given by its column heights (by_columns) or rows, by the closed form, and
-    the one cross-check rule: while the dimension is at most
-    CROSS_CHECK_CEILING, the Jacobi-Trudi determinant recomputes the index
-    and the dimension, and a disagreement raises CrossCheckError as that row
-    is drawn.  Only under the ceiling is lam built and ``cache`` consulted,
-    any object with ``get(n, lam)`` and ``put(n, lam, index)`` keyed by the
-    reduced lam: a record equal to the closed form stands in for the
-    determinant, each index the determinant confirms is put, and the later
-    record wins."""
-    for lines, (value, dim) in zip(shapes, _line_indices(n, shapes, by_columns)):
+def _settle(n: int, shapes: Iterable[Partition], by_columns: bool,
+            cache) -> Iterator[tuple[Partition, int, bool, int]]:
+    """Yield (lines, n_lam, cross_checked, dim) of each reduced shape
+    ``lines`` in ``shapes``, column heights (by_columns) or rows, as the one
+    pass of the closed form yields it, and the one cross-check rule: while
+    the dimension is at most CROSS_CHECK_CEILING, the Jacobi-Trudi
+    determinant recomputes the index and the dimension, and a disagreement
+    raises CrossCheckError as that row is drawn.  Only under the ceiling is
+    lam built and ``cache`` consulted, any object with ``get(n, lam)`` and
+    ``put(n, lam, index)`` keyed by the reduced lam: a record equal to the
+    closed form stands in for the determinant, each index the determinant
+    confirms is put, and the later record wins."""
+    for lines, value, dim in _line_indices(n, shapes, by_columns):
         checked = dim <= CROSS_CHECK_CEILING
         if checked:
             lam = _conjugate(lines) if by_columns else lines
@@ -260,22 +262,24 @@ def _settle(n: int, shapes: list[Partition], by_columns: bool,
                     raise CrossCheckError(n, lam, (value, dim), determinant)
                 if cache is not None:
                     cache.put(n, lam, value)
-        yield value, checked, dim
+        yield lines, value, checked, dim
 
 
-def column_rows(n: int, heights: list[Partition], cache=None) -> Iterator[tuple]:
-    """Lazily, what :func:`c2` gives each shape in ``heights``, given by its
-    column heights, all below n, as a plain (n_lam, cross_checked, dim)
-    tuple, handed ``cache``: the generator rows of the basis search, in one
-    pass, so each line count builds its tables once."""
+def column_rows(n: int, heights: Iterable[Partition], cache=None) -> Iterator[tuple]:
+    """Lazily, what :func:`c2` gives each shape in ``heights``, any iterable
+    of column heights, all below n, read once: a plain (heights, n_lam,
+    cross_checked, dim) tuple, the heights as handed in, handed ``cache``.
+    One pass, so each line count builds its tables once; n is checked here."""
+    n = integer(n, "n")
     return _settle(n, heights, True, cache)
 
 
 def c2(n: int, lam: Partition, *, cache=None) -> ChernResult:
     """Front door: the closed form over the shorter side of the reduced lam,
     settled by :func:`_settle`, handed ``cache``."""
+    n = integer(n, "n")
     lines, by_columns = _shorter_side(reduce_full_columns(n, lam))
-    return ChernResult(*next(_settle(n, [lines], by_columns, cache)))
+    return ChernResult(*next(_settle(n, [lines], by_columns, cache))[1:])
 
 
 def schur_dimension(n: int, lam: Partition) -> int:

@@ -11,13 +11,13 @@ expected image index and, for SL(8)/mu_2 and SL(9)/mu_3, the printed
 reference table as plain data.  :func:`generator_table` recomputes every
 row and flags disagreements instead of silently trusting either side.
 Every index comes from one :func:`chern.column_rows` stream over column
-heights, with c2's cross-check; only printed tables build weights or keep rows.
+heights, each row carrying its own, with c2's cross-check; only printed
+tables build weights or keep rows.  ``cache`` is handed on to that stream.
 """
 from collections import namedtuple
 from functools import reduce
 from math import gcd
 
-from .cache import ResultCache
 from .chern import column_rows
 from .partitions import InputError, InvariantError, Partition, integer
 from .weights import GroupSpec, generator_heights, partition_of, weight_of
@@ -113,10 +113,10 @@ _PRINTED = {c.spec: {w: v for w, _, v in c.reference}
 
 
 def _compute_table(spec: GroupSpec, heights: list[Partition],
-                   cache: ResultCache | None) -> GeneratorTable:
+                   cache) -> GeneratorTable:
     printed = _PRINTED.get(spec, {})
     rows = []
-    for h, (value, checked, _) in zip(heights, column_rows(spec.n, heights, cache)):
+    for h, value, checked, _ in column_rows(spec.n, heights, cache):
         w = weight_of(spec.n, h)
         flag = w in printed and printed[w] != value
         rows.append(TableRow(w, partition_of(w), value, flag, checked, printed.get(w)))
@@ -124,8 +124,7 @@ def _compute_table(spec: GroupSpec, heights: list[Partition],
     return GeneratorTable(spec, tuple(rows), gcd(*(r.n_lambda for r in rows)))
 
 
-def generator_table(spec: GroupSpec,
-                    cache: ResultCache | None = None) -> GeneratorTable:
+def generator_table(spec: GroupSpec, cache=None) -> GeneratorTable:
     """Index table over the minimal generating set of the descent monoid,
     lex sorted by weight.
 
@@ -137,8 +136,7 @@ def generator_table(spec: GroupSpec,
     return _compute_table(spec, generator_heights(spec), cache)
 
 
-def table_against_reference(case_id: str,
-                            cache: ResultCache | None = None) -> GeneratorTable:
+def table_against_reference(case_id: str, cache=None) -> GeneratorTable:
     """Recompute exactly the printed rows of a bundled case,
     ``CASES[case_id].reference``.
 
@@ -155,12 +153,12 @@ def table_against_reference(case_id: str,
     return _compute_table(case.spec, heights, cache)
 
 
-def image_index(spec: GroupSpec, cache: ResultCache | None = None) -> int:
+def image_index(spec: GroupSpec, cache=None) -> int:
     """gcd of the indices n_lam over the generating set: the image of the
     degree-2 Chern class map is this multiple of c2, a running gcd over the
     rows as they stream: no row is kept, nor any weight or partition."""
     rows = column_rows(spec.n, generator_heights(spec), cache)
-    return reduce(gcd, (value for value, _, _ in rows), 0)
+    return reduce(gcd, (value for _, value, _, _ in rows), 0)
 
 
 def verify_case(case_id: str) -> CaseReport:
@@ -215,7 +213,7 @@ def explore_conjecture(ell: int) -> ConjectureReport:
     spec = GroupSpec(ell * ell, ell)
     n = spec.n
     heights = generator_heights(spec)
-    index_of = {h: value for h, (value, _, _) in zip(heights, column_rows(n, heights))}
+    index_of = {h: value for h, value, _, _ in column_rows(n, heights)}
     duality_ok = all(index_of.get(tuple([n - c for c in h[::-1]])) == value
                      for h, value in index_of.items())
     g = reduce(gcd, index_of.values(), 0)

@@ -121,7 +121,7 @@ class TestCasimir:
         n, lam = case
         dim = weyl_dimension(n, lam)
         for lines, by_columns in [(lam, False), (conjugate(lam), True)]:
-            (value, kernel_dim), = chern_mod._line_indices(n, [lines], by_columns)
+            (_, value, kernel_dim), = chern_mod._line_indices(n, [lines], by_columns)
             assert kernel_dim == dim
             assert value * (n * n - 1) == dim * casimir(n, lam)
 
@@ -198,7 +198,7 @@ def _oracle_indices(n, shapes):
 
 def column_indices(n, rows):
     # the indices alone, which is what the oracle below gives
-    return [value for value, _, _ in column_rows(n, rows)]
+    return [value for _, value, _, _ in column_rows(n, rows)]
 
 
 class _RecordingCache:
@@ -225,24 +225,25 @@ class TestColumnIndices:
     @pytest.mark.parametrize("n, d", _GROUPS_TO_16)
     def test_rows_are_what_c2_gives_each_shape(self, n, d):
         # the batch settles each row by the rule c2 uses: the same
-        # (n_lam, cross_checked, dim) and, handed a cache, the same gets and
-        # puts in the same order, cold and then served by the records
+        # (n_lam, cross_checked, dim) behind its heights and, handed a cache,
+        # the same gets and puts in the same order, cold and then served by
+        # the records
         rows = generator_heights(GroupSpec(n, d))
-        assert list(column_rows(n, rows)) == [tuple(c2(n, conjugate(h))) for h in rows]
+        assert list(column_rows(n, rows)) == [(h, *c2(n, conjugate(h))) for h in rows]
         batch, single = _RecordingCache(), _RecordingCache()
         for _ in range(2):
             assert list(column_rows(n, rows, cache=batch)) == [
-                tuple(c2(n, conjugate(h), cache=single)) for h in rows]
+                (h, *c2(n, conjugate(h), cache=single)) for h in rows]
             assert batch.calls == single.calls
-        assert len(batch.data) == sum(checked for _, checked, _ in column_rows(n, rows))
+        assert len(batch.data) == sum(checked for _, _, checked, _ in column_rows(n, rows))
 
     def test_a_disputed_row_raises_only_when_it_is_drawn(self, monkeypatch):
         # the rows stream: with the determinant planted to disagree on the
         # fifth row under the ceiling, the four before it come out and only
         # drawing the fifth raises
         n, rows = 8, generator_heights(GroupSpec(8, 2))
-        expected = [tuple(c2(n, conjugate(h))) for h in rows]
-        k = [i for i, (_, checked, _) in enumerate(expected) if checked][4]
+        expected = [(h, *c2(n, conjugate(h))) for h in rows]
+        k = [i for i, (_, _, checked, _) in enumerate(expected) if checked][4]
         disputed, real = conjugate(rows[k]), chern_mod._jacobi_trudi
         monkeypatch.setattr(chern_mod, "_jacobi_trudi", lambda n, lam: (
             (0, 0) if lam == disputed else real(n, lam)))
@@ -277,6 +278,26 @@ class TestColumnIndices:
         assert column_indices(1, [()]) == [0]
         assert column_indices(2, [(), (1,), (1, 1)]) == [0, 1, 4]  # Sym^2: 4
 
+    @pytest.mark.parametrize("n, d, count", [(8, 2, 13), (25, 5, 1558), (40, None, 2)])
+    def test_a_stream_of_heights_gives_the_rows_of_its_list(self, n, d, count):
+        # the heights are read once, so an iterator over them gives what the
+        # list gives; at n = 40 both shapes lie above the ceiling
+        rows = generator_heights(GroupSpec(n, d)) if d else [(30,) * 15, (29,) * 14]
+        expected = list(column_rows(n, rows))
+        assert len(expected) == len(rows) == count
+        assert list(column_rows(n, iter(rows))) == expected
+        if d is None:
+            assert not any(checked for _, _, checked, _ in expected)
+
+    def test_each_row_carries_the_heights_it_was_handed(self):
+        # the first field is the very object handed in, in the order handed
+        # in, under the ceiling and above it
+        handed = [tuple(list(h)) for h in generator_heights(GroupSpec(9, 3))]
+        rows = list(column_rows(9, iter(handed)))
+        assert len(rows) == len(handed) == 31
+        assert all(row[0] is h for row, h in zip(rows, handed))
+        assert {checked for _, _, checked, _ in rows} == {True, False}
+
     @given(st.integers(2, 30).flatmap(lambda n: st.tuples(
         st.just(n),
         st.lists(st.lists(st.integers(1, 12), max_size=min(n, 10)).map(
@@ -289,9 +310,11 @@ class TestColumnIndices:
         n, shapes = case
         expected = [(index, weyl_dimension(n, lam))
                     for index, lam in zip(_oracle_indices(n, shapes), shapes)]
-        assert list(chern_mod._line_indices(n, shapes, False)) == expected
+        assert list(chern_mod._line_indices(n, shapes, False)) == [
+            (lam, *row) for lam, row in zip(shapes, expected)]
         heights = [conjugate(lam) for lam in shapes]
-        assert list(chern_mod._line_indices(n, heights, True)) == expected
+        assert list(chern_mod._line_indices(n, heights, True)) == [
+            (h, *row) for h, row in zip(heights, expected)]
 
 
 class TestEnumeration:
@@ -653,6 +676,29 @@ class TestDualPartition:
         n = len(w) + 1
         lam = partition_of(w)
         assert dual_partition(n, lam) == partition_of(dual_weight(w))
+
+
+class _Index:
+    """An integer whose one integer method is __index__."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+@pytest.mark.parametrize("n, lam", [(8, (2, 2, 2)), (8, (3,) + (1,) * 7), (30, (15,) * 15)])
+def test_an_n_with_only_index_gives_what_the_int_gives(n, lam):
+    # every entry point computes with the int its check returned; the
+    # enumeration walks every tableau, so it skips the large shape
+    heights = conjugate(reduce_full_columns(n, lam))
+    routes = [c2, c2_closed_form, schur_dimension, chern_mod._jacobi_trudi,
+              lambda n, lam: list(column_rows(n, [heights]))]
+    if n < 30:
+        routes.append(c2_enumeration)
+    for route in routes:
+        assert route(_Index(n), lam) == route(n, lam)
 
 
 class TestReduction:

@@ -556,8 +556,8 @@ def test_conjecture_a_row_that_ell_does_not_divide(capsys, monkeypatch):
     def first_row_off_by_one(n, rows):
         seen.extend(rows)
         results = real(n, rows)
-        value, *rest = next(results)
-        yield value + 1, *rest
+        heights, value, *rest = next(results)
+        yield heights, value + 1, *rest
         yield from results
 
     monkeypatch.setattr(tables_mod, "column_rows", first_row_off_by_one)
@@ -1404,13 +1404,17 @@ def test_benchmark_argvs_parse_to_the_argparse_namespaces():
     lambda: c2_enumeration(2.5, (1,)),
     lambda: chern_mod._jacobi_trudi(2.5, (1,)),
     lambda: ssyt_count(2.5, (1,)),
+    lambda: list(chern_mod.column_rows(8.0, [(1,)])),
+    lambda: list(chern_mod.column_rows("8", [(1,)])),
+    lambda: list(chern_mod.column_rows(-3, [(1,)])),
 ], ids=["dim-n", "ssyt-n", "increasing", "rows-reduce", "rows-dual",
         "rows-casimir", "casimir-n", "dual-n", "c2-n", "subshape-n", "determinant-n", "spec-n",
         "spec-d", "spec-divide", "weight-type", "weight-sign", "table-case",
         "verify-case", "ell-prime", "ell-ceiling", "partition-text",
         "spec-d-float", "spec-n-float", "c2-n-float", "closed-form-n-float",
         "ell-float", "reduce-n-float", "dim-n-float", "dim-n-str",
-        "enumeration-n-float", "determinant-n-float", "ssyt-n-float"])
+        "enumeration-n-float", "determinant-n-float", "ssyt-n-float",
+        "rows-n-float", "rows-n-str", "rows-n-negative"])
 def test_every_bad_input_raises_input_error(call):
     with pytest.raises(InputError):
         call()

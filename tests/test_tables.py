@@ -327,7 +327,7 @@ class TestIndexFormula:
                     predicted *= p ** max(0, min(_valuation(p, d),
                                                  _valuation(p, n // d) - (p == 2)))
             rows = column_rows(n, generator_heights(GroupSpec(n, d)))
-            index = math.gcd(*(value for value, _, _ in rows))
+            index = math.gcd(*(value for _, value, _, _ in rows))
             if index != predicted:
                 mismatches.append((n, d, index, predicted))
         assert mismatches == []
@@ -402,8 +402,9 @@ class TestExploreConjecture:
 
         def skewed(n, rows):
             # lam = (1,1,1); dual (6,) keeps its value 21
-            return ((value + 3, *rest) if heights == (3,) else (value, *rest)
-                    for heights, (value, *rest) in zip(rows, real(n, rows)))
+            return ((heights, value + 3, *rest) if heights == (3,)
+                    else (heights, value, *rest)
+                    for heights, value, *rest in real(n, rows))
 
         monkeypatch.setattr(tables_mod, "column_rows", skewed)
         rep = explore_conjecture(3)

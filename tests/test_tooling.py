@@ -167,13 +167,16 @@ def test_perfbench_tracer_counts_the_rows_and_skips_of_the_front_door(capsys, tm
 
 def test_only_the_command_line_opens_a_cache():
     # chern.c2 reads and writes records only through the object it is
-    # handed, so the math module imports nothing from the cache and opens
-    # no file; only --cache constructs a ResultCache.  Each import and each
+    # handed, and tables only hands that object on, so neither the math
+    # module nor the tables imports anything from the cache or opens a file;
+    # only --cache constructs a ResultCache.  Each import and each
     # construction is reported by file and line.
     trees = {path.name: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(SRC.glob("*.py"))}
     cache_imports = [
-        node.lineno for node in ast.walk(trees["chern.py"])
+        f"{name}:{node.lineno}"
+        for name in ("chern.py", "tables.py")
+        for node in ast.walk(trees[name])
         if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("cache")
         or isinstance(node, ast.Import)
         and any(a.name.split(".")[-1] == "cache" for a in node.names)
@@ -324,6 +327,26 @@ def test_only_the_settle_rule_and_the_unchecked_closed_form_run_the_loop():
     for path in sorted(SRC.glob("*.py")):
         if path.name != "chern.py":
             assert "_line_indices" not in path.read_text(), path.name
+
+
+def test_no_rows_are_zipped_with_their_shapes():
+    # each row carries the heights it came from, so no function pairs a row
+    # stream with a list of shapes by position, which would silently shift
+    # the rows of a stream read once.  Each such zip is reported by file
+    # and line.
+    streams = {"column_rows", "_line_indices", "_settle"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "zip"
+        and any(isinstance(sub, ast.Call)
+                and (sub.func.id if isinstance(sub.func, ast.Name)
+                     else getattr(sub.func, "attr", None)) in streams
+                for arg in node.args for sub in ast.walk(arg))
+    ]
+    assert found == []
 
 
 def test_the_row_pipeline_is_lazy_and_only_single_shapes_build_a_chern_result():
