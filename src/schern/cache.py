@@ -1,11 +1,11 @@
 """Append-only cache of cross-checked indices.
 
 A record holds the one fact a hit saves: the index n_lam of (n, lam) that
-the Jacobi-Trudi determinant gave.  chern.c2 is the one reader and writer:
-it looks up the reduced lam, and puts an index only after its determinant
-confirmed it; nothing here decides whether a record may stand in.  The
-key stays "subshape", as the earlier sub-shape sum gave the same integer,
-so older files read as before.  A record is one line,
+the Jacobi-Trudi determinant gave.  chern.c2 under the c2 command is the one
+reader and writer: it looks up the reduced lam, and puts an index only after
+its determinant confirmed it; nothing here decides whether a record may
+stand in.  The key stays "subshape", as the earlier sub-shape sum gave the
+same integer, so older files read as before.  A record is one line,
 {"n":8,"partition":[2,2,2],"subshape":700,"version":"0.1.0"}: the bytes of
 json.dumps(rec, sort_keys=True, separators=(",", ":")), no timestamps, so
 identical runs produce byte-identical files.  A line is read only if it is
@@ -15,7 +15,7 @@ an advisory lock; concurrent writers interleave whole lines.  The path is a
 str or any path-like, used as given.  A path that is absent reads as an
 empty cache; one that ends in "/" or is not a regular file (a directory, a
 FIFO, a device), or cannot be read or appended to, raises InputError, as a
-bad --cache argument.
+bad --cache argument of c2.
 """
 import os
 from stat import S_ISREG

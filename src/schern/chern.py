@@ -19,17 +19,17 @@ n_lam:
 * enumeration: stream every semistandard tableau content and read off the
   quadratic part of the splitting-principle product modulo (x1+...+xn).
 
-The front door :func:`c2`, one shape, and :func:`column_rows`, a lazy stream
-of plain (heights, n_lam, cross_checked, dim) tuples that reads its heights
-once, both run the closed form and one private rule, :func:`_settle`, which
-alone cross-checks by the determinant while the dimension is at most
-CROSS_CHECK_CEILING and alone reads and writes, under that ceiling only, the
-records of a cache it is handed; :func:`schur_dimension` is c2's dimension.
-No row is paired with its shape by position, and only the single-shape
-routes build a ChernResult.  Enumeration costs time linear in the dimension;
-no command reaches it, and it serves the tests as an oracle.  No route leaves
-the integers: the closed form divides n times the Casimir eigenvalue exactly,
-and the determinant only by pivots whose integer part is a dimension.
+The front door :func:`c2` and :func:`column_rows`, the table commands'
+internal stream of (heights, n_lam, cross_checked, dim) tuples, both run the
+closed form and one private rule, :func:`_settle`, which alone cross-checks
+by the determinant while the dimension is at most CROSS_CHECK_CEILING and
+alone reads and writes, under that ceiling only, the records of a cache that
+only c2 hands it; :func:`schur_dimension` is c2's dimension.  No row is
+paired with its shape by position, and only the single-shape routes build a
+ChernResult.  Enumeration costs time linear in the dimension; no command
+reaches it, and it serves the tests as an oracle.  No route leaves the
+integers: the closed form divides n times the Casimir eigenvalue exactly, and
+the determinant only by pivots whose integer part is a dimension.
 """
 import math
 from collections import namedtuple
@@ -248,10 +248,10 @@ def _settle(n: int, shapes: Iterable[Partition], by_columns: bool,
     the dimension is at most CROSS_CHECK_CEILING, the Jacobi-Trudi
     determinant recomputes the index and the dimension, and a disagreement
     raises CrossCheckError as that row is drawn.  Only under the ceiling is
-    lam built and ``cache`` consulted, any object with ``get(n, lam)`` and
-    ``put(n, lam, index)`` keyed by the reduced lam: a record equal to the
-    closed form stands in for the determinant, each index the determinant
-    confirms is put, and the later record wins."""
+    lam built and c2's ``cache`` consulted, any object with ``get(n, lam)``
+    and ``put(n, lam, index)`` keyed by the reduced lam: a record equal to
+    the closed form stands in for the determinant, each index the
+    determinant confirms is put, and the later record wins."""
     for lines, value, dim in _line_indices(n, shapes, by_columns):
         checked = dim <= CROSS_CHECK_CEILING
         if checked:
@@ -265,13 +265,13 @@ def _settle(n: int, shapes: Iterable[Partition], by_columns: bool,
         yield lines, value, checked, dim
 
 
-def column_rows(n: int, heights: Iterable[Partition], cache=None) -> Iterator[tuple]:
-    """Lazily, what :func:`c2` gives each shape in ``heights``, any iterable
-    of column heights, all below n, read once: a plain (heights, n_lam,
-    cross_checked, dim) tuple, the heights as handed in, handed ``cache``.
-    One pass, so each line count builds its tables once; n is checked here."""
+def column_rows(n: int, heights: Iterable[Partition]) -> Iterator[tuple]:
+    """Internal: lazily, what :func:`c2` with no cache gives each shape in
+    ``heights``, column heights read once and trusted, as plain (heights,
+    n_lam, cross_checked, dim) tuples; one pass, so each line count builds its
+    tables once.  n is checked here."""
     n = integer(n, "n")
-    return _settle(n, heights, True, cache)
+    return _settle(n, heights, True, None)
 
 
 def c2(n: int, lam: Partition, *, cache=None) -> ChernResult:

@@ -1,10 +1,10 @@
 """Command-line front end.
 
 The parsed flags are the only settings; no shell variable is read.  With
---cache PATH (and no --no-cache), the command opens the result cache at
-PATH and hands it to chern, whose one cross-check rule alone reads and
-writes its records.  Without --cache no command reads or writes a file.
-dim, verify and conjecture accept the cache flags and never open the cache.
+--cache PATH (and no --no-cache), c2 opens the result cache at PATH and
+hands it to chern.c2, whose one cross-check rule alone reads and writes its
+records.  Without --cache no command reads or writes a file.  Every other
+command accepts the cache flags and never opens the cache.
 render_table and the cache write their own bytes, so no command imports
 json or csv.  argv is read by parse_args against the COMMANDS table;
 -h/--help prints help and exits 0.
@@ -15,9 +15,9 @@ closed form, the hook-content dimension or the cross-check's Bareiss
 elimination did not divide exactly or met a non-positive pivot, in c2, dim
 or any table row), 2 bad arguments or violated preconditions (InputError: a
 usage error from the parser itself, unknown case, ell above its ceiling,
-malformed partition, unusable cache path), 3 a consistency check failed
-(the determinant gave another index or dimension than the closed form, for
-c2, dim or any table row; no command then prints on stdout).
+malformed partition, an unusable cache path for c2), 3 a consistency check
+failed (the determinant gave another index or dimension than the closed
+form, for c2, dim or any table row; no command then prints on stdout).
 main() runs the atexit handlers, flushes stdio and ends the process with
 os._exit, skipping interpreter teardown; under a tracer or profiler, or
 when a flush fails, it exits through sys.exit instead.
@@ -50,10 +50,6 @@ def parse_partition(text: str) -> Partition:
     if not all(tok.isascii() and tok.isdigit() for tok in tokens):
         raise PartitionError(f"cannot parse partition {text!r}")
     return partition(map(int, tokens))
-
-
-def _cache(args) -> ResultCache | None:
-    return None if args.no_cache or args.cache is None else ResultCache(args.cache)
 
 
 # ---------------------------------------------------------------- rendering
@@ -145,7 +141,8 @@ def render_table(table: GeneratorTable, fmt: str, case_id: str | None = None) ->
 
 def _cmd_c2(args) -> int:
     lam = parse_partition(args.partition)
-    print(c2(args.n, lam, cache=_cache(args)).n_lambda)
+    cache = None if args.no_cache or args.cache is None else ResultCache(args.cache)
+    print(c2(args.n, lam, cache=cache).n_lambda)
     return 0
 
 
@@ -156,14 +153,14 @@ def _cmd_dim(args) -> int:
 
 def _cmd_generators(args) -> int:
     spec = GroupSpec(args.n, args.d)
-    table = generator_table(spec, cache=_cache(args))
+    table = generator_table(spec)
     sys.stdout.write(render_table(table, args.format))
     return 0
 
 
 def _cmd_image_index(args) -> int:
     spec = GroupSpec(args.n, args.d)
-    print(image_index(spec, cache=_cache(args)))
+    print(image_index(spec))
     return 0
 
 
@@ -178,7 +175,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    table = table_against_reference(args.case, _cache(args))
+    table = table_against_reference(args.case)
     sys.stdout.write(render_table(table, args.format, case_id=args.case))
     return 0
 

@@ -11,8 +11,9 @@ expected image index and, for SL(8)/mu_2 and SL(9)/mu_3, the printed
 reference table as plain data.  :func:`generator_table` recomputes every
 row and flags disagreements instead of silently trusting either side.
 Every index comes from one :func:`chern.column_rows` stream over column
-heights, each row carrying its own, with c2's cross-check; only printed
-tables build weights or keep rows.  ``cache`` is handed on to that stream.
+heights, each row carrying its own, with c2's cross-check and no cache:
+the determinant itself checks every row under the ceiling.  Only printed
+tables build weights or keep rows.
 """
 from collections import namedtuple
 from functools import reduce
@@ -112,11 +113,10 @@ _PRINTED = {c.spec: {w: v for w, _, v in c.reference}
             for c in CASES.values() if c.reference}
 
 
-def _compute_table(spec: GroupSpec, heights: list[Partition],
-                   cache) -> GeneratorTable:
+def _compute_table(spec: GroupSpec, heights: list[Partition]) -> GeneratorTable:
     printed = _PRINTED.get(spec, {})
     rows = []
-    for h, value, checked, _ in column_rows(spec.n, heights, cache):
+    for h, value, checked, _ in column_rows(spec.n, heights):
         w = weight_of(spec.n, h)
         flag = w in printed and printed[w] != value
         rows.append(TableRow(w, partition_of(w), value, flag, checked, printed.get(w)))
@@ -124,19 +124,19 @@ def _compute_table(spec: GroupSpec, heights: list[Partition],
     return GeneratorTable(spec, tuple(rows), gcd(*(r.n_lambda for r in rows)))
 
 
-def generator_table(spec: GroupSpec, cache=None) -> GeneratorTable:
+def generator_table(spec: GroupSpec) -> GeneratorTable:
     """Index table over the minimal generating set of the descent monoid,
     lex sorted by weight.
 
     A row is flagged when a bundled reference value exists for its weight and
     disagrees with the recomputation.  A row whose cross-check fails raises
     its CrossCheckError, so no table, and no gcd, is returned.  The rows come
-    from one :func:`column_rows` stream, handed ``cache``.
+    from one :func:`column_rows` stream.
     """
-    return _compute_table(spec, generator_heights(spec), cache)
+    return _compute_table(spec, generator_heights(spec))
 
 
-def table_against_reference(case_id: str, cache=None) -> GeneratorTable:
+def table_against_reference(case_id: str) -> GeneratorTable:
     """Recompute exactly the printed rows of a bundled case,
     ``CASES[case_id].reference``.
 
@@ -150,14 +150,14 @@ def table_against_reference(case_id: str, cache=None) -> GeneratorTable:
     # a_i columns of height i, tallest first
     heights = [tuple(i for i in range(len(w), 0, -1) for _ in range(w[i - 1]))
                for w, _, _ in case.reference]
-    return _compute_table(case.spec, heights, cache)
+    return _compute_table(case.spec, heights)
 
 
-def image_index(spec: GroupSpec, cache=None) -> int:
+def image_index(spec: GroupSpec) -> int:
     """gcd of the indices n_lam over the generating set: the image of the
     degree-2 Chern class map is this multiple of c2, a running gcd over the
     rows as they stream: no row is kept, nor any weight or partition."""
-    rows = column_rows(spec.n, generator_heights(spec), cache)
+    rows = column_rows(spec.n, generator_heights(spec))
     return reduce(gcd, (value for _, value, _, _ in rows), 0)
 
 

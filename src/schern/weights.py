@@ -90,21 +90,23 @@ def generator_heights(spec: GroupSpec) -> list[Partition]:
     Factorizations*, ch. 5).  S grows in non-decreasing label order with its
     subsequence sums as a d-bit mask, pruned once 0 is a sum, and is closed by
     each label g >= max(S) of residue -sigma(S), so T arises once: g = max(T).
+    S takes labels of non-zero residue from one table, from the first >= max(S).
     Token i is a column of height i: T from g down is the column form of
     partition_of(w), short since T has at most d tokens (Davenport bound).
     """
     n, d = spec.n, spec.d
     full = (1 << d) - 1
+    labels = [(i, r, d - r) for i in range(1, n) if (r := i % d)]
+    at = [lo - 1 - (lo - 1) // d for lo in range(n)]  # first entry >= lo
     out = []
 
     def grow(lo: int, total: int, sums: int, below: Partition) -> None:
         for g in range(lo + (-total - lo) % d, n, d):
             out.append((g,) + below)
-        for i in range(lo, n):
-            r = i % d
-            if not r or sums >> (d - r) & 1:  # i would close a zero-sum
+        for i, r, s in labels[at[lo]:]:
+            if sums >> s & 1:  # i would close a zero-sum
                 continue
-            grown = sums | ((sums << r | sums >> (d - r)) & full) | 1 << r
+            grown = sums | ((sums << r | sums >> s) & full) | 1 << r
             grow(i, total + r, grown, (i,) + below)
 
     grow(1, 0, 0, ())

@@ -2,13 +2,14 @@
 monoid, the sub-shape sum of n_lam (one integer Jacobi-Trudi determinant
 per two-row sub-shape), and helpers that no command runs (conjugation,
 tableau counts, duals, Weyl's dimension product, the rational Casimir
-eigenvalue, weight arithmetic, a json reader of cache lines).  Bad input
-raises the package's InputError, checked by reduce_full_columns or
-partition."""
+eigenvalue, weight arithmetic, a json reader of cache lines, the H^4
+multiplier from the cocharacter lattice).  Bad input raises the package's
+InputError, checked by reduce_full_columns or partition."""
 from __future__ import annotations
 
 import json
 import math
+import operator
 from fractions import Fraction
 from itertools import product
 from typing import Iterator
@@ -241,6 +242,26 @@ def _bounded_vectors(length: int, budget: int) -> Iterator[Weight]:
         vec[i] = 0
 
     yield from rec(0, budget)
+
+
+def h4_lattice_multiplier(spec: GroupSpec) -> int:
+    """The H^4 multiplier m of SL(n)/mu_d straight from its cocharacter
+    lattice, in integers only: the least m for which m times the basic form
+    is integral on the coroot lattice plus (n/d) omega_1^v.  The basis is
+    scaled by n, so the coroots are n(e_i - e_(i+1)) and (n/d) omega_1^v is
+    (n/d)(n - 1, -1, ..., -1); m is then the lcm of the reduced
+    denominators of x.x / (2 n^2) and x.y / n^2 over the basis.  The form
+    is even on the coroots, so x.x / 2 over every lattice vector x is
+    integral once it is on the basis and x.y is on each pair."""
+    n, d = spec.n, spec.d
+    basis = [[n * ((j == i) - (j == i + 1)) for j in range(n)] for i in range(n - 1)]
+    basis.append([n // d * (n * (j == 0) - 1) for j in range(n)])
+    m = 1
+    for a, x in enumerate(basis):
+        for y in basis[a:]:
+            dot, den = sum(map(operator.mul, x, y)), n * n * (2 if x is y else 1)
+            m = math.lcm(m, den // math.gcd(dot, den))
+    return m
 
 
 def scan_basis(spec: GroupSpec) -> tuple[Weight, ...]:

@@ -201,21 +201,6 @@ def column_indices(n, rows):
     return [value for _, value, _, _ in column_rows(n, rows)]
 
 
-class _RecordingCache:
-    """A dict cache that logs every get and put, in order."""
-
-    def __init__(self):
-        self.data, self.calls = {}, []
-
-    def get(self, n, lam):
-        self.calls.append(("get", n, lam))
-        return self.data.get((n, lam))
-
-    def put(self, n, lam, index):
-        self.calls.append(("put", n, lam, index))
-        self.data[(n, lam)] = index
-
-
 _GROUPS_TO_16 = [
     (n, d) for n in range(2, 17) for d in range(1, n + 1) if n % d == 0
 ] + [(25, 5)]
@@ -225,17 +210,9 @@ class TestColumnIndices:
     @pytest.mark.parametrize("n, d", _GROUPS_TO_16)
     def test_rows_are_what_c2_gives_each_shape(self, n, d):
         # the batch settles each row by the rule c2 uses: the same
-        # (n_lam, cross_checked, dim) behind its heights and, handed a cache,
-        # the same gets and puts in the same order, cold and then served by
-        # the records
+        # (n_lam, cross_checked, dim) behind its heights
         rows = generator_heights(GroupSpec(n, d))
         assert list(column_rows(n, rows)) == [(h, *c2(n, conjugate(h))) for h in rows]
-        batch, single = _RecordingCache(), _RecordingCache()
-        for _ in range(2):
-            assert list(column_rows(n, rows, cache=batch)) == [
-                (h, *c2(n, conjugate(h), cache=single)) for h in rows]
-            assert batch.calls == single.calls
-        assert len(batch.data) == sum(checked for _, _, checked, _ in column_rows(n, rows))
 
     def test_a_disputed_row_raises_only_when_it_is_drawn(self, monkeypatch):
         # the rows stream: with the determinant planted to disagree on the

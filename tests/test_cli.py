@@ -692,15 +692,26 @@ def test_full_columns_share_one_record(capsys, tmp_path):
     assert plain[0] == 2 and invoke(capsys, *bad, "--cache", str(cache)) == plain
 
 
+def row_argvs(n, d):
+    """c2 of each generator row of SL(n)/mu_d, in basis order, as argv."""
+    return [("c2", str(n), ",".join(map(str, partition_of(w))))
+            for w in hilbert_basis(GroupSpec(n, d))]
+
+
 def test_cache_round_trip(capsys, tmp_path):
     cache = tmp_path / "c.jsonl"
-    invoke(capsys, "image-index", "8", "2", "--cache", str(cache))
+
+    def run_all():
+        for argv in row_argvs(8, 2):
+            assert invoke(capsys, *argv, "--cache", str(cache))[0] == 0
+
+    run_all()
     blob = cache.read_bytes()
     assert blob.count(b"\n") == 13
-    invoke(capsys, "image-index", "8", "2", "--cache", str(cache))
+    run_all()
     assert cache.read_bytes() == blob  # warm run appends nothing
     cache.unlink()
-    invoke(capsys, "image-index", "8", "2", "--cache", str(cache))
+    run_all()
     assert cache.read_bytes() == blob  # rebuild is byte-identical
 
 
@@ -708,7 +719,7 @@ def test_cache_hit_short_circuits_c2(capsys, tmp_path, monkeypatch):
     # a record that the closed form reproduces is served: no determinant
     # runs and nothing is appended
     cache = tmp_path / "c.jsonl"
-    argvs = [("c2", "8", "2,2,2"), ("generators", "9", "3", "--format", "json")]
+    argvs = [("c2", "8", "2,2,2"), *row_argvs(9, 3)]
     clean = [invoke(capsys, *argv, "--no-cache") for argv in argvs]
     assert [invoke(capsys, *argv, "--cache", str(cache)) for argv in argvs] == clean
     warm = cache.read_bytes()
@@ -737,8 +748,9 @@ POISON = {"subshape": lambda v: v + 1}
 @pytest.mark.parametrize("field", sorted(POISON))
 @pytest.mark.parametrize("argv,partition", [
     (("c2", "8", "2,2,2"), [2, 2, 2]),
-    # (3^8) carries the index 66 that makes the gcd 3, not 1
-    (("image-index", "9", "3"), [3] * 8),
+    # the generator row (3^8) of SL(9)/mu_3 carries the index 66 that makes
+    # the gcd 3, not 1; only c2 reads its record
+    (("c2", "9", "3,3,3,3,3,3,3,3"), [3] * 8),
 ], ids=["c2", "table-row"])
 def test_poisoned_cache_record_is_recomputed(capsys, tmp_path, argv, partition, field):
     # a recorded sum that the closed form does not reproduce is never
@@ -840,21 +852,22 @@ def test_unusable_cache_path_exits_2(capsys, tmp_path, where):
 
 @pytest.mark.parametrize("ceiling", [0, 200_000], ids=["0", "200000"])
 def test_cache_hit_from_another_ceiling_is_recomputed(capsys, tmp_path, ceiling):
-    # 27 of the 31 rows lie below the cross-check ceiling and are
-    # cross-checked; the sums that a build with another ceiling recorded
-    # (for every row up to that one: none, or all 31) must not change that
+    # 27 of the 31 generator rows of SL(9)/mu_3 lie below the cross-check
+    # ceiling and are cross-checked; the sums that a build with another
+    # ceiling recorded (for every row up to that one: none, or all 31) must
+    # not change what c2 prints for any of them
     cache = tmp_path / "c.jsonl"
-    argv = ("generators", "9", "3", "--format", "json")
-    clean = invoke(capsys, *argv, "--no-cache")
-    assert clean[1].count('"cross_checked": true') == 27
+    argvs = row_argvs(9, 3)
+    clean = [invoke(capsys, *argv, "--no-cache") for argv in argvs]
+    assert sum(c2(9, parse_partition(argv[2])).cross_checked for argv in argvs) == 27
     planted = ResultCache(cache)
     for lam in map(partition_of, hilbert_basis(GroupSpec(9, 3))):
         if schur_dimension(9, lam) <= ceiling:
             planted.put(9, lam, c2_subshape(9, lam))
     before = cache.read_text() if cache.exists() else ""
     assert before.count("\n") == (0 if ceiling == 0 else 31)
-    assert invoke(capsys, *argv, "--cache", str(cache)) == clean
-    assert invoke(capsys, *argv, "--cache", str(cache)) == clean
+    for _ in range(2):
+        assert [invoke(capsys, *argv, "--cache", str(cache)) for argv in argvs] == clean
     # only rows that c2 cross-checked are recorded, each once
     appended = cache.read_text().removeprefix(before).count("\n")
     assert appended == (27 if ceiling == 0 else 0)
@@ -896,56 +909,38 @@ def test_cache_line_with_malformed_d_is_skipped(capsys, tmp_path, field, value):
 def test_torn_last_line_does_not_swallow_an_append(capsys, tmp_path):
     cache = tmp_path / "c.jsonl"
     cache.write_text('{"n":8,"partition":[1,1],"subsh')  # no trailing newline
-    argv = ("image-index", "8", "2", "--cache", str(cache))
-    assert invoke(capsys, *argv)[:2] == (0, "2\n")
+    argvs = [(*argv, "--cache", str(cache)) for argv in row_argvs(8, 2)]
+    clean = [invoke(capsys, *argv) for argv in argvs]
     cold = cache.read_bytes()
-    assert invoke(capsys, *argv)[:2] == (0, "2\n")
+    # the torn line is closed, and each of the 13 rows is a line of its own
+    assert cold.startswith(b'{"n":8,"partition":[1,1],"subsh\n{"n":8,"partition":[')
+    assert cold.count(b"\n") == 14
+    assert [invoke(capsys, *argv) for argv in argvs] == clean
     assert cache.read_bytes() == cold  # every cold row was kept: all hits
 
 
 def test_only_default_mode_c2_touches_the_cache(capsys, tmp_path):
-    # dim never certifies a record for c2
+    # dim never certifies a record for c2, and the table commands neither
+    # read nor write one: each prints its --no-cache bytes and leaves the
+    # file as found, absent or holding a poisoned record that c2 would
+    # recompute and supersede
     cache = tmp_path / "c.jsonl"
-    assert invoke(capsys, "dim", "8", "2,2,2", "--cache", str(cache))[:2] == (0, "1176\n")
-    assert not cache.exists() or cache.read_text() == ""
+    rec = {"n": 8, "partition": [1, 1], "subshape": 7, "version": __version__}
+    poisoned = json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
+    assert invoke(capsys, "dim", "8", "2,2,2", "--no-cache")[:2] == (0, "1176\n")
+    argvs = [("dim", "8", "2,2,2"), ("generators", "9", "3"),
+             ("image-index", "8", "2"), ("table", "--case", "sl8-mu2")]
+    for found in (None, poisoned):
+        if found is not None:
+            cache.write_text(found)
+        for argv in argvs:
+            clean = invoke(capsys, *argv, "--no-cache")
+            assert clean[0] == 0
+            assert invoke(capsys, *argv, "--cache", str(cache)) == clean, argv
+            assert (cache.read_text() if cache.exists() else None) == found, argv
     assert invoke(capsys, "c2", "8", "2,1", "--cache", str(cache))[:2] == (0, "61\n")
     lines = cache.read_text().splitlines()
-    assert len(lines) == 1 and '"subshape":61' in lines[0]
-
-
-def test_a_c2_record_serves_the_matching_table_row(capsys, tmp_path, monkeypatch):
-    # the index of (n, lam) does not depend on d, so the sum that c2 8 1,1
-    # recorded stands in for the (1,1) row of SL(8)/mu_2
-    cache = tmp_path / "c.jsonl"
-    assert invoke(capsys, "c2", "8", "1,1", "--cache", str(cache))[:2] == (0, "6\n")
-    first = cache.read_text()
-    real = chern_mod._jacobi_trudi
-
-    def not_for_the_record(n, lam):
-        if (n, lam) == (8, (1, 1)):
-            raise AssertionError("the recorded index must stand in")
-        return real(n, lam)
-
-    monkeypatch.setattr(chern_mod, "_jacobi_trudi", not_for_the_record)
-    argv = ("image-index", "8", "2", "--cache", str(cache))
-    assert invoke(capsys, *argv)[:2] == (0, "2\n")
-    blob = cache.read_text()
-    assert blob.startswith(first)
-    assert blob.count("\n") == 13 and blob.count('"partition":[1,1],') == 1
-
-
-def test_a_cold_table_records_the_sum_of_each_cross_checked_row(capsys, tmp_path):
-    # 27 of the 31 rows of SL(9)/mu_3 lie at or below the ceiling; the other
-    # 4 ran no sum, so there is nothing to record for them
-    cache = tmp_path / "F"
-    code, out, _ = invoke(capsys, "generators", "9", "3", "--cache", str(cache))
-    assert code == 0 and out.endswith("gcd 3\n")
-    records = [json.loads(line) for line in cache.read_text().splitlines()]
-    assert len(records) == 27
-    assert all(set(rec) == {"n", "partition", "subshape", "version"}
-               for rec in records)
-    assert all(rec["subshape"] == c2_closed_form(9, rec["partition"]).n_lambda
-               for rec in records)
+    assert len(lines) == 2 and lines[0] == poisoned.strip() and '"subshape":61' in lines[1]
 
 
 @pytest.mark.parametrize("method", ["both", "closed-form"])
@@ -1032,8 +1027,8 @@ def test_text_and_uncached_commands_load_no_unneeded_modules(tmp_path):
     # cache append, so a flag-less c2 or image-index loads none of them
     # (isolated_env gives the child a temporary HOME and XDG_CACHE_HOME);
     # no module uses fractions, nor __future__ postponed annotations, which are
-    # gone.  Then a c2 miss that appends, the hit that follows, a cached dim
-    # and a cached table load only fcntl.  Counted in a fresh interpreter
+    # gone.  Then a c2 miss that appends, the hit that follows, a dim and a
+    # table command given --cache load only fcntl.  Counted in a fresh interpreter
     # under -S: a site hook may import pathlib or re before schern starts.
     cache = tmp_path / "F"
     script = (
@@ -1067,8 +1062,8 @@ def test_text_and_uncached_commands_load_no_unneeded_modules(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-6:] == ["[0, 0, 0, 0, 0, 0, 0, 0] []", "700",
                                              "700", "168", "2", "[0, 0, 0, 0] ['fcntl']"]
-    # one line from the c2 miss, then the 12 other rows of SL(8)/mu_2
-    assert cache.read_bytes().count(b"\n") == 13
+    # one line from the c2 miss; image-index never opens the cache
+    assert cache.read_bytes().count(b"\n") == 1
 
 
 def test_run_returns_and_neither_exits_nor_freezes(capsys):

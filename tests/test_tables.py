@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 import math
 import random
 import sys
@@ -11,8 +10,8 @@ import pytest
 import schern.chern as chern_mod
 import schern.partitions as partitions_mod
 import schern.tables as tables_mod
-from oracles import descends, dual_weight, monoid_members_up_to
-from schern.cache import ResultCache
+from oracles import (descends, dual_weight, h4_lattice_multiplier,
+                     monoid_members_up_to)
 from schern.chern import (CROSS_CHECK_CEILING, CrossCheckError, c2_closed_form,
                           column_rows)
 from schern.cli import COMMANDS
@@ -125,42 +124,15 @@ class TestGeneratorTable:
         t = generator_table(GroupSpec(6, 3))
         assert [r.weight for r in t.rows] == sorted(r.weight for r in t.rows)
 
-    def test_lookup_hook_short_circuits_and_record_hook_fires(
-            self, tmp_path, monkeypatch):
-        # a recorded index that equals the closed form stands in for the
-        # determinant; a canned one that does not is recomputed, and every
-        # other row appended
-        spec = GroupSpec(4, 2)
-        path = tmp_path / "c.jsonl"
-        planted = ResultCache(path)
-        planted.put(4, (1, 1), 2)
-        planted.put(4, (2,), 999)
-        real = chern_mod._jacobi_trudi
-
-        def determinant_not_on_a_hit(n, lam):
-            if lam == (1, 1):
-                raise AssertionError("the hit must be served")
-            return real(n, lam)
-
-        monkeypatch.setattr(chern_mod, "_jacobi_trudi", determinant_not_on_a_hit)
-        t = generator_table(spec, cache=ResultCache(path))
-        byw = {r.partition: r for r in t.rows}
-        assert (byw[(1, 1)].n_lambda, byw[(2,)].n_lambda) == (2, 6)
-        assert byw[(1, 1)].cross_checked
-        seen = [json.loads(line) for line in path.read_text().splitlines()[2:]]
-        assert [1, 1] not in [rec["partition"] for rec in seen]
-        assert [rec["subshape"] for rec in seen if rec["partition"] == [2]] == [6]
-        assert len(seen) == len(t.rows) - 1
-
     def test_cross_check_failure_aborts_the_table(self, monkeypatch):
         # no table, and so no gcd over the rows that passed, comes back
         real = tables_mod.column_rows
         original = CrossCheckError(4, (1, 1), (4, 6), (5, 6))
 
-        def broken(n, heights, cache=None):
+        def broken(n, heights):
             if (2,) in heights:  # lam = (1, 1)
                 raise original
-            return real(n, heights, cache)
+            return real(n, heights)
 
         monkeypatch.setattr(tables_mod, "column_rows", broken)
         with pytest.raises(CrossCheckError) as info:
@@ -173,10 +145,10 @@ class TestImageIndex:
         real = tables_mod.column_rows
         original = CrossCheckError(4, (1, 1), (4, 6), (5, 6))
 
-        def broken(n, heights, cache=None):
+        def broken(n, heights):
             if (2,) in heights:  # lam = (1, 1)
                 raise original
-            return real(n, heights, cache)
+            return real(n, heights)
 
         monkeypatch.setattr(tables_mod, "column_rows", broken)
         with pytest.raises(CrossCheckError) as info:
@@ -300,6 +272,14 @@ class TestH4Multiplier:
         assert all(rest == 0 for _, rest in ratios.values())
         assert sorted(k for k, (q, _) in ratios.items() if q != 1) == [
             (8, 2), (9, 3), (16, 2), (16, 4)]
+
+    def test_formula_is_the_lattice_multiplier_for_every_group_up_to_60(self):
+        # a second route: the least multiple of the basic form that is
+        # integral on the scaled cocharacter lattice, computed pair by pair
+        groups = [GroupSpec(n, d) for n in range(2, 61)
+                  for d in range(1, n + 1) if n % d == 0]
+        assert len(groups) == 260
+        assert [g for g in groups if h4_lattice_multiplier(g) != h4_multiplier(g)] == []
 
 
 def _valuation(p: int, k: int) -> int:
