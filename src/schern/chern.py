@@ -171,34 +171,28 @@ def _jacobi_trudi(n: int, lam: Partition) -> tuple[int, int]:
     H(t) = C(n + t - 1, t) + eps C(n + t, t - 1), both 0 for t < 0, so
     det[E(lam'_i - i + j)] over the k columns, or det[H(lam_i - i + j)] over
     the k rows, is dim + eps n_lam; k = min(rows, columns), by the shorter
-    side, and each entry is computed on first use.  Bareiss elimination
-    (Bareiss, Math. Comp. 22, 1968) keeps every intermediate a minor, since
-    Sylvester's identity holds over any commutative ring: with no row
-    exchange, the pivot after c steps is the leading (c + 1)-square minor,
-    whose integer part p0 is the dimension of the shape made of the first
-    c + 1 lines of lam, so positive, and dividing by p0 + eps p1 is exact:
-    a0 / p0, then (a1 p0 - a0 p1) / p0^2.  A pivot p0 <= 0 or a remainder
-    raises InvariantError.  Neither the hook content formula nor the Casimir
-    is used.
+    side, and each entry is computed as the matrix is built.  Bareiss
+    elimination (Bareiss, Math. Comp. 22, 1968) keeps every intermediate a
+    minor, since Sylvester's identity holds over any commutative ring: with
+    no row exchange, the pivot after c steps is the leading (c + 1)-square
+    minor, whose integer part p0 is the dimension of the shape made of the
+    first c + 1 lines of lam, so positive, and dividing by p0 + eps p1 is
+    exact: a0 / p0, then (a1 p0 - a0 p1) / p0^2.  A pivot p0 <= 0 or a
+    remainder raises InvariantError.  Neither the hook content formula nor
+    the Casimir is used.
     """
     n = integer(n, "n")
     lines, by_columns = _shorter_side(reduce_full_columns(n, lam))
     k = len(lines)
     if not k:
         return 0, 1
-    entries = {}
 
     def entry(t: int) -> tuple[int, int]:
-        value = entries.get(t)
-        if value is None:
-            if t <= 0:
-                value = (int(t == 0), 0)
-            elif by_columns:
-                value = (math.comb(n, t), math.comb(n - 2, t - 1))
-            else:
-                value = (math.comb(n + t - 1, t), math.comb(n + t, t - 1))
-            entries[t] = value
-        return value
+        if t <= 0:
+            return int(t == 0), 0
+        if by_columns:
+            return math.comb(n, t), math.comb(n - 2, t - 1)
+        return math.comb(n + t - 1, t), math.comb(n + t, t - 1)
 
     rows = [[entry(p - i + j) for j in range(k)] for i, p in enumerate(lines)]
     a0 = [[e[0] for e in row] for row in rows]

@@ -93,6 +93,7 @@ def generator_heights(spec: GroupSpec) -> list[Partition]:
     S takes labels of non-zero residue from one table, from the first >= max(S).
     Token i is a column of height i: T from g down is the column form of
     partition_of(w), short since T has at most d tokens (Davenport bound).
+    A d that overflows the interpreter's stack raises InputError.
     """
     n, d = spec.n, spec.d
     full = (1 << d) - 1
@@ -109,7 +110,10 @@ def generator_heights(spec: GroupSpec) -> list[Partition]:
             grown = sums | ((sums << r | sums >> s) & full) | 1 << r
             grow(i, total + r, grown, (i,) + below)
 
-    grow(1, 0, 0, ())
+    try:
+        grow(1, 0, 0, ())
+    except RecursionError:
+        raise InputError(f"d={d} is too large for the basis search") from None
     return out
 
 

@@ -3,8 +3,9 @@ monoid, the sub-shape sum of n_lam (one integer Jacobi-Trudi determinant
 per two-row sub-shape), and helpers that no command runs (conjugation,
 tableau counts, duals, Weyl's dimension product, the rational Casimir
 eigenvalue, weight arithmetic, a json reader of cache lines, the H^4
-multiplier from the cocharacter lattice).  Bad input raises the package's
-InputError, checked by reduce_full_columns or partition."""
+multiplier from the cocharacter lattice, the basis size counted by
+residues).  Bad input raises the package's InputError, checked by
+reduce_full_columns or partition."""
 from __future__ import annotations
 
 import json
@@ -280,3 +281,33 @@ def scan_basis(spec: GroupSpec) -> tuple[Weight, ...]:
         and weight_size(w) % spec.d == 0
         and is_monoid_irreducible(w, spec.d)
     )
+
+
+def generator_count(n: int, d: int) -> int:
+    """Size of the minimal generating set of SL(n)/mu_d, counted by residues
+    and not listed; it reads nothing from schern.
+
+    A generator is a minimal zero-sum multiset of labels 1..n-1 read mod d.
+    Its residues form a minimal zero-sum sequence T over Z/d, and T with no
+    0 is S.g with S zero-sum-free and g = -sigma(S) >= max(S); S grows in
+    non-decreasing order with its subsequence sums as a set.  Each T with t_r
+    copies of residue r is filled by prod_r C(m_r + t_r - 1, t_r) label
+    multisets, m_r = #{1 <= i < n : i = r mod d}, and each label of residue
+    0 is a generator alone.
+    """
+    m = [0] * d
+    for i in range(1, n):
+        m[i % d] += 1
+    count = m[0]
+    stack = [((), frozenset())]
+    while stack:
+        seq, sums = stack.pop()
+        if seq and (g := -sum(seq) % d) >= seq[-1]:
+            t = seq + (g,)
+            count += math.prod(math.comb(m[r] + t.count(r) - 1, t.count(r))
+                               for r in set(t))
+        for r in range(seq[-1] if seq else 1, d):
+            if -r % d not in sums:  # else r closes a zero-sum
+                stack.append((seq + (r,),
+                              sums | {r} | {(s + r) % d for s in sums}))
+    return count

@@ -1106,6 +1106,16 @@ def test_a_twenty_digit_row_prints_at_once(command, value):
     assert (proc.returncode, proc.stdout) == (0, f"{value}\n".encode()), proc.stderr
 
 
+@pytest.mark.parametrize("argv", [("image-index", "1200", "1200"),
+                                  ("generators", "1000", "1000")],
+                         ids=["image-index", "generators"])
+def test_a_basis_search_too_deep_for_the_interpreter_exits_2(argv):
+    proc = fresh(*argv, timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert f"d={argv[2]} is too large".encode() in proc.stderr
+    assert b"Traceback" not in proc.stderr
+
+
 DIFFERING = ("import schern.tables as t\n"
              "c = t.CASES['sl8-mu2']\n"
              "t.CASES['sl8-mu2'] = c._replace(expected_gcd=4)")

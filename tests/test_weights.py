@@ -11,13 +11,14 @@ from oracles import (
     conjugate,
     descends,
     dual_weight,
+    generator_count,
     greedy_decomposition,
     monoid_members_up_to,
     scan_basis,
     weight_of,
     weight_size,
 )
-from schern.partitions import partition
+from schern.partitions import InputError, partition
 from schern.weights import (
     GroupSpec,
     generator_heights,
@@ -252,6 +253,23 @@ class TestHilbertBasis:
         assert len(basis) == 66_407
         assert all(sum(w) <= 7 and weight_size(w) % 7 == 0 for w in basis)
         assert {dual_weight(w) for w in basis} == set(basis)
+
+    @pytest.mark.parametrize("n,d", [
+        (n, d) for n in range(2, 21) for d in range(1, n + 1) if n % d == 0
+    ] + [(25, 5), (49, 7)])
+    def test_search_size_is_the_residue_count(self, n, d):
+        assert len(generator_heights(GroupSpec(n, d))) == generator_count(n, d)
+
+    @pytest.mark.parametrize("n,d,count", [
+        (121, 11, 83_907_107),  # the README's conjecture figure for ell = 11
+        (169, 13, 2_667_251_650),
+    ])
+    def test_residue_count_past_the_search(self, n, d, count):
+        assert generator_count(n, d) == count
+
+    def test_a_search_too_deep_for_the_interpreter_is_bad_input(self):
+        with pytest.raises(InputError, match="d=1200 is too large"):
+            hilbert_basis(GroupSpec(1200, 1200))
 
     @pytest.mark.parametrize("n,d", [(4, 2), (6, 2), (6, 3), (8, 2), (9, 3)])
     def test_minimality_by_exhaustive_splitting(self, n, d):
